@@ -1,6 +1,6 @@
 """Quadrature engines shared by the oscillatory-integral modules.
 
-Two strategies cover everything in the package:
+Three engines cover everything in the package:
 
 * half-period panel subdivision with fixed-order Gauss-Legendre inside each
   panel, the order doubled until self-consistent (for phases resolved by the
@@ -8,7 +8,12 @@ Two strategies cover everything in the package:
 * Filon panels for linear phases of arbitrary frequency: the amplitude is
   Legendre-projected per panel and the moments int P_k(x) e^(i mu x) dx
   = 2 i^k j_k(mu) are exact spherical-Bessel values, so the panel count only
-  has to resolve the amplitude, never the oscillation.
+  has to resolve the amplitude, never the oscillation;
+* a lazy piecewise-Chebyshev table for a smooth function of one variable
+  that is read at very many points, such as a Filon transform read at every
+  node of an outer quadrature: unit-width chunks of degree 24 are built on
+  first use, halved where the function varies fast, and then cost one
+  Clenshaw recurrence per point.
 
 A Chebyshev variant with weight (1-c^2)^(-1/2) and ordinary Bessel moments
 int T_k(c) e^(i mu c) (1-c^2)^(-1/2) dc = pi i^k J_k(mu) handles the folded
@@ -17,6 +22,7 @@ circle integrals in rank 2.
 
 from __future__ import annotations
 
+import threading
 import warnings
 from functools import lru_cache
 
@@ -226,12 +232,6 @@ class FilonPanels:
         return out if np.ndim(omega) else complex(out[0])
 
 
-def filon_linear(amp, a: float, b: float, omega, n_panels: int = 24,
-                 warn_label: str = "filon") -> complex:
-    """One-shot helper around :class:`FilonPanels`."""
-    return FilonPanels(amp, a, b, n_panels=n_panels, warn_label=warn_label).integrate(omega)
-
-
 # ---------------------------------------------------------------------------
 # Chebyshev-weighted Filon on [-1, 1]: weight (1 - c^2)^(-1/2)
 # ---------------------------------------------------------------------------
@@ -266,3 +266,99 @@ def _cheb_coeffs_from_values(vals: np.ndarray) -> np.ndarray:
 def cheb_first_kind_points(n: int) -> np.ndarray:
     j = np.arange(n)
     return np.cos(np.pi * (2.0 * j + 1.0) / (2.0 * n))
+
+
+# ---------------------------------------------------------------------------
+# Lazy piecewise-Chebyshev table on unit chunks
+# ---------------------------------------------------------------------------
+
+_TABLE_DEG = 24
+_TABLE_TOL = 1e-13
+_TABLE_DEPTH = 6
+_TABLE_POINTS = cheb_first_kind_points(_TABLE_DEG + 1)
+
+
+class ChebTable:
+    """Piecewise-Chebyshev interpolant of a smooth vectorized function on the line.
+
+    The line is cut into unit chunks [k, k + 1), k an integer.  A chunk is
+    built the first time a lookup falls in it: ``f`` is sampled at the 25
+    first-kind Chebyshev points of the chunk, and the chunk is halved, down
+    to 1/64 width, while either of its last two coefficients exceeds
+    ``1e-13 * scale``.  A piece that is still unresolved at that width emits
+    an :class:`AccuracyWarning`.  Each piece comes from its own call of ``f``
+    on exactly 25 points, so its coefficients are the same whichever thread
+    or lookup builds it; building is serialized by a lock.  Non-finite
+    arguments give NaN.
+
+    ``chunks`` maps each built chunk's left end k to its pieces, a tuple of
+    (left ends, midpoints, half-widths, coefficients of shape (pieces, 25)).
+    """
+
+    def __init__(self, f, scale: float, warn_label: str = "table"):
+        self.f = f
+        self.scale = float(scale)
+        self.warn_label = warn_label
+        self.chunks = {}
+        self._lock = threading.Lock()
+        # (built chunk keys, piece left ends, midpoints, half-widths,
+        # coefficients by degree (25, pieces)), all sorted by position
+        self._flat = (np.empty(0), np.empty(0), np.empty(0), np.empty(0),
+                      np.empty((_TABLE_DEG + 1, 0), dtype=complex))
+
+    def _build_chunk(self, k: float):
+        lefts, mids, halves, coeffs = [], [], [], []
+        stack = [(k, k + 1.0, 0)]
+        while stack:
+            a, b, depth = stack.pop()
+            mid, half = 0.5 * (a + b), 0.5 * (b - a)
+            vals = np.asarray(self.f(mid + half * _TABLE_POINTS), dtype=complex)
+            c = _cheb_coeffs_from_values(vals)
+            if np.max(np.abs(c[-2:])) > _TABLE_TOL * self.scale:
+                if depth < _TABLE_DEPTH:
+                    stack.append((mid, b, depth + 1))
+                    stack.append((a, mid, depth + 1))
+                    continue
+                warnings.warn(f"{self.warn_label}: piece [{a:g}, {b:g}] not resolved "
+                              f"at width {b - a:g}", AccuracyWarning)
+            lefts.append(a)
+            mids.append(mid)
+            halves.append(half)
+            coeffs.append(c)
+        return np.array(lefts), np.array(mids), np.array(halves), np.array(coeffs)
+
+    def _pieces(self, keys: np.ndarray):
+        """The flat piece arrays, after building every chunk named in ``keys``."""
+        flat = self._flat
+        need = np.unique(keys)
+        pos = np.searchsorted(flat[0], need)
+        if pos[-1] < len(flat[0]) and np.array_equal(flat[0][pos], need):
+            return flat
+        with self._lock:
+            for k in need:
+                if float(k) not in self.chunks:
+                    self.chunks[float(k)] = self._build_chunk(float(k))
+            order = sorted(self.chunks)
+            parts = [self.chunks[k] for k in order]
+            self._flat = (np.array(order),
+                          *(np.concatenate([p[i] for p in parts]) for i in range(3)),
+                          np.concatenate([p[3] for p in parts]).T.copy())
+            return self._flat
+
+    def __call__(self, v):
+        """Table value at ``v`` (scalar or array, same shape out)."""
+        varr = np.asarray(v, dtype=float)
+        x = varr.ravel()
+        out = np.full(x.shape, np.nan, dtype=complex)
+        ok = np.isfinite(x)
+        xs = x[ok]
+        if xs.size:
+            _, lefts, mids, halves, coeffs = self._pieces(np.floor(xs))
+            j = np.searchsorted(lefts, xs, side="right") - 1
+            u2 = 2.0 * (xs - mids[j]) / halves[j]
+            cj = coeffs[:, j]
+            b1 = b2 = 0.0
+            for c in cj[:0:-1]:  # Clenshaw
+                b1, b2 = c + u2 * b1 - b2, b1
+            out[ok] = cj[0] + 0.5 * u2 * b1 - b2
+        return out.reshape(varr.shape) if varr.ndim else complex(out[0])

@@ -22,7 +22,12 @@ class OutOfRangeError(SympwaveError):
 
 
 class ResolutionError(SympwaveError):
-    """Spectral proxy too coarse for the requested derivatives."""
+    """A quadrature or spectral proxy did not resolve what it was asked for.
+
+    Raised when a Chebyshev proxy is too coarse for the requested
+    derivatives, and when a spherical function that must be real comes out
+    of its quadrature with an imaginary part above tolerance.
+    """
 
 
 class NormalizationError(SympwaveError):

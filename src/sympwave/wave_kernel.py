@@ -16,9 +16,11 @@ The kernel of exp(i t sqrt(.)) psi(sqrt(.)) applied to the shifted Laplacian
 is the radial integral of exp(i t r) psi(r) against the spectral density
 xi_R(r) = 2 phi_r(R) |c(r)|^-2.  Exchanging the radial and angular integrals
 expresses it through the profile transform F(v) = int psi(r) |c|^-2 e^{i r v} dr,
-which is computed once per profile and evaluated at v = t - s; this keeps the
-R >> t regime (where the spherical function supplies most of the oscillation)
-both fast and accurate.
+evaluated at v = t - s; this keeps the R >> t regime (where the spherical
+function supplies most of the oscillation) both fast and accurate.  F is
+tabulated once per profile: Filon panels give exact values at any frequency,
+and a lazy piecewise-Chebyshev table over unit chunks of v, filled from those
+values on first use, serves every quadrature node after that.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ from math import gamma as real_gamma
 
 import numpy as np
 
-from ._quad import FilonPanels, gl_panels_nodes, integrate_panels
-from .errors import DivergenceError, OutOfRangeError, UsageError
+from ._quad import ChebTable, FilonPanels, gl_panels_nodes, integrate_panels
+from .errors import DivergenceError, OutOfRangeError, ResolutionError, UsageError
 from .plancherel import CFunction
 from .profiles import Profile
 from .root_data import RootDatum, preset
@@ -169,8 +171,8 @@ def _phi_disc(geom: RankOneGeometry, lam: np.ndarray, R: float) -> np.ndarray:
 def phi_rank1(geom: RankOneGeometry, lam, R: float):
     """Spherical function phi_lam at Cartan radius R >= 0 (vectorized in lam).
 
-    Real-valued for real lam; the imaginary part of the quadrature is
-    asserted to be below 1e-10 relative.
+    Real-valued for real lam; raises :class:`ResolutionError` if the
+    imaginary part of the quadrature exceeds 1e-10 relative.
     """
     if R < 0.0:
         raise UsageError("R must be nonnegative")
@@ -183,8 +185,8 @@ def phi_rank1(geom: RankOneGeometry, lam, R: float):
     else:
         vals = _phi_disc(geom, lam_arr, R)
     scale = np.max(np.abs(vals)) + 1e-300
-    assert np.max(np.abs(vals.imag)) <= _IM_TOL * max(1.0, scale), \
-        "spherical function came out non-real"
+    if not np.max(np.abs(vals.imag)) <= _IM_TOL * max(1.0, scale):
+        raise ResolutionError("spherical function came out non-real")
     out = vals.real
     return out if np.ndim(lam) else float(out[0])
 
@@ -221,8 +223,11 @@ class KernelEvaluator:
     """Kernel of exp(i t r) psi(r) against the spectral density, reusable in (t, R).
 
     The profile transform F(v) = int_0^rmax psi(r) |c(r)|^-2 exp(i r v) dr is
-    built once (Filon panels; any frequency); each kernel value is then a
-    short non-oscillatory integral of the boundary amplitude against F.
+    built once as Filon panels (exact at any frequency) and read through
+    ``transform``, a :class:`ChebTable` filled from the panels one unit chunk
+    of v at a time, on first use, to 1e-13 of int |A|.  Each kernel value is
+    then a short non-oscillatory integral of the boundary amplitude against
+    F.  One evaluator may be shared between threads.
     """
 
     def __init__(self, geom: RankOneGeometry, profile: Profile):
@@ -238,14 +243,17 @@ class KernelEvaluator:
             rs = np.atleast_1d(rs)
             return profile.eval(0, rs) * geom.cfun.density(rs[:, None])
 
-        self.transform = FilonPanels(amp, 0.0, self.rmax,
-                                     n_panels=max(10, int(np.ceil(self.rmax / 3.0))),
-                                     warn_label="kernel transform")
+        panels = FilonPanels(amp, 0.0, self.rmax,
+                             n_panels=max(10, int(np.ceil(self.rmax / 3.0))),
+                             warn_label="kernel transform")
+        # tolerance scale: sum over panels of |int A|, fixed before any chunk exists
+        mass = float(np.sum(2.0 * panels.half * np.abs(panels.coeffs[:, 0])))
+        self.transform = ChebTable(panels.integrate, mass, warn_label="kernel transform")
 
     def value(self, t: float, R: float) -> complex:
         geom = self.geom
         if R == 0.0:
-            return 2.0 * self.transform.integrate(t)
+            return 2.0 * self.transform(t)
         if geom.m_2alpha == 0:
             return self._value_single_angle(t, R)
         return self._value_disc(t, R)
@@ -273,7 +281,7 @@ class KernelEvaluator:
 
         def interior(s):
             a = np.exp(kappa * s) * np.maximum(np.cosh(R) - np.cosh(s), 0.0) ** m
-            return a * self.transform.integrate(t - s)
+            return a * self.transform(t - s)
 
         gap = min(0.5, 0.25 * R)
         total = integrate_panels(interior, self._s_breaks(t, R, gap),
@@ -285,7 +293,7 @@ class KernelEvaluator:
             def cap(w):
                 s = sign * (R - w**2)
                 a = np.exp(kappa * s) * np.maximum(np.cosh(R) - np.cosh(s), 0.0) ** m
-                return 2.0 * w * a * self.transform.integrate(t - s)
+                return 2.0 * w * a * self.transform(t - s)
             total += integrate_panels(cap, np.linspace(0.0, math.sqrt(gap), 5),
                                       order0=10, tol=1e-11, max_order=40,
                                       warn_label="kernel endpoint", floor_rel=3e-9)
@@ -303,7 +311,7 @@ class KernelEvaluator:
             logb = _disc_logb(R, d, phi)
             weight = (wd * (d * (2.0 - d)) ** q * u)[:, None] * wphi[None, :] \
                 * np.exp(-rho * logb)
-            fvals = self.transform.integrate(t - logb.ravel()).reshape(logb.shape)
+            fvals = self.transform(t - logb)
             return 2.0 * c_disc * np.sum(weight * fvals)
 
         prev = values(8)

@@ -1,11 +1,15 @@
 import math
+import sys
+import threading
+import warnings
 
 import mpmath as mp
 import numpy as np
 import pytest
 
 import sympwave as sw
-from sympwave.errors import DivergenceError, OutOfRangeError, UsageError
+from sympwave._quad import AccuracyWarning
+from sympwave.errors import DivergenceError, OutOfRangeError, ResolutionError, UsageError
 
 mp.mp.dps = 25
 
@@ -80,6 +84,15 @@ def test_phi0_decay_envelope(name):
 def test_phi_rejects_negative_radius(h3_geometry):
     with pytest.raises(UsageError):
         sw.phi_rank1(h3_geometry, 1.0, -0.5)
+
+
+def test_phi_non_real_quadrature_raises(h3_geometry, monkeypatch):
+    # a real exception, not an assert, so python -O keeps the check
+    import sympwave.wave_kernel as wk
+    monkeypatch.setattr(wk, "_phi_single_angle",
+                        lambda geom, lam, R: np.ones(lam.shape) + 1e-3j)
+    with pytest.raises(ResolutionError):
+        sw.phi_rank1(h3_geometry, 1.0, 0.5)
 
 
 # -- spectral density ------------------------------------------------------------
@@ -157,6 +170,88 @@ def test_kernel_divergent_profile_rejected(h3_geometry):
 def test_kernel_rational_profile_finite(h3_geometry):
     ev = sw.KernelEvaluator(h3_geometry, sw.Profile("rational", 8.0))
     assert np.isfinite(ev.value(3.0, 1.0).real)
+
+
+# -- tabulated profile transform -------------------------------------------------
+
+def _evaluator(name, family, param):
+    with warnings.catch_warnings():
+        # h4/rational:8 warns that its Filon amplitude is not fully resolved
+        warnings.simplefilter("ignore", AccuracyWarning)
+        return sw.KernelEvaluator(sw.rank_one_geometry(name), sw.Profile(family, param))
+
+
+@pytest.mark.parametrize("name,family,param", [("h3", "exponential", 1.0),
+                                               ("h4", "rational", 8.0),
+                                               ("h2", "bump", 2.0),
+                                               ("ch2", "exponential", 1.0)])
+def test_transform_table_matches_filon(name, family, param):
+    table = _evaluator(name, family, param).transform
+    v = np.linspace(-80.0, 600.0, 13601)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", AccuracyWarning)
+        tab = table(v)
+    assert np.max(np.abs(tab - table.f(v))) <= 1e-12 * table.scale
+
+
+def test_transform_table_h3_closed_form(h3_geometry, exp_profile):
+    # int_0^inf r^2 e^{-r} e^{i r v} dr = 2 / (1 - i v)^3
+    table = sw.KernelEvaluator(h3_geometry, exp_profile).transform
+    v = np.linspace(-1.0, 10.0, 1101)
+    closed = 2.0 / (1.0 - 1j * v) ** 3
+    assert np.max(np.abs(table(v) - closed) / np.abs(closed)) <= 1e-12
+
+
+def _chunk_bytes(table):
+    return {k: tuple(a.tobytes() for a in pieces) for k, pieces in table.chunks.items()}
+
+
+def test_transform_table_chunks_independent_of_build_order():
+    # h4/rational:8 splits the chunks next to v = 0, the rest stay whole
+    points = [k + 0.5 for k in range(-4, 6)]
+    forward = _evaluator("h4", "rational", 8.0).transform
+    for v in points:
+        forward(v)
+    backward = _evaluator("h4", "rational", 8.0).transform
+    for v in reversed(points):
+        backward(np.array([v, v - 0.25]))
+    threaded = _evaluator("h4", "rational", 8.0).transform
+    errors = []
+
+    def worker(offset):
+        try:
+            for i in range(len(points)):
+                threaded(points[(i + offset) % len(points)])
+        except Exception as exc:  # reported below
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(3 * i,)) for i in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads) and not errors
+    assert len(forward.chunks) == len(points)
+    assert any(len(pieces[0]) > 1 for pieces in forward.chunks.values())
+    assert _chunk_bytes(backward) == _chunk_bytes(forward)
+    assert _chunk_bytes(threaded) == _chunk_bytes(forward)
+
+
+def test_transform_table_second_lookup_builds_nothing(h3_geometry, exp_profile):
+    table = sw.KernelEvaluator(h3_geometry, exp_profile).transform
+    inner, calls = table.f, []
+    table.f = lambda v: calls.append(len(v)) or inner(v)
+    v = np.linspace(-3.0, 7.0, 500)
+    first = table(v)
+    assert calls and len(table.chunks) == 11
+    calls.clear()
+    assert np.array_equal(table(v), first)
+    assert calls == [] and len(table.chunks) == 11
 
 
 # -- distinguished kernel and polar weight ------------------------------------------
