@@ -12,7 +12,7 @@ from .model_integral import (Symbol, XiDecomposition, gaussian_symbol, i_psi,
                              quadratic_gaussian_symbol, rotate_to_axis,
                              sphere_area, xi_decompose, xi_direct, d_r)
 from .plancherel import CFunction
-from .profiles import Profile, SmoothCutoff, parse_profile
+from .profiles import CutoffProduct, Profile, SmoothCutoff, parse_profile
 from .root_data import (PRESET_NAMES, ReducedRoot, RootDatum, pairing, preset,
                         reflect, rho_of, weyl_orbit)
 from .stationary_phase import (AmplitudeData, ExpansionResult, PhaseProblem,
@@ -20,7 +20,7 @@ from .stationary_phase import (AmplitudeData, ExpansionResult, PhaseProblem,
                                k_n_bound, k_n_zero, oracle)
 from .wave_kernel import (KernelEvaluator, KernelSample, RankOneGeometry,
                           cartan_weight, dispersive_bound, distinguished,
-                          kernel, kernel_sample, log_regime_ratio, phi_rank1,
-                          phi_zero, rank_one_geometry, xi_density)
+                          kernel, log_regime_ratio, phi_rank1, phi_zero,
+                          rank_one_geometry, xi_density)
 
 __version__ = "0.1.0"

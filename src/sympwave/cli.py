@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 usage error, 3 numeric divergence, 4 I/O failure.
+Exit codes: 0 success, 2 usage error (a malformed or out-of-range input),
+3 numeric divergence, 4 I/O failure.
 A config file of ``key = value`` lines can pre-fill any flag; explicit CLI
 flags win.  Output format is CSV unless the path ends in ``.svg``.
 """
@@ -10,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import DivergenceError, UsageError
+from .errors import DivergenceError, OutOfRangeError, UsageError
 from .harness import emit, read_config, run_sweep
 
 
@@ -95,7 +96,7 @@ def main(argv=None) -> int:
             for line in _render_stdout(records):
                 print(line)
         return 0
-    except UsageError as exc:
+    except (UsageError, OutOfRangeError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except DivergenceError as exc:

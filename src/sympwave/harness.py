@@ -191,7 +191,8 @@ def parse_grid(text: str):
         parts = text.split(":")
         if len(parts) != 4:
             raise UsageError(f"grid {text!r} must be min:max:steps:lin|log")
-        lo, hi, steps, scale = float(parts[0]), float(parts[1]), int(parts[2]), parts[3]
+        lo, hi = _number(parts[0], float, "grid start"), _number(parts[1], float, "grid end")
+        steps, scale = _number(parts[2], int, "grid steps"), parts[3]
         if scale == "lin":
             return list(np.linspace(lo, hi, steps))
         if scale == "log":
@@ -199,7 +200,16 @@ def parse_grid(text: str):
                 raise UsageError("log grid needs positive endpoints")
             return list(np.geomspace(lo, hi, steps))
         raise UsageError(f"unknown grid scale {scale!r}")
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+    return [_number(tok, float, "grid point") for tok in text.split(",") if tok.strip()]
+
+
+def _number(text: str, kind, what: str):
+    """Parse one number of a sweep spec; malformed text is a usage error."""
+    try:
+        return kind(text)
+    except ValueError:
+        name = "an integer" if kind is int else "a number"
+        raise UsageError(f"{what} must be {name}, got {text!r}") from None
 
 
 def read_config(path: str):
@@ -250,13 +260,13 @@ def _map_grid(fn, grid):
 def _run_cfun(spec):
     datum = preset(_need(spec, "preset"))
     cf = CFunction(datum)
-    lam_max = float(_need(spec, "lambda-max"))
-    steps = int(_need(spec, "steps"))
+    lam_max = _number(_need(spec, "lambda-max"), float, "lambda-max")
+    steps = _number(_need(spec, "steps"), int, "steps")
     if steps < 0:
         raise UsageError("steps must be nonnegative")
     direction = spec.get("direction", "")
     if direction:
-        e = np.array([float(t) for t in direction.split(",")])
+        e = np.array([_number(t, float, "direction") for t in direction.split(",")])
     else:
         e = np.ones(datum.rank)
     e = e / np.linalg.norm(e)
@@ -282,8 +292,8 @@ def _run_stphase(spec):
     if demo != "cos":
         raise UsageError(f"unknown stphase demo {demo!r}")
     problem = _cos_demo_problem()
-    N = int(spec.get("N", "2"))
-    M = int(spec.get("M", "1"))
+    N = _number(spec.get("N", "2"), int, "N")
+    M = _number(spec.get("M", "1"), int, "M")
     xs = parse_grid(_need_list(spec, "x-list"))
 
     def row(x):
@@ -308,9 +318,9 @@ def _run_model(spec):
         raise UsageError(f"unknown symbol {sym_name!r}")
     if datum.rank < 2:
         raise UsageError("the model sweep needs a rank >= 2 preset")
-    r = float(_need(spec, "r"))
+    r = _number(_need(spec, "r"), float, "r")
     hs = parse_grid(_need_list(spec, "h-list"))
-    M = int(spec["M"]) if spec.get("M") else None
+    M = _number(spec["M"], int, "M") if spec.get("M") else None
     E = np.zeros(datum.rank)
     E[0] = 1.0
     n_eff = symbol.growth_exponent + datum.rank
@@ -337,7 +347,7 @@ def _run_model(spec):
 def _run_kernel(spec):
     geom = rank_one_geometry(_need(spec, "preset"))
     profile = parse_profile(_need(spec, "psi"))
-    R = float(_need(spec, "R"))
+    R = _number(_need(spec, "R"), float, "R")
     ts = parse_grid(_need_list(spec, "t-list"))
     ev = KernelEvaluator(geom, profile)
 
@@ -355,7 +365,7 @@ def _run_kernel(spec):
 def _run_dispersive(spec):
     geom = rank_one_geometry(_need(spec, "preset"))
     profile = parse_profile(_need(spec, "psi"))
-    p = float(_need(spec, "p"))
+    p = _number(_need(spec, "p"), float, "p")
     ts = parse_grid(_need_list(spec, "t-list"))
 
     def row(t):

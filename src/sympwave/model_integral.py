@@ -18,27 +18,36 @@ Phase convention: the boundary point Theta = +e1 has phase +h r, so the
 main term pairs exp(+i h r) with sigma(r E) and exp(-i h r) with
 sigma(-r E).  For Weyl-even symbols (every built-in) the two terms are
 interchangeable; the exactness test below pins the convention.
+
+The four boundary amplitudes are Chebyshev proxies times the fixed cutoff,
+each a :class:`~sympwave.profiles.CutoffProduct` whose derivatives are
+vectorized jets over the quadrature nodes.  The two R1 integrals (for q and
+q~) refine on the same panels, so each node set's contour values k_l are
+computed once and serve both.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from math import gamma as real_gamma
 
 import numpy as np
 from numpy.polynomial.chebyshev import Chebyshev
 
-from ._jets import jet_compose, jet_derivatives, jet_powi
-from ._quad import (FilonPanels, cheb_first_kind_points, filon_chebyshev,
+from ._quad import (AccuracyWarning, FilonPanels, cheb_first_kind_points, filon_chebyshev,
                     gl_panels_nodes, gl_rule, halfperiod_breaks, integrate_panels)
 from .errors import DivergenceError, NormalizationError, ResolutionError, UsageError
 from .plancherel import CFunction
-from .profiles import Profile, SmoothCutoff
+from .profiles import CutoffProduct, Profile, SmoothCutoff
 
 _U_HI = 1.36          # proxy domain end, between sqrt(7/4) and the sqrt(2) singularity
 _V_LO, _V_HI = 0.40, 1.85
 _CUT = (1.5, 1.75)    # cutoff thresholds in v = u^2
+# R1 panels in u: ten across the cutoff's flat part, eight across its transition
+_R1_BREAKS = np.concatenate([np.linspace(0.0, math.sqrt(_CUT[0]), 11),
+                             np.linspace(math.sqrt(_CUT[0]), math.sqrt(_CUT[1]), 9)[1:]])
 
 
 def sphere_area(k: int) -> float:
@@ -187,15 +196,17 @@ def xi_direct(symbol: Symbol, E, r: float, h: float) -> complex:
 
     if l == 2:
         # int_0^pi e^{i mu cos t} D(t) dt = int_{-1}^{1} e^{i mu c} D(arccos c) / sqrt(1-c^2) dc
-        deg = 48
+        deg, max_deg = 48, 3072
         prev = None
-        while deg <= 3072:
+        while deg <= max_deg:
             c = cheb_first_kind_points(deg + 1)
             vals = dr(np.arccos(c))
             cur = filon_chebyshev(vals, mu, deg + 1)
             if prev is not None and abs(cur - prev) <= 1e-11 * max(abs(cur), 1e-300) + 1e-16:
                 return r ** (l - 1) * cur
             prev, deg = cur, deg * 2
+        warnings.warn(f"xi_direct: Chebyshev refinement hit degree {max_deg} "
+                      f"with residual {abs(cur - prev):.2e}", AccuracyWarning)
         return r ** (l - 1) * cur
 
     if l == 3:
@@ -223,8 +234,9 @@ class QFamily:
     The analytic parts are proxied by Chebyshev interpolants away from the
     sqrt(2) endpoint singularity; the compact support comes from the fixed
     smooth cutoff in v = u^2 equal to 1 below 3/2 and 0 above 7/4, applied
-    through exact Taylor jets so that derivatives of the extended functions
-    stay accurate to spectral precision.
+    through exact Taylor jets (one :class:`CutoffProduct` per amplitude) so
+    that derivatives of the extended functions stay accurate to spectral
+    precision.
     """
 
     def __init__(self, symbol: Symbol, E, r: float, degree: int = 96):
@@ -268,73 +280,37 @@ class QFamily:
         else:
             raise ResolutionError(
                 f"q family unresolved at degree {deg}; tail ratio {worst:.1e}")
+        # indexed by ``mirror``: (q, q~) and (q1, q~1)
+        self._q = (CutoffProduct(self.proxy_u, self.cutoff, 2, 0.0, _U_HI),
+                   CutoffProduct(self.proxy_ut, self.cutoff, 2, 0.0, _U_HI))
+        self._q1 = (CutoffProduct(self.proxy_v, self.cutoff, 1, _V_LO, _V_HI),
+                    CutoffProduct(self.proxy_vt, self.cutoff, 1, _V_LO, _V_HI))
 
     # -- values --------------------------------------------------------------
 
-    def _value(self, proxy, x, lo, hi, cut_arg):
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
-        out = np.zeros(x.shape, dtype=complex)
-        live = (x >= lo) & (x <= hi)
-        if np.any(live):
-            out[live] = proxy(x[live]) * self.cutoff.value(cut_arg(x[live]))
-        return complex(out[0]) if scalar else out
-
     def q(self, u):
-        return self._value(self.proxy_u, u, 0.0, _U_HI, lambda x: x**2)
+        return self._q[False](u)
 
     def q_tilde(self, u):
-        return self._value(self.proxy_ut, u, 0.0, _U_HI, lambda x: x**2)
+        return self._q[True](u)
 
     def q1(self, v):
-        return self._value(self.proxy_v, v, _V_LO, _V_HI, lambda x: x)
+        return self._q1[False](v)
 
     def q1_tilde(self, v):
-        return self._value(self.proxy_vt, v, _V_LO, _V_HI, lambda x: x)
+        return self._q1[True](v)
 
     # -- derivatives ----------------------------------------------------------
 
     def q_deriv_at_zero(self, k: int, mirror: bool = False) -> complex:
-        proxy = self.proxy_ut if mirror else self.proxy_u
-        return complex(proxy.deriv(k)(0.0) if k else proxy(0.0))
+        return complex(self._q[mirror].proxy_deriv(k)(0.0))
 
     def q_ext_deriv(self, k: int, u, mirror: bool = False) -> np.ndarray:
         """k-th derivative of the cutoff q (or q~), vectorized over u."""
-        proxy = self.proxy_ut if mirror else self.proxy_u
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        out = np.zeros(u.shape, dtype=complex)
-        live = u <= _U_HI
-        ul = u[live]
-        v = ul**2
-        cut = np.zeros((k + 1, len(ul)))
-        cut[0] = np.where(v <= self.cutoff.lo, 1.0, 0.0)
-        for i in np.nonzero((v > self.cutoff.lo) & (v < self.cutoff.hi))[0]:
-            jet = jet_compose(self.cutoff.jet(v[i], k), jet_powi(ul[i], 2, k))
-            cut[:, i] = jet_derivatives(jet)
-        acc = np.zeros(len(ul), dtype=complex)
-        for j in range(k + 1):
-            pd = proxy.deriv(j)(ul) if j else proxy(ul)
-            acc += math.comb(k, j) * pd * cut[k - j]
-        out[live] = acc
-        return out
+        return self._q[mirror].deriv(k, u)
 
     def q1_ext_deriv(self, k: int, v, mirror: bool = False) -> np.ndarray:
-        proxy = self.proxy_vt if mirror else self.proxy_v
-        v = np.atleast_1d(np.asarray(v, dtype=float))
-        out = np.zeros(v.shape, dtype=complex)
-        live = (v >= _V_LO) & (v <= _V_HI)
-        vl = v[live]
-        cut = np.zeros((k + 1, len(vl)))
-        cut[0] = np.where(vl <= self.cutoff.lo, 1.0, 0.0)
-        for i in np.nonzero((vl > self.cutoff.lo) & (vl < self.cutoff.hi))[0]:
-            cut[:, i] = jet_derivatives(self.cutoff.jet(vl[i], k))
-        acc = np.zeros(len(vl), dtype=complex)
-        for j in range(k + 1):
-            pd = proxy.deriv(j)(vl) if j else proxy(vl)
-            acc += math.comb(k, j) * pd * cut[k - j]
-        out[live] = acc
-        return out
+        return self._q1[mirror].deriv(k, v)
 
 
 def q_family(symbol: Symbol, E, r: float, degree: int = 96) -> QFamily:
@@ -396,13 +372,20 @@ def xi_decompose(symbol: Symbol, E, r: float, h: float, M: int | None = None,
     qtd = fam.q_deriv_at_zero(l - 1, mirror=True)
     R0 = sgn * (np.exp(1j * x) * np.conj(qd * kl0) + np.exp(-1j * x) * qtd * kl0) * rpow
 
-    cut_lo_u, cut_hi_u = math.sqrt(_CUT[0]), math.sqrt(_CUT[1])
-    breaks = np.concatenate([np.linspace(0.0, cut_lo_u, 11),
-                             np.linspace(cut_lo_u, cut_hi_u, 9)[1:]])
-    int_q = integrate_panels(lambda us: fam.q_ext_deriv(l, us) * k_n(l, us, x, 2),
-                             breaks, order0=16, tol=1e-12, warn_label="R1(q)")
-    int_qt = integrate_panels(lambda us: fam.q_ext_deriv(l, us, mirror=True) * k_n(l, us, x, 2),
-                              breaks, order0=16, tol=1e-12, warn_label="R1(q~)")
+    # both R1 integrals refine on the same panels and orders, so they see the
+    # same node sets: k_n runs once per set and the second integral reuses it
+    kn_by_nodes = {}
+
+    def kn(us):
+        key = us.tobytes()
+        if key not in kn_by_nodes:
+            kn_by_nodes[key] = k_n(l, us, x, 2)
+        return kn_by_nodes[key]
+
+    int_q = integrate_panels(lambda us: fam.q_ext_deriv(l, us) * kn(us),
+                             _R1_BREAKS, order0=16, tol=1e-12, warn_label="R1(q)")
+    int_qt = integrate_panels(lambda us: fam.q_ext_deriv(l, us, mirror=True) * kn(us),
+                              _R1_BREAKS, order0=16, tol=1e-12, warn_label="R1(q~)")
     R1 = sgn * (np.exp(1j * x) * np.conj(int_q) + np.exp(-1j * x) * int_qt) * rpow
 
     fil_q = FilonPanels(lambda vs: np.conj(fam.q1_ext_deriv(M, vs)), 1.0, _V_HI,

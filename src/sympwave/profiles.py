@@ -14,7 +14,10 @@ closed form; the rational family uses the polynomial recurrence
 the bump transition is the standard partition-of-unity quotient
 sigma(s)/(sigma(s)+sigma(1-s)) with sigma(s) = exp(-1/s), differentiated by
 truncated-Taylor (jet) arithmetic.  The same :class:`SmoothCutoff` supplies
-the mollifier used to extend stationary-phase amplitudes.
+the mollifier used to extend stationary-phase amplitudes: every such
+extension is a :class:`CutoffProduct`, a Chebyshev proxy times the cutoff
+at x**p, whose derivatives come from one Leibniz sum over jets computed for
+a whole node array at once.
 """
 
 from __future__ import annotations
@@ -24,9 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import Polynomial
+from numpy.polynomial.chebyshev import Chebyshev
 from scipy.integrate import quad
 
-from ._jets import jet_derivatives, jet_div, jet_exp, jet_neg_recip
+from ._jets import (jet_compose, jet_derivatives, jet_div, jet_exp, jet_neg_recip,
+                    jet_powi)
 from .errors import DivergenceError, UnsupportedOrderError, UsageError
 
 MAX_ORDER = 12
@@ -54,32 +59,75 @@ class SmoothCutoff:
             out[inner] = e2 / (e1 + e2)
         return out.reshape(x.shape) if x.ndim else float(out[0])
 
-    def jet(self, x: float, order: int) -> np.ndarray:
-        """Taylor coefficients of the cutoff at x, in the x variable."""
-        s = (x - self.lo) / self.width
-        c = np.zeros(order + 1)
-        if s <= 0.0:
-            c[0] = 1.0
-            return c
-        if s >= 1.0:
-            return c
-        e1 = jet_exp(jet_neg_recip(s, order))
-        # jet of -1/(1-s) in the s variable
-        j = np.arange(order + 1)
-        e2 = jet_exp(-1.0 / (1.0 - s) ** (j + 1))
-        c = jet_div(e2, e1 + e2)
-        return c / self.width**j
+    def jet(self, x, order: int) -> np.ndarray:
+        """Taylor coefficients of the cutoff at x, in the x variable.
+
+        Vectorized: the result has shape ``(order + 1,) + np.shape(x)``.
+        """
+        x = np.asarray(x, dtype=float)
+        s = ((x - self.lo) / self.width).reshape(-1)
+        c = np.zeros((order + 1, s.size))
+        c[0] = s <= 0.0
+        inner = (s > 0.0) & (s < 1.0)
+        if np.any(inner):
+            si = s[inner]
+            e1 = jet_exp(jet_neg_recip(si, order))
+            # jet of -1/(1-s) in the s variable
+            j = np.arange(order + 1)[:, None]
+            e2 = jet_exp(-1.0 / (1.0 - si) ** (j + 1))
+            c[:, inner] = jet_div(e2, e1 + e2) / self.width**j
+        return c.reshape((order + 1,) + x.shape)
 
     def eval(self, k: int, x):
         """k-th derivative, vectorized over x."""
         if k == 0:
             return self.value(x)
-        x = np.asarray(x, dtype=float)
-        flat = np.zeros(x.size)
-        for i, xi in enumerate(x.reshape(-1)):
-            if self.lo < xi < self.hi:
-                flat[i] = jet_derivatives(self.jet(xi, k))[k]
-        return flat.reshape(x.shape) if x.ndim else float(flat[0])
+        out = jet_derivatives(self.jet(x, k))[k]
+        return out if out.ndim else float(out)
+
+
+class CutoffProduct:
+    """proxy(x) * cutoff(x**p) on the live interval [lo, hi], zero outside.
+
+    Derivatives are exact up to rounding: the Leibniz rule combines cached
+    derivatives of the Chebyshev ``proxy`` with the cutoff's Taylor jets,
+    composed with x -> x**p, over a whole array of nodes at once.
+    """
+
+    def __init__(self, proxy: Chebyshev, cutoff: SmoothCutoff, p: int, lo: float, hi: float):
+        self.proxy, self.cutoff, self.p = proxy, cutoff, p
+        self.lo, self.hi = float(lo), float(hi)
+        self._proxy_derivs = {0: proxy}
+
+    def proxy_deriv(self, j: int) -> Chebyshev:
+        """The j-th derivative of the proxy, built once per order."""
+        d = self._proxy_derivs.get(j)
+        if d is None:
+            d = self._proxy_derivs.setdefault(j, self.proxy.deriv(j))
+        return d
+
+    def __call__(self, x):
+        out = self.deriv(0, x)
+        return out if np.ndim(x) else complex(out[0])
+
+    def deriv(self, k: int, x) -> np.ndarray:
+        """k-th derivative at each x, as a complex array of ``np.atleast_1d(x)``'s shape."""
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        out = np.zeros(x.shape, dtype=complex)
+        live = (x >= self.lo) & (x <= self.hi)
+        xl = x[live]
+        v = xl**self.p
+        # rows 0..k of derivatives of cutoff(x**p): constant off the transition
+        cut = np.zeros((k + 1, len(xl)))
+        cut[0] = v <= self.cutoff.lo
+        trans = (v > self.cutoff.lo) & (v < self.cutoff.hi)
+        cut[:, trans] = jet_derivatives(jet_compose(self.cutoff.jet(v[trans], k),
+                                                    jet_powi(xl[trans], self.p, k)))
+        acc = np.zeros(len(xl), dtype=complex)
+        for j in range(k + 1):
+            acc += math.comb(k, j) * self.proxy_deriv(j)(xl) * cut[k - j]
+        out[live] = acc
+        return out
 
 
 @dataclass(frozen=True)

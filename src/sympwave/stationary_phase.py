@@ -12,6 +12,8 @@ assembled total matches direct quadrature to quadrature accuracy for every x.
 The extension is pinned down concretely: q is continued by the same formula
 past B (the phase keeps increasing a little beyond b) and multiplied by a
 fixed smooth cutoff equal to 1 below sqrt(3/2) B and 0 above sqrt(7/4) B.
+Both extended amplitudes are :class:`~sympwave.profiles.CutoffProduct`s, so
+their derivatives at the remainder-quadrature nodes are vectorized jets.
 The total is extension-independent; the individual remainder values are not.
 """
 
@@ -25,10 +27,9 @@ import numpy as np
 from numpy.polynomial.chebyshev import Chebyshev
 from scipy.optimize import brentq
 
-from ._jets import jet_compose, jet_derivatives, jet_powi
 from ._quad import gl_panels_nodes, halfperiod_breaks, integrate_panels
 from .errors import OutOfRangeError, ResolutionError, UsageError
-from .profiles import SmoothCutoff
+from .profiles import CutoffProduct, SmoothCutoff
 
 _GRID_CHECK = 1000
 
@@ -179,70 +180,27 @@ def k_n_bound(n: int, x: float, p: int) -> float:
 
 @dataclass
 class AmplitudeData:
+    """The extended amplitudes: q in u = (f - f(a))^(1/p) and q1 in v = u^p.
+
+    Both are Chebyshev proxies times the same fixed cutoff in v, so ``q`` is
+    cut off at u^p and ``q1`` at v.
+    """
+
     B: float
-    q: callable
-    q1: callable
-    chebyshev_proxy: Chebyshev
-    cutoff_v: SmoothCutoff
-    proxy_v: Chebyshev
+    q: CutoffProduct
+    q1: CutoffProduct
     p: int
-    u_hi: float
-    v_hi: float
 
     def q_deriv_at_zero(self, n: int) -> complex:
-        return self.chebyshev_proxy.deriv(n)(0.0) if n else self.chebyshev_proxy(0.0)
-
-    def _cutoff_u_derivs(self, order: int, u: np.ndarray) -> np.ndarray:
-        """Derivatives of u -> cutoff_v(u^p), rows are orders 0..order."""
-        out = np.zeros((order + 1, len(u)))
-        v = u**self.p
-        out[0] = np.where(v <= self.cutoff_v.lo, 1.0, 0.0)
-        trans = (v > self.cutoff_v.lo) & (v < self.cutoff_v.hi)
-        for i in np.nonzero(trans)[0]:
-            outer = self.cutoff_v.jet(v[i], order)
-            jet = jet_compose(outer, jet_powi(u[i], self.p, order))
-            out[:, i] = jet_derivatives(jet)
-        return out
+        return self.q.proxy_deriv(n)(0.0)
 
     def q_ext_deriv(self, k: int, u) -> np.ndarray:
         """k-th derivative of the extended (cutoff) q, vectorized."""
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        out = np.zeros(len(u), dtype=complex)
-        live = u <= self.u_hi
-        if np.any(live):
-            ul = u[live]
-            cut = self._cutoff_u_derivs(k, ul)
-            acc = np.zeros(len(ul), dtype=complex)
-            for j in range(k + 1):
-                qd = self.chebyshev_proxy.deriv(j)(ul) if j else self.chebyshev_proxy(ul)
-                acc += math.comb(k, j) * qd * cut[k - j]
-            out[live] = acc
-        return out
+        return self.q.deriv(k, u)
 
     def q1_ext_deriv(self, k: int, v) -> np.ndarray:
         """k-th derivative of the extended q1(v) = v^(1/p-1) q(v^(1/p))."""
-        v = np.atleast_1d(np.asarray(v, dtype=float))
-        out = np.zeros(len(v), dtype=complex)
-        live = v <= self.v_hi
-        if np.any(live):
-            vl = v[live]
-            cut = _cutoff_derivs(self.cutoff_v, k, vl)
-            acc = np.zeros(len(vl), dtype=complex)
-            for j in range(k + 1):
-                qd = self.proxy_v.deriv(j)(vl) if j else self.proxy_v(vl)
-                acc += math.comb(k, j) * qd * cut[k - j]
-            out[live] = acc
-        return out
-
-
-def _cutoff_derivs(cutoff: SmoothCutoff, order: int, x: np.ndarray) -> np.ndarray:
-    """Rows 0..order of cutoff derivatives at x; jets only in the transition."""
-    out = np.zeros((order + 1, len(x)))
-    out[0] = np.where(x <= cutoff.lo, 1.0, 0.0)
-    trans = (x > cutoff.lo) & (x < cutoff.hi)
-    for i in np.nonzero(trans)[0]:
-        out[:, i] = jet_derivatives(cutoff.jet(x[i], order))
-    return out
+        return self.q1.deriv(k, v)
 
 
 def amplitude_data(problem: PhaseProblem, degree: int = 64) -> AmplitudeData:
@@ -271,28 +229,8 @@ def amplitude_data(problem: PhaseProblem, degree: int = 64) -> AmplitudeData:
     _check_resolution(proxy_v, "q1 proxy")
 
     cutoff_v = SmoothCutoff(cut_lo**p, cut_hi**p)
-
-    def q(u):
-        u = np.asarray(u, dtype=float)
-        scalar = u.ndim == 0
-        u = np.atleast_1d(u)
-        out = np.zeros(len(u), dtype=complex)
-        live = u <= u_hi
-        out[live] = proxy_u(u[live]) * cutoff_v.value(u[live] ** p)
-        return complex(out[0]) if scalar else out
-
-    def q1(v):
-        v = np.asarray(v, dtype=float)
-        scalar = v.ndim == 0
-        v = np.atleast_1d(v)
-        out = np.zeros(len(v), dtype=complex)
-        live = (v >= v_lo) & (v <= v_hi)
-        out[live] = proxy_v(v[live]) * cutoff_v.value(v[live])
-        return complex(out[0]) if scalar else out
-
-    return AmplitudeData(B=B, q=q, q1=q1, chebyshev_proxy=proxy_u,
-                         cutoff_v=cutoff_v, proxy_v=proxy_v, p=p,
-                         u_hi=u_hi, v_hi=v_hi)
+    return AmplitudeData(B=B, q=CutoffProduct(proxy_u, cutoff_v, p, 0.0, u_hi),
+                         q1=CutoffProduct(proxy_v, cutoff_v, 1, v_lo, v_hi), p=p)
 
 
 def _check_resolution(proxy: Chebyshev, label: str):
@@ -352,12 +290,13 @@ def expand(problem: PhaseProblem, x: float, N: int, M: int,
     osc_b = np.exp(1j * x * bp)
     i2_terms = []
     for n in range(M):
-        q1n = amp.proxy_v.deriv(n)(bp) if n else amp.proxy_v(bp)
+        q1n = amp.q1.proxy_deriv(n)(bp)
         i2_terms.append(complex(osc_b * (1.0 / p) * q1n * (1j / x) ** (n + 1)))
 
     # R1 = (-1)^(N+1) [ q^(N)(0) k_{N+1}(0) + int q^(N+1)(u) k_{N+1}(u) du ]
     qN0 = amp.q_deriv_at_zero(N)
-    cut_lo, cut_hi = amp.cutoff_v.lo ** (1.0 / p), amp.cutoff_v.hi ** (1.0 / p)
+    cutoff = amp.q1.cutoff
+    cut_lo, cut_hi = cutoff.lo ** (1.0 / p), cutoff.hi ** (1.0 / p)
     breaks = np.concatenate([np.linspace(0.0, cut_lo, 9),
                              np.linspace(cut_lo, cut_hi, 9)[1:]])
     r1_int = integrate_panels(
@@ -366,8 +305,8 @@ def expand(problem: PhaseProblem, x: float, N: int, M: int,
     R1 = (-1.0) ** (N + 1) * (qN0 * k_n_zero(N + 1, x, p) + r1_int)
 
     # R2 = (1/p) (i/x)^M int_{B^p}^inf q1^(M)(v) exp(i x v) dv
-    nb = halfperiod_breaks(x * (amp.v_hi - bp), bp, amp.v_hi)
-    nb = np.unique(np.concatenate([nb, np.linspace(amp.cutoff_v.lo, amp.cutoff_v.hi, 9)]))
+    nb = halfperiod_breaks(x * (amp.q1.hi - bp), bp, amp.q1.hi)
+    nb = np.unique(np.concatenate([nb, np.linspace(cutoff.lo, cutoff.hi, 9)]))
     r2_int = integrate_panels(
         lambda vs: amp.q1_ext_deriv(M, vs) * np.exp(1j * x * vs),
         nb, order0=16, tol=1e-12, warn_label="R2 integral")

@@ -333,10 +333,6 @@ class KernelSample:
     value: complex
 
 
-def kernel_sample(geom: RankOneGeometry, profile: Profile, t: float, R: float) -> KernelSample:
-    return KernelSample(t=t, R=R, value=kernel(geom, profile, t, R))
-
-
 def distinguished(geom: RankOneGeometry, sample: KernelSample) -> complex:
     """Kernel of the right-invariant (distinguished) Laplacian: e^{rho R} times the value."""
     return complex(np.exp(geom.rho * sample.R) * sample.value)

@@ -98,3 +98,14 @@ def test_model_subcommand_plancherel(tmp_path):
               - complex(row.get("R2_re"), row.get("R2_im")))
     assert gap <= 1e-6 * abs(complex(row.get("direct_re"), row.get("direct_im"))) + 1e-9
     assert row.get("bound_ratio") > 0.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["cfun", "--preset", "h3", "--lambda-max", "2.0", "--steps", "abc"],
+    ["kernel", "--preset", "h3", "--psi", "exp:1.0", "--t-list", "10", "--R", "abc"],
+    ["kernel", "--preset", "h3", "--psi", "exp:1.0", "--t-list", "1:10:x:lin", "--R", "0.5"],
+    ["dispersive", "--preset", "h3", "--psi", "exp:1.0", "--p", "1", "--t-list", "10"],
+])
+def test_malformed_or_out_of_range_input_exit_code(argv, capsys):
+    assert main(argv) == 2
+    assert "usage error" in capsys.readouterr().err

@@ -309,3 +309,47 @@ def test_identity_across_builtin_family(make, l, r, h):
     E[0] = 1.0
     dec = sw.xi_decompose(sym, E, r, h)
     assert decomposition_gap(dec) <= 1e-6 * abs(dec.direct) + 1e-9
+
+
+# -- R1's shared k_n table and xi_direct's refinement cap ----------------------
+
+def test_r1_integrals_share_k_n_per_node_set(monkeypatch):
+    from sympwave import model_integral as mi
+    from sympwave import stationary_phase as sp
+    from sympwave._quad import integrate_panels
+
+    real_k_n = sp.k_n
+    calls, node_sets = [], set()
+
+    def counted(n, u, x, p):
+        calls.append(len(u))
+        node_sets.add(np.asarray(u).tobytes())
+        return real_k_n(n, u, x, p)
+
+    monkeypatch.setattr(sp, "k_n", counted)
+    sym, r, h, l = sw.gaussian_symbol(3), 0.5, 10.0, 3
+    dec = sw.xi_decompose(sym, E3, r, h)
+    shared = len(calls)
+    assert shared == len(node_sets)
+
+    # the unshared path: each R1 integral evaluates k_n on its own nodes
+    fam, x = sw.q_family(sym, E3, r), h * r
+    int_q = integrate_panels(lambda us: fam.q_ext_deriv(l, us) * counted(l, us, x, 2),
+                             mi._R1_BREAKS, order0=16, tol=1e-12)
+    int_qt = integrate_panels(
+        lambda us: fam.q_ext_deriv(l, us, mirror=True) * counted(l, us, x, 2),
+        mi._R1_BREAKS, order0=16, tol=1e-12)
+    assert len(calls) - shared == 2 * shared
+    R1 = (-1.0) ** l * (np.exp(1j * x) * np.conj(int_q) + np.exp(-1j * x) * int_qt) * r ** (l - 1)
+    assert dec.R1 == complex(R1)
+
+
+def test_xi_direct_l2_warns_when_refinement_is_capped(monkeypatch):
+    from sympwave import model_integral as mi
+    from sympwave._quad import AccuracyWarning
+
+    levels = iter(range(1, 100))
+    monkeypatch.setattr(mi, "filon_chebyshev", lambda vals, mu, n: float(next(levels)))
+    with pytest.warns(AccuracyWarning, match="xi_direct: Chebyshev refinement hit degree 3072"):
+        value = sw.xi_direct(sw.gaussian_symbol(2), E2, 1.0, 30.0)
+    assert value == 7.0   # the last level, degree 3072 after six doublings of 48

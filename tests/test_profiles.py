@@ -115,3 +115,97 @@ def test_smooth_cutoff_shape():
         fd = (c.eval(k, xs + h) - c.eval(k, xs - h)) / (2 * h)
         exact = c.eval(k + 1, xs)
         assert np.max(np.abs(fd - exact)) <= 1e-5 * (np.max(np.abs(exact)) + 1.0)
+
+
+# -- vectorized cutoff jets and the cutoff product ---------------------------
+
+CUT_LO, CUT_HI, JET_ORDER = 1.5, 1.75, 6
+# transition fractions crowding both ends, where exp(-1/s) underflows fastest
+CUT_S = [0.005, 0.02, 0.3, 0.5, 0.7, 0.98, 0.995]
+PROXY_COEF = np.array([0.7, -0.3 + 0.2j, 0.15, 0.05j, -0.02, 0.01])
+PROXY_HI = 1.8
+
+
+def _mp_cutoff(v):
+    import mpmath as mp
+    s = (v - CUT_LO) / (CUT_HI - CUT_LO)
+    e1, e2 = mp.exp(-1 / s), mp.exp(-1 / (1 - s))
+    return e2 / (e1 + e2)
+
+
+def _mp_proxy(x):
+    import mpmath as mp
+    t = (2 * x - PROXY_HI) / PROXY_HI
+    return sum(mp.mpc(c) * mp.chebyt(k, t) for k, c in enumerate(PROXY_COEF))
+
+
+def _mp_derivs(f, xs):
+    """Rows 0..JET_ORDER of derivatives of f at xs, by mpmath at 30 digits."""
+    import mpmath as mp
+    with mp.workdps(30):
+        return np.array([[complex(d) for d in mp.diffs(f, mp.mpf(x), JET_ORDER)]
+                         for x in xs]).T
+
+
+def _scaled_error(got, ref):
+    """Error per order, relative to that order's largest reference value.
+
+    Near the ends of the transition the derivatives are tiny differences of
+    O(1) jets, so only the error against the order's scale is meaningful.
+    """
+    return np.max(np.abs(got - ref), axis=1) / np.max(np.abs(ref), axis=1)
+
+
+def _cutoff_product(p):
+    from numpy.polynomial.chebyshev import Chebyshev
+    proxy = Chebyshev(PROXY_COEF, domain=[0.0, PROXY_HI])
+    return sw.CutoffProduct(proxy, sw.SmoothCutoff(CUT_LO, CUT_HI), p, 0.0, PROXY_HI)
+
+
+def test_cutoff_jet_array_matches_mpmath():
+    from math import factorial
+    c = sw.SmoothCutoff(CUT_LO, CUT_HI)
+    vs = np.array([CUT_LO + s * (CUT_HI - CUT_LO) for s in CUT_S])
+    fac = np.array([factorial(k) for k in range(JET_ORDER + 1)])[:, None]
+    got = c.jet(vs, JET_ORDER) * fac
+    assert got.shape == (JET_ORDER + 1, len(vs))
+    assert np.all(_scaled_error(got, _mp_derivs(_mp_cutoff, vs)) <= 1e-12)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_cutoff_product_derivatives_match_mpmath(p):
+    prod = _cutoff_product(p)
+    xs = np.array([CUT_LO + s * (CUT_HI - CUT_LO) for s in CUT_S]) ** (1.0 / p)
+    got = np.array([prod.deriv(k, xs) for k in range(JET_ORDER + 1)])
+    ref = _mp_derivs(lambda x: _mp_proxy(x) * _mp_cutoff(x**p), xs)
+    assert np.all(_scaled_error(got, ref) <= 1e-12)
+
+
+def test_cutoff_product_outside_transition_and_support():
+    prod = _cutoff_product(2)
+    xs = np.array([0.5, 1.0, 1.9, -0.1])   # flat part, flat part, beyond hi, below lo
+    assert np.array_equal(prod.deriv(0, xs), np.append(prod.proxy(xs[:2]), [0.0, 0.0]))
+    for k in range(1, JET_ORDER + 1):
+        flat = prod.proxy.deriv(k)(xs[:2])
+        assert np.array_equal(prod.deriv(k, xs), np.append(flat, [0.0, 0.0]))
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_cutoff_scalar_and_array_calls_agree(p):
+    c = sw.SmoothCutoff(CUT_LO, CUT_HI)
+    prod = _cutoff_product(p)
+    vs = np.array([1.2, CUT_LO] + [CUT_LO + s * (CUT_HI - CUT_LO) for s in CUT_S]
+                  + [CUT_HI, 1.9])
+    xs = vs ** (1.0 / p)
+    jets = c.jet(vs, JET_ORDER)
+    for i, v in enumerate(vs):
+        assert np.array_equal(c.jet(v, JET_ORDER), jets[:, i])
+    for k in range(JET_ORDER + 1):
+        evals, derivs = c.eval(k, vs), prod.deriv(k, xs)
+        for i in range(len(vs)):
+            assert c.eval(k, vs[i]) == evals[i]
+            assert prod.deriv(k, xs[i])[0] == derivs[i]
+            assert prod.deriv(k, xs[i : i + 1])[0] == derivs[i]
+    values = prod.deriv(0, xs)
+    assert np.array_equal(prod(xs), values)
+    assert prod(xs[3]) == values[3]
