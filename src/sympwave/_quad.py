@@ -8,7 +8,8 @@ Three engines cover everything in the package:
 * Filon panels for linear phases of arbitrary frequency: the amplitude is
   Legendre-projected per panel and the moments int P_k(x) e^(i mu x) dx
   = 2 i^k j_k(mu) are exact spherical-Bessel values, so the panel count only
-  has to resolve the amplitude, never the oscillation;
+  has to resolve the amplitude, never the oscillation; an amplitude may
+  return rows, each integrated at its own frequency;
 * a lazy piecewise-Chebyshev table for a smooth function of one variable
   that is read at very many points, such as a Filon transform read at every
   node of an outer quadrature: unit-width chunks of degree 24 are built on
@@ -18,6 +19,9 @@ Three engines cover everything in the package:
 A Chebyshev variant with weight (1-c^2)^(-1/2) and ordinary Bessel moments
 int T_k(c) e^(i mu c) (1-c^2)^(-1/2) dc = pi i^k J_k(mu) handles the folded
 circle integrals in rank 2.
+
+Fixed three-level quadratures (spherical functions, disc kernels, contour
+functions k_n) stop by one rule, :func:`refine`.
 """
 
 from __future__ import annotations
@@ -82,14 +86,23 @@ def integrate_panels(f, breaks, order0: int = 16, tol: float = 1e-10,
     return cur
 
 
-def halfperiod_breaks(total_phase: float, a: float, b: float, invert=None,
-                      max_panels: int = 200000) -> np.ndarray:
+def refine(values, levels, tol: float):
+    """The last of ``values(level)`` at two levels, and at the third if those
+    two differ by more than ``tol`` relative in the max norm."""
+    prev, cur = values(levels[0]), values(levels[1])
+    if np.max(np.abs(cur - prev)) > tol * (np.max(np.abs(cur)) + 1e-300):
+        cur = values(levels[2])
+    return cur
+
+
+def halfperiod_breaks(total_phase: float, a: float, b: float, invert=None) -> np.ndarray:
     """Breakpoints splitting [a, b] so each panel spans <= pi of phase.
 
     ``invert`` maps a phase fraction in [0, 1] to the abscissa; when omitted
-    the phase is assumed linear on [a, b].
+    the phase is assumed linear on [a, b].  The endpoints are pinned to a
+    and b, and the count is capped at 200000 panels.
     """
-    n = max(1, min(max_panels, int(np.ceil(abs(total_phase) / np.pi))))
+    n = max(1, min(200000, int(np.ceil(abs(total_phase) / np.pi))))
     fracs = np.linspace(0.0, 1.0, n + 1)
     if invert is None:
         return a + (b - a) * fracs
@@ -104,6 +117,7 @@ def halfperiod_breaks(total_phase: float, a: float, b: float, invert=None,
 
 _FILON_NODES = 24
 _FILON_DEG = 16
+_FILON_TOL = 2e-11     # Legendre tail / largest coefficient, over all panels
 
 
 @lru_cache(maxsize=None)
@@ -187,21 +201,26 @@ class FilonPanels:
     """Reusable linear-phase integrator for a fixed amplitude on [a, b].
 
     Build once, then evaluate int_a^b A(s) exp(i omega s) ds for whole arrays
-    of frequencies; the amplitude is sampled only at construction.
+    of frequencies; the amplitude is sampled only at construction.  Panels
+    double from ``n_panels`` until the Legendre tails fall below 2e-11 of the
+    largest coefficient, or up to ``max_panels`` (then with a warning).
+
+    ``amp`` maps a flat node array to values of shape ``lead + (nodes,)``.  If
+    ``lead`` is not empty, each row is its own amplitude and ``integrate``
+    takes one frequency per row, an array of shape ``lead``.
     """
 
     def __init__(self, amp, a: float, b: float, n_panels: int = 24,
-                 tol: float = 2e-11, max_panels: int = 384,
-                 warn_label: str = "filon"):
+                 max_panels: int = 384, warn_label: str = "filon"):
         self.a, self.b = float(a), float(b)
         self.amp = amp
         n = max(2, n_panels)
         while True:
             self._build(n)
-            if self._resolved(tol) or n >= max_panels:
+            if self._resolved() or n >= max_panels:
                 break
             n *= 2
-        if n >= max_panels and not self._resolved(tol):
+        if n >= max_panels and not self._resolved():
             warnings.warn(f"{warn_label}: amplitude not resolved at {n} panels",
                           AccuracyWarning)
 
@@ -211,24 +230,26 @@ class FilonPanels:
         mid = 0.5 * (breaks[1:] + breaks[:-1])
         half = 0.5 * (breaks[1:] - breaks[:-1])
         nodes = mid[:, None] + half[:, None] * x[None, :]  # (n, nodes)
-        vals = np.asarray(self.amp(nodes.ravel()), dtype=complex).reshape(n, _FILON_NODES)
-        self.coeffs = vals @ proj.T  # (n, deg) Legendre coefficients per panel
+        vals = np.asarray(self.amp(nodes.ravel()), dtype=complex)
+        lead = vals.shape[:-1]
+        # Legendre coefficients per panel, shape lead + (n, deg)
+        self.coeffs = vals.reshape(lead + (n, _FILON_NODES)) @ proj.T
         self.mid = mid
         self.half = half
 
-    def _resolved(self, tol: float) -> bool:
+    def _resolved(self) -> bool:
         scale = np.max(np.abs(self.coeffs)) + 1e-300
-        tail = np.max(np.abs(self.coeffs[:, -2:]))
-        return tail <= tol * scale
+        tail = np.max(np.abs(self.coeffs[..., -2:]))
+        return tail <= _FILON_TOL * scale
 
     def integrate(self, omega):
         """Integral against exp(i omega s); omega scalar or array."""
         om = np.atleast_1d(np.asarray(omega, dtype=float))
-        mu = om[:, None] * self.half[None, :]          # (nw, n)
-        moments = _bessel_moments(mu, _FILON_DEG)      # (deg, nw, n)
-        per_panel = np.einsum("pk,kwp->wp", self.coeffs, moments)
-        phase = np.exp(1j * om[:, None] * self.mid[None, :])
-        out = np.sum(self.half[None, :] * phase * per_panel, axis=1)
+        mu = om[..., None] * self.half                 # om.shape + (n,)
+        moments = _bessel_moments(mu, _FILON_DEG)      # (deg,) + om.shape + (n,)
+        per_panel = np.einsum("...pk,k...p->...p", self.coeffs, moments)
+        phase = np.exp(1j * om[..., None] * self.mid)
+        out = np.sum(self.half * phase * per_panel, axis=-1)
         return out if np.ndim(omega) else complex(out[0])
 
 

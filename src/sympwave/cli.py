@@ -12,7 +12,7 @@ import argparse
 import sys
 
 from .errors import DivergenceError, OutOfRangeError, UsageError
-from .harness import emit, read_config, run_sweep
+from .harness import csv_lines, emit, read_config, run_sweep
 
 
 def _add_common(sub):
@@ -93,7 +93,7 @@ def main(argv=None) -> int:
             fmt = "svg" if args.out.endswith(".svg") else "csv"
             emit(records, fmt, args.out)
         else:
-            for line in _render_stdout(records):
+            for line in csv_lines(records):
                 print(line)
         return 0
     except (UsageError, OutOfRangeError) as exc:
@@ -105,16 +105,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 4
-
-
-def _render_stdout(records):
-    from .harness import _flat_columns
-
-    if not records:
-        return []
-    lines = [",".join(name for name, _ in _flat_columns(records[0]))]
-    lines += [",".join("%.17g" % v for _, v in _flat_columns(r)) for r in records]
-    return lines
 
 
 if __name__ == "__main__":

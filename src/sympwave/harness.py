@@ -111,17 +111,18 @@ def emit(records, fmt: str, path: str):
         raise OSError(f"could not write {path}: {exc}") from exc
 
 
+def csv_lines(records) -> list:
+    """Header and 17-significant-digit rows of ``records``; none if empty."""
+    if not records:
+        return []
+    lines = [",".join(name for name, _ in _flat_columns(records[0]))]
+    lines += [",".join("%.17g" % v for _, v in _flat_columns(rec)) for rec in records]
+    return lines
+
+
 def _emit_csv(records, path: str):
-    lines = []
-    if records:
-        header = [name for name, _ in _flat_columns(records[0])]
-        lines.append(",".join(header))
-        for rec in records:
-            lines.append(",".join("%.17g" % v for _, v in _flat_columns(rec)))
-    else:
-        lines.append("")
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(csv_lines(records)) + "\n")
 
 
 def read_csv(path: str):
@@ -204,12 +205,15 @@ def parse_grid(text: str):
 
 
 def _number(text: str, kind, what: str):
-    """Parse one number of a sweep spec; malformed text is a usage error."""
+    """Parse one finite number of a sweep spec; anything else is a usage error."""
     try:
-        return kind(text)
+        value = kind(text)
+        if kind is int or math.isfinite(value):
+            return value
     except ValueError:
-        name = "an integer" if kind is int else "a number"
-        raise UsageError(f"{what} must be {name}, got {text!r}") from None
+        pass
+    name = "an integer" if kind is int else "a finite number"
+    raise UsageError(f"{what} must be {name}, got {text!r}")
 
 
 def read_config(path: str):
@@ -267,6 +271,10 @@ def _run_cfun(spec):
     direction = spec.get("direction", "")
     if direction:
         e = np.array([_number(t, float, "direction") for t in direction.split(",")])
+        if len(e) != datum.rank:
+            raise UsageError(f"direction needs {datum.rank} components, got {len(e)}")
+        if not np.any(e):
+            raise UsageError("direction must be nonzero")
     else:
         e = np.ones(datum.rank)
     e = e / np.linalg.norm(e)

@@ -45,6 +45,7 @@ from .profiles import CutoffProduct, Profile, SmoothCutoff
 _U_HI = 1.36          # proxy domain end, between sqrt(7/4) and the sqrt(2) singularity
 _V_LO, _V_HI = 0.40, 1.85
 _CUT = (1.5, 1.75)    # cutoff thresholds in v = u^2
+_Q_DEGREE = 96        # starting proxy degree of the q family, escalated up to 4x
 # R1 panels in u: ten across the cutoff's flat part, eight across its transition
 _R1_BREAKS = np.concatenate([np.linspace(0.0, math.sqrt(_CUT[0]), 11),
                              np.linspace(math.sqrt(_CUT[0]), math.sqrt(_CUT[1]), 9)[1:]])
@@ -239,12 +240,11 @@ class QFamily:
     precision.
     """
 
-    def __init__(self, symbol: Symbol, E, r: float, degree: int = 96):
+    def __init__(self, symbol: Symbol, E, r: float):
         l = symbol.dimension
         if l < 2:
             raise UsageError("q family needs rank >= 2")
         self.l = l
-        self.degree = degree
         J = rotate_to_axis(E)
         self.dr = _DrTable(symbol, J, r)
         self.cutoff = SmoothCutoff(*_CUT)
@@ -268,7 +268,7 @@ class QFamily:
         # symbols with shrinking analyticity strips (the Plancherel densities
         # at large r) need more resolution, so the degree escalates on demand
         for factor in (1, 2, 3, 4):
-            deg = degree * factor
+            deg = _Q_DEGREE * factor
             self.proxy_u = Chebyshev.interpolate(lambda u: a_u(u, False), deg, domain=[0.0, _U_HI])
             self.proxy_ut = Chebyshev.interpolate(lambda u: a_u(u, True), deg, domain=[0.0, _U_HI])
             self.proxy_v = Chebyshev.interpolate(lambda v: a_v(v, False), deg, domain=[_V_LO, _V_HI])
@@ -313,9 +313,9 @@ class QFamily:
         return self._q1[mirror].deriv(k, v)
 
 
-def q_family(symbol: Symbol, E, r: float, degree: int = 96) -> QFamily:
+def q_family(symbol: Symbol, E, r: float) -> QFamily:
     """Build the q / q~ / q1 / q~1 evaluators with their Chebyshev proxies."""
-    return QFamily(symbol, E, r, degree=degree)
+    return QFamily(symbol, E, r)
 
 
 # ---------------------------------------------------------------------------
@@ -335,8 +335,8 @@ class XiDecomposition:
         return self.R0 + self.R1 + self.R2
 
 
-def xi_decompose(symbol: Symbol, E, r: float, h: float, M: int | None = None,
-                 degree: int = 96) -> XiDecomposition:
+def xi_decompose(symbol: Symbol, E, r: float, h: float,
+                 M: int | None = None) -> XiDecomposition:
     """Decompose xi(r, h) into main term plus the three remainder pieces.
 
     M defaults to floor((l+1)/2).  The pieces satisfy
@@ -352,7 +352,7 @@ def xi_decompose(symbol: Symbol, E, r: float, h: float, M: int | None = None,
     if h <= 0.0 or r <= 0.0:
         raise UsageError("decomposition needs h > 0 and r > 0")
     x = h * r
-    fam = QFamily(symbol, E, r, degree=degree)
+    fam = QFamily(symbol, E, r)
     J = rotate_to_axis(E)
     E = np.asarray(E, dtype=float)
 
@@ -469,7 +469,6 @@ def i_psi(symbol: Symbol, profile: Profile, t_phase: float, E, h: float):
         [ct[:, None, None] * np.ones((1, len(pts), 1)),
          st[:, None, None] * pts[None, :, :]], axis=-1)      # (nt, np, l)
 
-    fil = _BatchedRadialFilon(profile, rmax)
     vals = np.zeros((len(nodes_t), len(pts)), dtype=complex)
     for ip in range(len(pts)):
         lam_dirs = theta_dir[:, ip, :] @ J.T                     # (nt, l)
@@ -478,7 +477,10 @@ def i_psi(symbol: Symbol, profile: Profile, t_phase: float, E, h: float):
             lam = rs[None, :, None] * dirs[:, None, :]
             return (profile.eval(0, rs)[None, :] * rs[None, :] ** (l - 1)
                     * np.asarray(symbol.eval(lam)))
-        vals[:, ip] = fil.integrate_rows(amp, freqs)
+        # one row per colatitude node, each at its own frequency; the panel
+        # count stays fixed, since doubling it for the tail test costs ~9x
+        fil = FilonPanels(amp, 0.0, rmax, n_panels=24, max_panels=24, warn_label="i_psi direct")
+        vals[:, ip] = fil.integrate(freqs)
     weighted = (vals @ w) * st ** (l - 2)
     direct = np.sum(nodes_w * weighted)
     return complex(direct), complex(main)
@@ -496,31 +498,3 @@ def _colatitude_rule(l: int, t_phase: float, h: float):
     base = np.linspace(0.0, np.pi, 17)
     breaks = np.unique(np.concatenate([np.array(sorted(cuts)), base]))
     return gl_panels_nodes(breaks, 16)
-
-
-class _BatchedRadialFilon:
-    """Filon panels on [0, rmax] shared across many (direction, frequency) rows."""
-
-    def __init__(self, profile: Profile, rmax: float, n_panels: int = 24):
-        from ._quad import _FILON_DEG, _FILON_NODES, _filon_projection
-        self.breaks = np.linspace(0.0, rmax, n_panels + 1)
-        x, self.proj = _filon_projection(_FILON_NODES, _FILON_DEG)
-        self.mid = 0.5 * (self.breaks[1:] + self.breaks[:-1])
-        self.half = 0.5 * (self.breaks[1:] - self.breaks[:-1])
-        self.nodes = (self.mid[:, None] + self.half[:, None] * x[None, :]).ravel()
-        self.deg = _FILON_DEG
-        self.npanels = n_panels
-        self.nnodes = _FILON_NODES
-
-    def integrate_rows(self, amp, freqs):
-        """amp(r_nodes) -> (nrows, nnodes); returns per-row integrals at freqs[row]."""
-        from ._quad import _bessel_moments
-        vals = np.asarray(amp(self.nodes))                    # (nrows, total_nodes)
-        nrows = vals.shape[0]
-        vals = vals.reshape(nrows, self.npanels, self.nnodes)
-        coeffs = np.einsum("rpn,dn->rpd", vals, self.proj)    # (nrows, panels, deg)
-        mu = freqs[:, None] * self.half[None, :]              # (nrows, panels)
-        moments = _bessel_moments(mu, self.deg)               # (deg, nrows, panels)
-        per_panel = np.einsum("rpd,drp->rp", coeffs, moments)
-        phase = np.exp(1j * freqs[:, None] * self.mid[None, :])
-        return np.sum(self.half[None, :] * phase * per_panel, axis=1)

@@ -27,7 +27,7 @@ import numpy as np
 from numpy.polynomial.chebyshev import Chebyshev
 from scipy.optimize import brentq
 
-from ._quad import gl_panels_nodes, halfperiod_breaks, integrate_panels
+from ._quad import gl_panels_nodes, halfperiod_breaks, integrate_panels, refine
 from .errors import OutOfRangeError, ResolutionError, UsageError
 from .profiles import CutoffProduct, SmoothCutoff
 
@@ -149,15 +149,12 @@ def k_n(n: int, u, x: float, p: int):
 
     # geometric panels resolve the decay scale near zero
     edges = np.unique(np.concatenate([[0.0], zmax * 2.0 ** np.arange(-12.0, 0.1)]))
-    order = 24
-    nodes, weights = gl_panels_nodes(edges, order)
-    prev = f(nodes) @ weights
-    for order in (48, 96):
+
+    def values(order):
         nodes, weights = gl_panels_nodes(edges, order)
-        cur = f(nodes) @ weights
-        if np.max(np.abs(cur - prev)) <= 1e-13 * max(1e-300, float(np.max(np.abs(cur)))):
-            break
-        prev = cur
+        return f(nodes) @ weights
+
+    cur = refine(values, (24, 48, 96), 1e-13)
     # (z-u)^(n-1) dz contributes ray^(n-1) * ray on the parameterized ray
     vals = ((-1.0) ** n / math.factorial(n - 1)) * ray**n * cur
     return vals if np.ndim(u) else complex(vals[0])
@@ -327,12 +324,10 @@ def oracle(problem: PhaseProblem, x: float) -> complex:
     """
     if x <= 0.0:
         raise UsageError("x must be positive")
-    total_phase = x * (problem.fb - problem.fa)
-    n = max(1, min(200000, int(np.ceil(total_phase / np.pi))))
-    fracs = np.linspace(0.0, 1.0, n + 1)
-    breaks = np.array([_invert_extended(problem, (f * (problem.fb - problem.fa)) ** (1.0 / problem.p))
-                       if f > 0 else problem.a for f in fracs])
-    breaks[-1] = problem.b
+    span = problem.fb - problem.fa
+    breaks = halfperiod_breaks(
+        x * span, problem.a, problem.b,
+        invert=lambda frac: _invert_extended(problem, (frac * span) ** (1.0 / problem.p)))
 
     def f(ts):
         g = np.array([problem.g(t) for t in ts], dtype=complex)

@@ -7,20 +7,22 @@ single-angle integral
     phi_lam(R) = c_n int_0^pi (cosh R - sinh R cos t)^(-(rho + i lam)) (sin t)^(n-2) dt,
 
 and for m2 = 1 (complex hyperbolic type) the same kernel integrated over the
-unit disc with weight (1 - |w|^2)^((m-2)/2).  In log-radial coordinates
-s = log(cosh R - sinh R cos t) the single-angle case becomes a finite Fourier
-integral with amplitude (cosh R - cosh s)^((n-3)/2), handled by Legendre-
-projected Filon panels whose cost does not grow with lam R.
+unit disc with weight (1 - |w|^2)^((m-2)/2).  Both are one boundary measure
+mu_R in s = log|b|, a :class:`PoissonRule`, with phi_lam(R) = int e^{-i lam s}
+dmu_R.  For m2 = 0 it has the density (cosh R - cosh s)^((n-3)/2) e^{kappa s}
+on [-R, R]; for odd n, phi is then a finite Fourier integral done by Filon
+panels, whose cost does not grow with lam R (even n uses colatitude panels).
 
 The kernel of exp(i t sqrt(.)) psi(sqrt(.)) applied to the shifted Laplacian
 is the radial integral of exp(i t r) psi(r) against the spectral density
 xi_R(r) = 2 phi_r(R) |c(r)|^-2.  Exchanging the radial and angular integrals
-expresses it through the profile transform F(v) = int psi(r) |c|^-2 e^{i r v} dr,
-evaluated at v = t - s; this keeps the R >> t regime (where the spherical
-function supplies most of the oscillation) both fast and accurate.  F is
-tabulated once per profile: Filon panels give exact values at any frequency,
-and a lazy piecewise-Chebyshev table over unit chunks of v, filled from those
-values on first use, serves every quadrature node after that.
+gives kernel(t, R) = 2 int F(t - s) dmu_R(s), with the same measure and the
+profile transform F(v) = int psi(r) |c|^-2 e^{i r v} dr; this keeps the R >> t
+regime (where the spherical function supplies most of the oscillation) both
+fast and accurate.  F is tabulated once per profile: Filon panels give exact
+values at any frequency, and a lazy piecewise-Chebyshev table over unit chunks
+of v, filled from those values on first use, serves every quadrature node
+after that.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from math import gamma as real_gamma
 
 import numpy as np
 
-from ._quad import ChebTable, FilonPanels, gl_panels_nodes, integrate_panels
+from ._quad import ChebTable, FilonPanels, gl_panels_nodes, integrate_panels, refine
 from .errors import DivergenceError, OutOfRangeError, ResolutionError, UsageError
 from .plancherel import CFunction
 from .profiles import Profile
@@ -72,100 +74,100 @@ def rank_one_geometry(name_or_datum) -> RankOneGeometry:
 
 
 # ---------------------------------------------------------------------------
-# spherical functions
+# the Poisson boundary measure and spherical functions
 # ---------------------------------------------------------------------------
 
-def _phi_single_angle(geom: RankOneGeometry, lam: np.ndarray, R: float) -> np.ndarray:
-    """Poisson integral over [0, pi]; exact for m_2alpha = 0."""
-    n, rho = geom.n, geom.rho
-    m = (n - 3) / 2.0
-    kappa = 1.0 - rho + m
-    cn = real_gamma(n / 2.0) / (math.sqrt(math.pi) * real_gamma((n - 1) / 2.0))
-
-    if n % 2 == 1:
-        # log-radial Filon: amplitude e^{kappa s} (cosh R - cosh s)^m is entire
-        pref = cn * 2.0**m / math.sinh(R) ** (n - 2)
-        def amp(s):
-            return np.exp(kappa * s) * np.maximum(np.cosh(R) - np.cosh(s), 0.0) ** m
-        fil = FilonPanels(amp, -R, R, n_panels=max(4, min(48, int(np.ceil(R / 2.0)))),
-                          warn_label="phi")
-        return pref * fil.integrate(-lam)
-
-    # even dimension: smooth colatitude integrand, panels sized by the phase
-    lam_max = float(np.max(np.abs(lam))) if len(lam) else 0.0
-    npan = max(8, int(np.ceil(2.0 * R * lam_max / np.pi)))
-    if npan > 60000:
-        raise UsageError("lam * R too large for the even-dimension path")
-    s_grid = np.linspace(-R, R, npan + 1)
-    theta_breaks = np.arccos(np.clip((np.cosh(R) - np.exp(s_grid)) / np.sinh(R), -1.0, 1.0))
-    theta_breaks[0], theta_breaks[-1] = 0.0, np.pi
-
-    def values(order):
-        nodes, weights = gl_panels_nodes(theta_breaks, order)
-        base = np.cosh(R) - np.sinh(R) * np.cos(nodes)
-        logb = np.log(base)
-        amp = base ** (-rho) * np.sin(nodes) ** (n - 2)
-        ph = np.exp(-1j * np.outer(lam, logb))
-        return cn * (ph * (amp * weights)[None, :]).sum(axis=1)
-
-    prev = values(16)
-    cur = values(32)
-    if np.max(np.abs(cur - prev)) > 1e-11 * (np.max(np.abs(cur)) + 1e-300):
-        cur = values(64)
-    return cur
+def _check_radius(R: float):
+    if not (math.isfinite(R) and R >= 0.0):
+        raise UsageError("R must be finite and nonnegative")
 
 
-def _disc_grid(R: float, lam_max: float, order: int, subdiv: int = 1):
-    """Tensor rule on the unit disc resolving the boundary peak at w = 1.
+class PoissonRule:
+    """The boundary (Poisson) measure mu_R at Cartan radius R > 0, in s = log|b|.
 
-    Works in d = 1 - u and phi; the kernel magnitude concentrates near
-    (d, phi) = (0, 0) on scales ~ exp(-2R), so both directions use dyadic
-    panels toward zero, optionally split further for the log-radial phase.
-    Returns (d, w_d, phi, w_phi) flat node/weight arrays.
+    phi_lam(R) = int e^{-i lam s} dmu_R(s) and kernel(t, R) = 2 int F(t - s)
+    dmu_R(s).  For m_2alpha = 0 the measure has the density
+    ``scale * density(s)`` on [-R, R], with scale = c_n 2^m / sinh^(n-2) R;
+    for m_2alpha = 1 it is ``scale`` times the tensor rule of :meth:`disc`.
     """
-    eps = max(1e-13, min(0.25, math.exp(-2.0 * R) / 8.0))
-    k_max = int(np.ceil(np.log2(1.0 / eps)))
-    levels = 2.0 ** (-np.arange(1, k_max + 1, dtype=float))
-    half = np.unique(np.concatenate([[0.0, 1.0], levels]))
-    split = max(subdiv, int(np.ceil(lam_max * 0.7 / 4.0)))
-    if split > 1:
-        half = np.unique(np.concatenate(
-            [np.linspace(a, b, split + 1) for a, b in zip(half[:-1], half[1:])]))
-    d, wd = gl_panels_nodes(half, order)
-    breaks_phi = np.unique(np.concatenate([-np.pi * half[::-1], np.pi * half]))
-    phi, wphi = gl_panels_nodes(breaks_phi, order)
-    return d, wd, phi, wphi
 
+    def __init__(self, geom: RankOneGeometry, R: float):
+        self.geom, self.R, n = geom, R, geom.n
+        if geom.m_2alpha == 0:
+            self.m = (n - 3) / 2.0
+            self.kappa = 1.0 - geom.rho + self.m
+            self.cn = real_gamma(n / 2.0) / (math.sqrt(math.pi) * real_gamma((n - 1) / 2.0))
+            self.scale = self.cn * 2.0**self.m / math.sinh(R) ** (n - 2)
+        else:
+            self.scale = geom.m_alpha / (2.0 * math.pi)
 
-def _disc_logb(R: float, d: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """log |cosh R - (1-d) e^{i phi} sinh R| without cancellation at the peak."""
-    radial = math.exp(-R) + d[:, None] * math.sinh(R)
-    angular = 4.0 * (1.0 - d[:, None]) * math.cosh(R) * math.sinh(R) \
-        * np.sin(phi[None, :] / 2.0) ** 2
-    return 0.5 * np.log(radial**2 + angular)
+    def density(self, s):
+        """e^{kappa s} (cosh R - cosh s)^m; entire in s for odd n."""
+        R = self.R
+        return np.exp(self.kappa * s) * np.maximum(np.cosh(R) - np.cosh(s), 0.0) ** self.m
 
+    def disc(self, lam_max: float, order: int, subdiv: int = 1):
+        """Nodes s = log|b| and weights, shape (d nodes, phi nodes), of a tensor
+        rule on the unit disc in d = 1 - |w| and phi: dyadic panels toward the
+        peak at (0, 0) of width ~ exp(-2R), split to resolve lam_max * s."""
+        R, rho = self.R, self.geom.rho
+        eps = max(1e-13, min(0.25, math.exp(-2.0 * R) / 8.0))
+        k_max = int(np.ceil(np.log2(1.0 / eps)))
+        levels = 2.0 ** (-np.arange(1, k_max + 1, dtype=float))
+        half = np.unique(np.concatenate([[0.0, 1.0], levels]))
+        split = max(subdiv, int(np.ceil(lam_max * 0.7 / 4.0)))
+        if split > 1:
+            half = np.unique(np.concatenate(
+                [np.linspace(a, b, split + 1) for a, b in zip(half[:-1], half[1:])]))
+        d, wd = gl_panels_nodes(half, order)
+        breaks_phi = np.unique(np.concatenate([-np.pi * half[::-1], np.pi * half]))
+        phi, wphi = gl_panels_nodes(breaks_phi, order)
+        # log |cosh R - (1-d) e^{i phi} sinh R| without cancellation at the peak
+        radial = math.exp(-R) + d[:, None] * math.sinh(R)
+        angular = 4.0 * (1.0 - d[:, None]) * math.cosh(R) * math.sinh(R) \
+            * np.sin(phi[None, :] / 2.0) ** 2
+        s = 0.5 * np.log(radial**2 + angular)
+        q = (self.geom.m_alpha - 2) / 2.0
+        weight = (wd * (d * (2.0 - d)) ** q * (1.0 - d))[:, None] * wphi[None, :] \
+            * np.exp(-rho * s)
+        return s, weight
 
-def _phi_disc(geom: RankOneGeometry, lam: np.ndarray, R: float) -> np.ndarray:
-    """Poisson integral over the unit disc, for m_2alpha = 1."""
-    rho, ma = geom.rho, geom.m_alpha
-    q = (ma - 2) / 2.0
-    c_disc = ma / (2.0 * math.pi)
-    lam_max = float(np.max(np.abs(lam))) if len(lam) else 0.0
+    def phi(self, lam: np.ndarray) -> np.ndarray:
+        """phi_lam(R) for an array of real lam, as complex quadrature values."""
+        geom, R = self.geom, self.R
+        lam_max = float(np.max(np.abs(lam))) if len(lam) else 0.0
+        if geom.m_2alpha == 1:
+            def disc_values(level):
+                s, w = self.disc(lam_max, *level)
+                ph = np.exp(-1j * lam[:, None, None] * s[None, :, :])
+                return self.scale * np.sum(ph * w[None, :, :], axis=(1, 2))
+            return refine(disc_values, ((10, 1), (14, 1), (18, 2)), 1e-12)
 
-    def values(order, subdiv=1):
-        d, wd, phi, wphi = _disc_grid(R, lam_max, order, subdiv)
-        u = 1.0 - d
-        logb = _disc_logb(R, d, phi)
-        weight = (wd * (d * (2.0 - d)) ** q * u)[:, None] * wphi[None, :] \
-            * np.exp(-rho * logb)
-        ph = np.exp(-1j * lam[:, None, None] * logb[None, :, :])
-        return c_disc * np.sum(ph * weight[None, :, :], axis=(1, 2))
+        n, rho = geom.n, geom.rho
+        if n % 2 == 1:
+            # log-radial Filon: the density is entire, so panels need not resolve lam R
+            fil = FilonPanels(self.density, -R, R,
+                              n_panels=max(4, min(48, int(np.ceil(R / 2.0)))),
+                              warn_label="phi")
+            return self.scale * fil.integrate(-lam)
 
-    prev = values(10)
-    cur = values(14)
-    if np.max(np.abs(cur - prev)) > 1e-12 * (np.max(np.abs(cur)) + 1e-300):
-        cur = values(18, subdiv=2)
-    return cur
+        # even dimension: smooth colatitude integrand, panels sized by the phase
+        npan = max(8, int(np.ceil(2.0 * R * lam_max / np.pi)))
+        if npan > 60000:
+            raise UsageError("lam * R too large for the even-dimension path")
+        s_grid = np.linspace(-R, R, npan + 1)
+        theta_breaks = np.arccos(np.clip((np.cosh(R) - np.exp(s_grid)) / np.sinh(R), -1.0, 1.0))
+        theta_breaks[0], theta_breaks[-1] = 0.0, np.pi
+
+        def values(order):
+            nodes, weights = gl_panels_nodes(theta_breaks, order)
+            base = np.cosh(R) - np.sinh(R) * np.cos(nodes)
+            logb = np.log(base)
+            amp = base ** (-rho) * np.sin(nodes) ** (n - 2)
+            ph = np.exp(-1j * np.outer(lam, logb))
+            return self.cn * (ph * (amp * weights)[None, :]).sum(axis=1)
+
+        return refine(values, (16, 32, 64), 1e-11)
 
 
 def phi_rank1(geom: RankOneGeometry, lam, R: float):
@@ -174,16 +176,12 @@ def phi_rank1(geom: RankOneGeometry, lam, R: float):
     Real-valued for real lam; raises :class:`ResolutionError` if the
     imaginary part of the quadrature exceeds 1e-10 relative.
     """
-    if R < 0.0:
-        raise UsageError("R must be nonnegative")
+    _check_radius(R)
     lam_arr = np.atleast_1d(np.asarray(lam, dtype=float))
     if R == 0.0:
         out = np.ones(lam_arr.shape)
         return out if np.ndim(lam) else 1.0
-    if geom.m_2alpha == 0:
-        vals = _phi_single_angle(geom, lam_arr, R)
-    else:
-        vals = _phi_disc(geom, lam_arr, R)
+    vals = PoissonRule(geom, R).phi(lam_arr)
     scale = np.max(np.abs(vals)) + 1e-300
     if not np.max(np.abs(vals.imag)) <= _IM_TOL * max(1.0, scale):
         raise ResolutionError("spherical function came out non-real")
@@ -250,14 +248,6 @@ class KernelEvaluator:
         mass = float(np.sum(2.0 * panels.half * np.abs(panels.coeffs[:, 0])))
         self.transform = ChebTable(panels.integrate, mass, warn_label="kernel transform")
 
-    def value(self, t: float, R: float) -> complex:
-        geom = self.geom
-        if R == 0.0:
-            return 2.0 * self.transform(t)
-        if geom.m_2alpha == 0:
-            return self._value_single_angle(t, R)
-        return self._value_disc(t, R)
-
     def _s_breaks(self, t: float, R: float, endpoint_gap: float) -> np.ndarray:
         lo, hi = -R + endpoint_gap, R - endpoint_gap
         coarse = min(24, max(8, int(np.ceil((hi - lo) / 2.0))))
@@ -271,17 +261,19 @@ class KernelEvaluator:
                         pts.add(s)
         return np.array(sorted(pts))
 
-    def _value_single_angle(self, t: float, R: float) -> complex:
-        geom = self.geom
-        n, rho = geom.n, geom.rho
-        m = (n - 3) / 2.0
-        kappa = 1.0 - rho + m
-        cn = real_gamma(n / 2.0) / (math.sqrt(math.pi) * real_gamma((n - 1) / 2.0))
-        pref = 2.0 * cn * 2.0**m / math.sinh(R) ** (n - 2)
+    def value(self, t: float, R: float) -> complex:
+        _check_radius(R)
+        if R == 0.0:
+            return 2.0 * self.transform(t)
+        rule = PoissonRule(self.geom, R)
+        if self.geom.m_2alpha == 1:
+            def disc_values(order):
+                s, w = rule.disc(0.0, order)
+                return 2.0 * rule.scale * np.sum(w * self.transform(t - s))
+            return complex(refine(disc_values, (8, 12, 18), 1e-9))
 
         def interior(s):
-            a = np.exp(kappa * s) * np.maximum(np.cosh(R) - np.cosh(s), 0.0) ** m
-            return a * self.transform(t - s)
+            return rule.density(s) * self.transform(t - s)
 
         gap = min(0.5, 0.25 * R)
         total = integrate_panels(interior, self._s_breaks(t, R, gap),
@@ -292,33 +284,11 @@ class KernelEvaluator:
         for sign in (1.0, -1.0):
             def cap(w):
                 s = sign * (R - w**2)
-                a = np.exp(kappa * s) * np.maximum(np.cosh(R) - np.cosh(s), 0.0) ** m
-                return 2.0 * w * a * self.transform(t - s)
+                return 2.0 * w * rule.density(s) * self.transform(t - s)
             total += integrate_panels(cap, np.linspace(0.0, math.sqrt(gap), 5),
                                       order0=10, tol=1e-11, max_order=40,
                                       warn_label="kernel endpoint", floor_rel=3e-9)
-        return complex(pref * total)
-
-    def _value_disc(self, t: float, R: float) -> complex:
-        geom = self.geom
-        rho, ma = geom.rho, geom.m_alpha
-        q = (ma - 2) / 2.0
-        c_disc = ma / (2.0 * math.pi)
-
-        def values(order):
-            d, wd, phi, wphi = _disc_grid(R, 0.0, order)
-            u = 1.0 - d
-            logb = _disc_logb(R, d, phi)
-            weight = (wd * (d * (2.0 - d)) ** q * u)[:, None] * wphi[None, :] \
-                * np.exp(-rho * logb)
-            fvals = self.transform(t - logb)
-            return 2.0 * c_disc * np.sum(weight * fvals)
-
-        prev = values(8)
-        cur = values(12)
-        if abs(cur - prev) > 1e-9 * (abs(cur) + 1e-300):
-            cur = values(18)
-        return complex(cur)
+        return complex(2.0 * rule.scale * total)
 
 
 def kernel(geom: RankOneGeometry, profile: Profile, t: float, R: float) -> complex:

@@ -109,3 +109,18 @@ def test_model_subcommand_plancherel(tmp_path):
 def test_malformed_or_out_of_range_input_exit_code(argv, capsys):
     assert main(argv) == 2
     assert "usage error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["cfun", "--preset", "h3", "--lambda-max", "2", "--steps", "2", "--direction", "1,2"],
+    ["cfun", "--preset", "h3", "--lambda-max", "2", "--steps", "2", "--direction", "0"],
+    ["cfun", "--preset", "a2", "--lambda-max", "2", "--steps", "2", "--direction", "0,0"],
+    ["kernel", "--preset", "h3", "--psi", "exp:1.0", "--t-list", "10", "--R", "-1"],
+    ["kernel", "--preset", "h3", "--psi", "exp:1.0", "--t-list", "nan,inf", "--R", "0.5"],
+    ["cfun", "--preset", "h3", "--lambda-max", "nan", "--steps", "2"],
+], ids=["direction-length", "direction-zero-rank1", "direction-zero-rank2",
+        "negative-radius", "non-finite-times", "non-finite-lambda-max"])
+def test_invalid_input_exit_code(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "usage error" in captured.err and captured.out == ""

@@ -89,10 +89,25 @@ def test_phi_rejects_negative_radius(h3_geometry):
 def test_phi_non_real_quadrature_raises(h3_geometry, monkeypatch):
     # a real exception, not an assert, so python -O keeps the check
     import sympwave.wave_kernel as wk
-    monkeypatch.setattr(wk, "_phi_single_angle",
-                        lambda geom, lam, R: np.ones(lam.shape) + 1e-3j)
+    monkeypatch.setattr(wk.PoissonRule, "phi",
+                        lambda self, lam: np.ones(lam.shape) + 1e-3j)
     with pytest.raises(ResolutionError):
         sw.phi_rank1(h3_geometry, 1.0, 0.5)
+
+
+@pytest.mark.parametrize("name", ["h2", "h3", "h4", "ch2"])
+@pytest.mark.parametrize("R", [0.5, 2.0, 8.0])
+def test_poisson_rule_unit_mass(name, R):
+    # phi_{-i rho}(R) = 1: the Poisson measure has unit mass against e^{rho s}.
+    # A transform F(v) = e^{-rho v} makes the kernel at t = 0 exactly twice
+    # that mass, through the same panels, endpoint caps and disc sum.
+    geom = sw.rank_one_geometry(name)
+    ev = sw.KernelEvaluator(geom, sw.Profile("exponential", 1.0))
+    ev.transform = lambda v: np.exp(-geom.rho * np.asarray(v)) + 0j
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", AccuracyWarning)
+        mass = 0.5 * ev.value(0.0, R)
+    assert abs(mass - 1.0) <= 1e-9
 
 
 # -- spectral density ------------------------------------------------------------
