@@ -7,8 +7,8 @@ from .errors import (DivergenceError, GammaPoleError, NormalizationError,
 from .gamma import log_gamma
 from .harness import (FitResult, SweepRecord, emit, fit_slope, parse_grid,
                       read_config, read_csv, run_sweep)
-from .model_integral import (Symbol, XiDecomposition, gaussian_symbol, i_psi,
-                             main_term_constant, plancherel_symbol, q_family,
+from .model_integral import (QFamily, Symbol, XiDecomposition, gaussian_symbol, i_psi,
+                             main_term_constant, plancherel_symbol,
                              quadratic_gaussian_symbol, rotate_to_axis,
                              sphere_area, xi_decompose, xi_direct, d_r)
 from .plancherel import CFunction

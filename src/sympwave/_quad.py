@@ -4,7 +4,7 @@ Three engines cover everything in the package:
 
 * half-period panel subdivision with fixed-order Gauss-Legendre inside each
   panel, the order doubled until self-consistent (for phases resolved by the
-  panel grid);
+  panel grid); an integrand may return rows, which refine together;
 * Filon panels for linear phases of arbitrary frequency: the amplitude is
   Legendre-projected per panel and the moments int P_k(x) e^(i mu x) dx
   = 2 i^k j_k(mu) are exact spherical-Bessel values, so the panel count only
@@ -60,25 +60,28 @@ def integrate_panels(f, breaks, order0: int = 16, tol: float = 1e-10,
                      floor_rel: float = 1e-14):
     """Composite GL with order doubling until two levels agree.
 
-    ``f`` must accept a flat array of nodes and return values (complex ok).
-    Relative tolerance is measured against the finer level, with an absolute
-    floor of ``floor_rel`` times the total integrand mass for results that
-    are small through cancellation.
+    ``f`` must accept a flat array of nodes and return values (complex ok) of
+    shape ``lead + (nodes,)``; if ``lead`` is not empty, each row is its own
+    integrand and the result has shape ``lead``.  Relative tolerance is
+    measured against the finer level in the max norm over rows, with an
+    absolute floor of ``floor_rel`` times the largest total integrand mass
+    for results that are small through cancellation.
     """
     breaks = np.asarray(breaks, dtype=float)
     order = order0
     nodes, weights = gl_panels_nodes(breaks, order)
     fv = f(nodes)
-    prev = np.sum(fv * weights)
-    scale = float(np.sum(np.abs(fv) * np.abs(weights)))  # cancellation-aware floor
+    prev = (fv * weights).sum(axis=-1)
+    # cancellation-aware floor
+    scale = (np.abs(fv) * np.abs(weights)).sum(axis=-1).max()
     cur = prev
     residual = 0.0
     while order < max_order:
         order *= 2
         nodes, weights = gl_panels_nodes(breaks, order)
-        cur = np.sum(f(nodes) * weights)
-        residual = abs(cur - prev)
-        if residual <= tol * abs(cur) + floor_rel * scale + 1e-300:
+        cur = (f(nodes) * weights).sum(axis=-1)
+        residual = abs(cur - prev).max()
+        if residual <= tol * abs(cur).max() + floor_rel * scale + 1e-300:
             return cur
         prev = cur
     warnings.warn(f"{warn_label}: panel refinement hit order {max_order} "

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 usage error (a malformed or out-of-range input),
-3 numeric divergence, 4 I/O failure.
+3 divergent or unresolved (an integral that diverges, or a proxy or
+quadrature that cannot reach its tolerance), 4 I/O failure.
 A config file of ``key = value`` lines can pre-fill any flag; explicit CLI
 flags win.  Output format is CSV unless the path ends in ``.svg``.
 """
@@ -11,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import DivergenceError, OutOfRangeError, UsageError
+from .errors import DivergenceError, OutOfRangeError, ResolutionError, UsageError
 from .harness import csv_lines, emit, read_config, run_sweep
 
 
@@ -101,6 +102,9 @@ def main(argv=None) -> int:
         return 2
     except DivergenceError as exc:
         print(f"divergence: {exc}", file=sys.stderr)
+        return 3
+    except ResolutionError as exc:
+        print(f"numeric error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)

@@ -279,14 +279,10 @@ def _run_cfun(spec):
         e = np.ones(datum.rank)
     e = e / np.linalg.norm(e)
     grid = [(i + 1) / steps * lam_max for i in range(steps)]
-
-    def row(s):
-        lam = s * e
-        dens = cf.density(lam)
-        return SweepRecord(
-            inputs=tuple((f"lambda_{i+1}", lam[i]) for i in range(datum.rank)),
-            outputs=(("density", float(dens)),))
-    return _map_grid(row, grid)
+    lams = np.outer(grid, e)
+    return [SweepRecord(inputs=tuple((f"lambda_{i+1}", lam[i]) for i in range(datum.rank)),
+                        outputs=(("density", float(dens)),))
+            for lam, dens in zip(lams, cf.density(lams))]
 
 
 def _cos_demo_problem():

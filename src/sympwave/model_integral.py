@@ -19,11 +19,12 @@ main term pairs exp(+i h r) with sigma(r E) and exp(-i h r) with
 sigma(-r E).  For Weyl-even symbols (every built-in) the two terms are
 interchangeable; the exactness test below pins the convention.
 
-The four boundary amplitudes are Chebyshev proxies times the fixed cutoff,
-each a :class:`~sympwave.profiles.CutoffProduct` whose derivatives are
-vectorized jets over the quadrature nodes.  The two R1 integrals (for q and
-q~) refine on the same panels, so each node set's contour values k_l are
-computed once and serve both.
+Each sphere pole's boundary amplitudes, q in u and q1 in v = u^2, are
+Chebyshev proxies times the fixed cutoff, held as one
+:class:`~sympwave.stationary_phase.AmplitudeData`.  The remainder integrals
+of both poles come from one call of
+:func:`~sympwave.stationary_phase.remainder_integrals`, the routine
+:func:`~sympwave.stationary_phase.expand` uses too.
 """
 
 from __future__ import annotations
@@ -41,14 +42,12 @@ from ._quad import (AccuracyWarning, FilonPanels, cheb_first_kind_points, filon_
 from .errors import DivergenceError, NormalizationError, ResolutionError, UsageError
 from .plancherel import CFunction
 from .profiles import CutoffProduct, Profile, SmoothCutoff
+from .stationary_phase import AmplitudeData, k_n_zero, remainder_integrals
 
 _U_HI = 1.36          # proxy domain end, between sqrt(7/4) and the sqrt(2) singularity
 _V_LO, _V_HI = 0.40, 1.85
 _CUT = (1.5, 1.75)    # cutoff thresholds in v = u^2
 _Q_DEGREE = 96        # starting proxy degree of the q family, escalated up to 4x
-# R1 panels in u: ten across the cutoff's flat part, eight across its transition
-_R1_BREAKS = np.concatenate([np.linspace(0.0, math.sqrt(_CUT[0]), 11),
-                             np.linspace(math.sqrt(_CUT[0]), math.sqrt(_CUT[1]), 9)[1:]])
 
 
 def sphere_area(k: int) -> float:
@@ -226,34 +225,33 @@ def xi_direct(symbol: Symbol, E, r: float, h: float) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# the q family with Chebyshev proxies and the fixed cutoff
+# the pole amplitudes with Chebyshev proxies and the fixed cutoff
 # ---------------------------------------------------------------------------
 
 class QFamily:
-    """Boundary amplitudes q, q~, q1, q~1 for the colatitude phase (p = 2).
+    """Boundary amplitudes of the colatitude phase (p = 2) at both sphere poles.
 
+    ``amps`` holds one :class:`~sympwave.stationary_phase.AmplitudeData` per
+    pole, (q, q1) for Theta = +e1 and (q~, q~1) for its mirror, with B = 1;
+    ``proxy_u`` is the proxy of q, whose length is the degree reached.
     The analytic parts are proxied by Chebyshev interpolants away from the
     sqrt(2) endpoint singularity; the compact support comes from the fixed
     smooth cutoff in v = u^2 equal to 1 below 3/2 and 0 above 7/4, applied
-    through exact Taylor jets (one :class:`CutoffProduct` per amplitude) so
-    that derivatives of the extended functions stay accurate to spectral
-    precision.
+    through exact Taylor jets so that derivatives of the extended functions
+    stay accurate to spectral precision.
     """
 
     def __init__(self, symbol: Symbol, E, r: float):
         l = symbol.dimension
         if l < 2:
             raise UsageError("q family needs rank >= 2")
-        self.l = l
-        J = rotate_to_axis(E)
-        self.dr = _DrTable(symbol, J, r)
-        self.cutoff = SmoothCutoff(*_CUT)
+        dr = _DrTable(symbol, rotate_to_axis(E), r)
 
         def a_u(us, mirror):
             us = np.atleast_1d(us)
             th = np.arccos(np.clip(1.0 - us**2, -1.0, 1.0))
             th = np.pi - th if mirror else th
-            vals = self.dr(th)
+            vals = dr(th)
             base = 2.0 * us ** (l - 2) * (2.0 - us**2) ** ((l - 3) / 2.0)
             return base * (vals if mirror else np.conj(vals))
 
@@ -261,7 +259,7 @@ class QFamily:
             vs = np.atleast_1d(vs)
             th = np.arccos(np.clip(1.0 - vs, -1.0, 1.0))
             th = np.pi - th if mirror else th
-            vals = self.dr(th)
+            vals = dr(th)
             pv = 2.0 * (2.0 * vs - vs**2) ** ((l - 3) / 2.0)
             return pv * (vals if mirror else np.conj(vals))
 
@@ -270,52 +268,21 @@ class QFamily:
         for factor in (1, 2, 3, 4):
             deg = _Q_DEGREE * factor
             self.proxy_u = Chebyshev.interpolate(lambda u: a_u(u, False), deg, domain=[0.0, _U_HI])
-            self.proxy_ut = Chebyshev.interpolate(lambda u: a_u(u, True), deg, domain=[0.0, _U_HI])
-            self.proxy_v = Chebyshev.interpolate(lambda v: a_v(v, False), deg, domain=[_V_LO, _V_HI])
-            self.proxy_vt = Chebyshev.interpolate(lambda v: a_v(v, True), deg, domain=[_V_LO, _V_HI])
+            proxy_ut = Chebyshev.interpolate(lambda u: a_u(u, True), deg, domain=[0.0, _U_HI])
+            proxy_v = Chebyshev.interpolate(lambda v: a_v(v, False), deg, domain=[_V_LO, _V_HI])
+            proxy_vt = Chebyshev.interpolate(lambda v: a_v(v, True), deg, domain=[_V_LO, _V_HI])
             worst = max(np.abs(p.coef)[-3:].max() / (np.abs(p.coef).max() + 1e-300)
-                        for p in (self.proxy_u, self.proxy_ut, self.proxy_v, self.proxy_vt))
+                        for p in (self.proxy_u, proxy_ut, proxy_v, proxy_vt))
             if worst <= 1e-7:
                 break
         else:
             raise ResolutionError(
                 f"q family unresolved at degree {deg}; tail ratio {worst:.1e}")
-        # indexed by ``mirror``: (q, q~) and (q1, q~1)
-        self._q = (CutoffProduct(self.proxy_u, self.cutoff, 2, 0.0, _U_HI),
-                   CutoffProduct(self.proxy_ut, self.cutoff, 2, 0.0, _U_HI))
-        self._q1 = (CutoffProduct(self.proxy_v, self.cutoff, 1, _V_LO, _V_HI),
-                    CutoffProduct(self.proxy_vt, self.cutoff, 1, _V_LO, _V_HI))
-
-    # -- values --------------------------------------------------------------
-
-    def q(self, u):
-        return self._q[False](u)
-
-    def q_tilde(self, u):
-        return self._q[True](u)
-
-    def q1(self, v):
-        return self._q1[False](v)
-
-    def q1_tilde(self, v):
-        return self._q1[True](v)
-
-    # -- derivatives ----------------------------------------------------------
-
-    def q_deriv_at_zero(self, k: int, mirror: bool = False) -> complex:
-        return complex(self._q[mirror].proxy_deriv(k)(0.0))
-
-    def q_ext_deriv(self, k: int, u, mirror: bool = False) -> np.ndarray:
-        """k-th derivative of the cutoff q (or q~), vectorized over u."""
-        return self._q[mirror].deriv(k, u)
-
-    def q1_ext_deriv(self, k: int, v, mirror: bool = False) -> np.ndarray:
-        return self._q1[mirror].deriv(k, v)
-
-
-def q_family(symbol: Symbol, E, r: float) -> QFamily:
-    """Build the q / q~ / q1 / q~1 evaluators with their Chebyshev proxies."""
-    return QFamily(symbol, E, r)
+        cutoff = SmoothCutoff(*_CUT)
+        self.amps = tuple(
+            AmplitudeData(B=1.0, q=CutoffProduct(pu, cutoff, 2, 0.0, _U_HI),
+                          q1=CutoffProduct(pv, cutoff, 1, _V_LO, _V_HI), p=2)
+            for pu, pv in ((self.proxy_u, proxy_v), (proxy_ut, proxy_vt)))
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +311,6 @@ def xi_decompose(symbol: Symbol, E, r: float, h: float,
     the u = B boundary series cancels identically between the two sphere
     poles and is therefore absent.
     """
-    from .stationary_phase import k_n, k_n_zero
-
     l = symbol.dimension
     if M is None:
         M = (l + 1) // 2
@@ -353,7 +318,6 @@ def xi_decompose(symbol: Symbol, E, r: float, h: float,
         raise UsageError("decomposition needs h > 0 and r > 0")
     x = h * r
     fam = QFamily(symbol, E, r)
-    J = rotate_to_axis(E)
     E = np.asarray(E, dtype=float)
 
     direct = xi_direct(symbol, E, r, h)
@@ -368,32 +332,15 @@ def xi_decompose(symbol: Symbol, E, r: float, h: float,
 
     sgn = (-1.0) ** l
     kl0 = k_n_zero(l, x, 2)
-    qd = fam.q_deriv_at_zero(l - 1, mirror=False)
-    qtd = fam.q_deriv_at_zero(l - 1, mirror=True)
+    qd, qtd = (a.q.proxy_deriv(l - 1)(0.0) for a in fam.amps)
     R0 = sgn * (np.exp(1j * x) * np.conj(qd * kl0) + np.exp(-1j * x) * qtd * kl0) * rpow
 
-    # both R1 integrals refine on the same panels and orders, so they see the
-    # same node sets: k_n runs once per set and the second integral reuses it
-    kn_by_nodes = {}
-
-    def kn(us):
-        key = us.tobytes()
-        if key not in kn_by_nodes:
-            kn_by_nodes[key] = k_n(l, us, x, 2)
-        return kn_by_nodes[key]
-
-    int_q = integrate_panels(lambda us: fam.q_ext_deriv(l, us) * kn(us),
-                             _R1_BREAKS, order0=16, tol=1e-12, warn_label="R1(q)")
-    int_qt = integrate_panels(lambda us: fam.q_ext_deriv(l, us, mirror=True) * kn(us),
-                              _R1_BREAKS, order0=16, tol=1e-12, warn_label="R1(q~)")
+    # the pole +e1 enters conjugated: its R2 integral at frequency -x is the
+    # conjugate of the one at +x, and the mirror pole's at +x is used as is
+    (int_q, int_qt), (r2_q, r2_qt) = remainder_integrals(fam.amps, l, M, x)
     R1 = sgn * (np.exp(1j * x) * np.conj(int_q) + np.exp(-1j * x) * int_qt) * rpow
-
-    fil_q = FilonPanels(lambda vs: np.conj(fam.q1_ext_deriv(M, vs)), 1.0, _V_HI,
-                        n_panels=12, warn_label="R2(q1)")
-    fil_qt = FilonPanels(lambda vs: fam.q1_ext_deriv(M, vs, mirror=True), 1.0, _V_HI,
-                         n_panels=12, warn_label="R2(q~1)")
-    term_q = (-1.0) ** M * np.exp(1j * x) * fil_q.integrate(-x)
-    term_qt = np.exp(-1j * x) * fil_qt.integrate(x)
+    term_q = (-1.0) ** M * np.exp(1j * x) * np.conj(r2_q)
+    term_qt = np.exp(-1j * x) * r2_qt
     R2 = -0.5 * (1j**M / x**M) * (term_q + term_qt) * rpow
 
     return XiDecomposition(direct=complex(direct), main=complex(main),

@@ -140,8 +140,8 @@ class Profile:
     def __post_init__(self):
         if self.family not in ("exponential", "rational", "bump"):
             raise UsageError(f"unknown profile family {self.family!r}")
-        if self.param <= 0.0:
-            raise UsageError("profile parameter must be positive")
+        if not (math.isfinite(self.param) and self.param > 0.0):
+            raise UsageError("profile parameter must be positive and finite")
 
     # -- helpers -----------------------------------------------------------
 

@@ -15,6 +15,11 @@ fixed smooth cutoff equal to 1 below sqrt(3/2) B and 0 above sqrt(7/4) B.
 Both extended amplitudes are :class:`~sympwave.profiles.CutoffProduct`s, so
 their derivatives at the remainder-quadrature nodes are vectorized jets.
 The total is extension-independent; the individual remainder values are not.
+
+:func:`remainder_integrals` is the one place the two remainder integrals are
+evaluated, here and for the two sphere poles of
+:func:`~sympwave.model_integral.xi_decompose`: R1 on Gauss-Legendre panels
+laid out by the cutoff, R2 by Filon panels, both one row per amplitude.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ import numpy as np
 from numpy.polynomial.chebyshev import Chebyshev
 from scipy.optimize import brentq
 
-from ._quad import gl_panels_nodes, halfperiod_breaks, integrate_panels, refine
+from ._quad import FilonPanels, gl_panels_nodes, halfperiod_breaks, integrate_panels, refine
 from .errors import OutOfRangeError, ResolutionError, UsageError
 from .profiles import CutoffProduct, SmoothCutoff
 
@@ -180,24 +185,13 @@ class AmplitudeData:
     """The extended amplitudes: q in u = (f - f(a))^(1/p) and q1 in v = u^p.
 
     Both are Chebyshev proxies times the same fixed cutoff in v, so ``q`` is
-    cut off at u^p and ``q1`` at v.
+    cut off at u^p and ``q1(v) = v^(1/p-1) q(v^(1/p))`` at v.
     """
 
     B: float
     q: CutoffProduct
     q1: CutoffProduct
     p: int
-
-    def q_deriv_at_zero(self, n: int) -> complex:
-        return self.q.proxy_deriv(n)(0.0)
-
-    def q_ext_deriv(self, k: int, u) -> np.ndarray:
-        """k-th derivative of the extended (cutoff) q, vectorized."""
-        return self.q.deriv(k, u)
-
-    def q1_ext_deriv(self, k: int, v) -> np.ndarray:
-        """k-th derivative of the extended q1(v) = v^(1/p-1) q(v^(1/p))."""
-        return self.q1.deriv(k, v)
 
 
 def amplitude_data(problem: PhaseProblem, degree: int = 64) -> AmplitudeData:
@@ -259,6 +253,27 @@ class ExpansionResult:
         self.total = self.phase_prefactor * (i1 - i2)
 
 
+def remainder_integrals(amps: tuple[AmplitudeData, ...], n: int, m: int, x: float):
+    """The R1 and R2 integrals of each amplitude in ``amps``, one value per amplitude.
+
+    ``amps`` is a tuple of :class:`AmplitudeData` sharing B, p and the cutoff.
+    Returns ``(r1, r2)`` with r1[i] = int_0^inf q_i^(n)(u) k_n(u) du and
+    r2[i] = int_{B^p}^inf q1_i^(m)(v) exp(i x v) dv.  R1's panels are ten
+    across the cutoff's flat part and eight across its transition, so k_n
+    runs once per node set for every amplitude; R2 is one Filon build.
+    """
+    first = amps[0]
+    p, cutoff = first.p, first.q.cutoff
+    lo, hi = cutoff.lo ** (1.0 / p), cutoff.hi ** (1.0 / p)
+    breaks = np.concatenate([np.linspace(0.0, lo, 11), np.linspace(lo, hi, 9)[1:]])
+    r1 = integrate_panels(
+        lambda us: np.stack([a.q.deriv(n, us) for a in amps]) * k_n(n, us, x, p),
+        breaks, order0=16, tol=1e-12, warn_label="R1 integral")
+    fil = FilonPanels(lambda vs: np.stack([a.q1.deriv(m, vs) for a in amps]),
+                      first.B**p, first.q1.hi, n_panels=12, warn_label="R2 integral")
+    return r1, fil.integrate(np.full(len(amps), x))
+
+
 def expand(problem: PhaseProblem, x: float, N: int, M: int,
            degree: int = 64, amplitude: AmplitudeData | None = None) -> ExpansionResult:
     """Boundary expansion of the oscillatory integral at frequency x > 0.
@@ -278,7 +293,7 @@ def expand(problem: PhaseProblem, x: float, N: int, M: int,
 
     main_terms = []
     for n in range(N):
-        qn = amp.q_deriv_at_zero(n)
+        qn = amp.q.proxy_deriv(n)(0.0)
         term = (1.0 / (math.factorial(n) * p)) * real_gamma((n + 1) / p) * qn \
             * np.exp(1j * np.pi * (n + 1) / (2.0 * p)) * x ** (-(n + 1) / p)
         main_terms.append(complex(term))
@@ -291,22 +306,9 @@ def expand(problem: PhaseProblem, x: float, N: int, M: int,
         i2_terms.append(complex(osc_b * (1.0 / p) * q1n * (1j / x) ** (n + 1)))
 
     # R1 = (-1)^(N+1) [ q^(N)(0) k_{N+1}(0) + int q^(N+1)(u) k_{N+1}(u) du ]
-    qN0 = amp.q_deriv_at_zero(N)
-    cutoff = amp.q1.cutoff
-    cut_lo, cut_hi = cutoff.lo ** (1.0 / p), cutoff.hi ** (1.0 / p)
-    breaks = np.concatenate([np.linspace(0.0, cut_lo, 9),
-                             np.linspace(cut_lo, cut_hi, 9)[1:]])
-    r1_int = integrate_panels(
-        lambda us: amp.q_ext_deriv(N + 1, us) * k_n(N + 1, us, x, p),
-        breaks, order0=16, tol=1e-12, warn_label="R1 integral")
-    R1 = (-1.0) ** (N + 1) * (qN0 * k_n_zero(N + 1, x, p) + r1_int)
-
     # R2 = (1/p) (i/x)^M int_{B^p}^inf q1^(M)(v) exp(i x v) dv
-    nb = halfperiod_breaks(x * (amp.q1.hi - bp), bp, amp.q1.hi)
-    nb = np.unique(np.concatenate([nb, np.linspace(cutoff.lo, cutoff.hi, 9)]))
-    r2_int = integrate_panels(
-        lambda vs: amp.q1_ext_deriv(M, vs) * np.exp(1j * x * vs),
-        nb, order0=16, tol=1e-12, warn_label="R2 integral")
+    (r1_int,), (r2_int,) = remainder_integrals((amp,), N + 1, M, x)
+    R1 = (-1.0) ** (N + 1) * (amp.q.proxy_deriv(N)(0.0) * k_n_zero(N + 1, x, p) + r1_int)
     R2 = (1.0 / p) * (1j / x) ** M * r2_int
 
     return ExpansionResult(main_terms=main_terms, i2_terms=i2_terms,

@@ -54,6 +54,16 @@ def test_divergence_exit_code(tmp_path, capsys):
     assert "divergence" in capsys.readouterr().err
 
 
+def test_unresolved_exit_code(capsys):
+    # the a2 Plancherel density at r = 16 outgrows the pole amplitudes' largest proxy degree
+    code = main(["model", "--preset", "a2", "--symbol", "plancherel",
+                 "--r", "16", "--h-list", "5"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert "numeric error" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_io_error_exit_code(capsys):
     code = main(["kernel", "--preset", "h3", "--psi", "exp:1.0",
                  "--t-list", "10", "--R", "1.0", "--out", "/no-such-dir/x.csv"])
@@ -118,8 +128,11 @@ def test_malformed_or_out_of_range_input_exit_code(argv, capsys):
     ["kernel", "--preset", "h3", "--psi", "exp:1.0", "--t-list", "10", "--R", "-1"],
     ["kernel", "--preset", "h3", "--psi", "exp:1.0", "--t-list", "nan,inf", "--R", "0.5"],
     ["cfun", "--preset", "h3", "--lambda-max", "nan", "--steps", "2"],
+    ["kernel", "--preset", "h3", "--psi", "exp:inf", "--t-list", "10", "--R", "0.5"],
+    ["kernel", "--preset", "h3", "--psi", "exp:nan", "--t-list", "10", "--R", "0.5"],
 ], ids=["direction-length", "direction-zero-rank1", "direction-zero-rank2",
-        "negative-radius", "non-finite-times", "non-finite-lambda-max"])
+        "negative-radius", "non-finite-times", "non-finite-lambda-max",
+        "infinite-profile-parameter", "nan-profile-parameter"])
 def test_invalid_input_exit_code(argv, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()

@@ -167,10 +167,16 @@ def test_run_sweep_missing_key():
 
 
 def test_cfun_sweep_columns():
-    rows = sw.run_sweep({"experiment": "cfun", "preset": "a2",
-                         "lambda-max": "2.0", "steps": "4"})
-    assert len(rows) == 4
-    assert rows[0].column_names() == ["lambda_1", "lambda_2", "density"]
+    for name in ("a2", "h3", "ch2"):
+        rows = sw.run_sweep({"experiment": "cfun", "preset": name,
+                             "lambda-max": "2.0", "steps": "4"})
+        rank = sw.preset(name).rank
+        assert len(rows) == 4
+        assert rows[0].column_names() == [f"lambda_{i + 1}" for i in range(rank)] + ["density"]
+        cf = sw.CFunction(sw.preset(name))
+        for row in rows:
+            lam = np.array([row.get(f"lambda_{i + 1}") for i in range(rank)])
+            assert row.get("density") == pytest.approx(float(cf.density(lam)), rel=1e-13)
 
 
 def test_stphase_sweep():

@@ -108,11 +108,11 @@ def test_xi_direct_vanishing_order_propagates():
     assert max(ratios) <= 10.0 * max(ratios[-1], 1e-12)
 
 
-# -- the q family -------------------------------------------------------------
+# -- the pole amplitudes --------------------------------------------------------
 
 @pytest.fixture(scope="module")
 def fam3():
-    return sw.q_family(sw.gaussian_symbol(3), E3, 1.0)
+    return sw.QFamily(sw.gaussian_symbol(3), E3, 1.0)
 
 
 def test_q_derivatives_at_zero(fam3):
@@ -120,26 +120,25 @@ def test_q_derivatives_at_zero(fam3):
     D0 = sw.d_r(sw.gaussian_symbol(3), np.eye(3), 1.0, 0.0)
     expected = 2.0 ** ((l - 1) / 2.0) * math.factorial(l - 2) * np.conj(D0)
     for k in range(l - 2):
-        assert abs(fam3.q_deriv_at_zero(k)) <= 1e-9 * abs(expected)
-    assert fam3.q_deriv_at_zero(l - 2) == pytest.approx(expected, rel=1e-8)
+        assert abs(fam3.amps[0].q.proxy_deriv(k)(0.0)) <= 1e-9 * abs(expected)
+    assert fam3.amps[0].q.proxy_deriv(l - 2)(0.0) == pytest.approx(expected, rel=1e-8)
 
 
 def test_boundary_cancellation(fam3):
     for m in range(4):
-        qd = fam3.q1_ext_deriv(m, np.array([1.0]))[0]
-        qtd = fam3.q1_ext_deriv(m, np.array([1.0]), mirror=True)[0]
+        qd, qtd = (a.q1.deriv(m, np.array([1.0]))[0] for a in fam3.amps)
         assert abs((-1.0) ** (m + 1) * np.conj(qd) + qtd) <= 1e-7
 
 
 def test_radial_q_tilde_equals_q(fam3):
     us = np.linspace(0.0, 1.5, 40)
-    assert np.max(np.abs(fam3.q(us) - fam3.q_tilde(us))) <= 1e-10
+    assert np.max(np.abs(fam3.amps[0].q(us) - fam3.amps[1].q(us))) <= 1e-10
 
 
 def test_q_support(fam3):
-    assert fam3.q(1.45) == 0.0
-    assert fam3.q1(2.5) == 0.0
-    assert abs(fam3.q(0.5)) > 0.0
+    assert fam3.amps[0].q(1.45) == 0.0
+    assert fam3.amps[0].q1(2.5) == 0.0
+    assert abs(fam3.amps[0].q(0.5)) > 0.0
 
 
 # -- the decomposition ---------------------------------------------------------
@@ -177,9 +176,8 @@ def test_r0_two_expressions_agree():
     from sympwave.stationary_phase import k_n_zero
     l, r, h = 3, 1.0, 25.0
     x = h * r
-    fam = sw.q_family(sw.gaussian_symbol(3), E3, r)
-    qd = fam.q_deriv_at_zero(l - 1)
-    qtd = fam.q_deriv_at_zero(l - 1, mirror=True)
+    fam = sw.QFamily(sw.gaussian_symbol(3), E3, r)
+    qd, qtd = (a.q.proxy_deriv(l - 1)(0.0) for a in fam.amps)
     kl0 = k_n_zero(l, x, 2)
     via_kn = (-1.0) ** l * (np.exp(1j * x) * np.conj(qd * kl0)
                             + np.exp(-1j * x) * qtd * kl0)
@@ -314,7 +312,6 @@ def test_identity_across_builtin_family(make, l, r, h):
 # -- R1's shared k_n table and xi_direct's refinement cap ----------------------
 
 def test_r1_integrals_share_k_n_per_node_set(monkeypatch):
-    from sympwave import model_integral as mi
     from sympwave import stationary_phase as sp
     from sympwave._quad import integrate_panels
 
@@ -332,13 +329,16 @@ def test_r1_integrals_share_k_n_per_node_set(monkeypatch):
     shared = len(calls)
     assert shared == len(node_sets)
 
-    # the unshared path: each R1 integral evaluates k_n on its own nodes
-    fam, x = sw.q_family(sym, E3, r), h * r
-    int_q = integrate_panels(lambda us: fam.q_ext_deriv(l, us) * counted(l, us, x, 2),
-                             mi._R1_BREAKS, order0=16, tol=1e-12)
-    int_qt = integrate_panels(
-        lambda us: fam.q_ext_deriv(l, us, mirror=True) * counted(l, us, x, 2),
-        mi._R1_BREAKS, order0=16, tol=1e-12)
+    # the unshared path: each pole's R1 integral evaluates k_n on its own
+    # nodes, on ten panels below the cutoff and eight across its transition
+    fam, x = sw.QFamily(sym, E3, r), h * r
+    cut = fam.amps[0].q.cutoff
+    lo, hi = math.sqrt(cut.lo), math.sqrt(cut.hi)
+    breaks = np.concatenate([np.linspace(0.0, lo, 11), np.linspace(lo, hi, 9)[1:]])
+    int_q, int_qt = (
+        integrate_panels(lambda us, a=a: a.q.deriv(l, us) * counted(l, us, x, 2),
+                         breaks, order0=16, tol=1e-12)
+        for a in fam.amps)
     assert len(calls) - shared == 2 * shared
     R1 = (-1.0) ** l * (np.exp(1j * x) * np.conj(int_q) + np.exp(-1j * x) * int_qt) * r ** (l - 1)
     assert dec.R1 == complex(R1)

@@ -100,6 +100,10 @@ def test_invalid_parameters():
         sw.Profile("exponential", 0.0)
     with pytest.raises(UsageError):
         sw.Profile("nope", 1.0)
+    with pytest.raises(UsageError):
+        sw.Profile("exponential", float("nan"))
+    with pytest.raises(UsageError):
+        sw.Profile("rational", float("inf"))
 
 
 def test_smooth_cutoff_shape():
