@@ -59,6 +59,105 @@ def test_k_n_bound_grid():
     assert violations == 0
 
 
+KN_XS = (0.5, 5.0, 20.0, 200.0, 2000.0, 7718.68, 1e4)
+
+
+def kn_points(x):
+    """u on [0, 1.35], plus |z0| = sqrt(x) u = 2 +- 0.1 %, where the p = 2
+    recurrence switches from forward to backward."""
+    return np.concatenate([np.linspace(0.0, 1.35, 19),
+                           2.0 * np.array([0.999, 1.0, 1.001]) / math.sqrt(x)])
+
+
+def k_n_mpmath(n, u, x, p):
+    """k_n at 100 digits: e^{ixu} for p = 1; for p = 2, erfc and the forward
+    recurrence of e^{z^2} i^k erfc(z), which is stable at this precision."""
+    import mpmath as mp
+    with mp.workdps(100):
+        x, u = mp.mpf(x), mp.mpf(u)
+        if p == 1:
+            return complex((-mp.j / x) ** n * mp.expj(x * u))
+        z = mp.sqrt(x / 2) * u * mp.mpc(1, -1)
+        e = [2 / mp.sqrt(mp.pi), mp.exp(z * z) * mp.erfc(z)]
+        for k in range(1, n):
+            e.append((e[-2] - 2 * z * e[-1]) / (2 * k))
+        return complex((-mp.expj(mp.pi / 4) / mp.sqrt(x)) ** n * mp.sqrt(mp.pi) / 2
+                       * mp.expj(x * u * u) * e[n])
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_k_n_closed_form_matches_mpmath(p):
+    for x in KN_XS:
+        us = kn_points(x)
+        for n in range(1, 6):
+            ref = np.array([k_n_mpmath(n, u, x, p) for u in us])
+            err = np.max(np.abs(sw.k_n(n, us, x, p) - ref))
+            assert err <= 1e-13 * sw.k_n_bound(n, x, p), (n, x, err)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_k_n_closed_form_matches_ray_quadrature(p):
+    from sympwave.stationary_phase import _k_n_ray
+    for x in KN_XS:
+        us = kn_points(x)
+        for n in range(1, 6):
+            err = np.max(np.abs(sw.k_n(n, us, x, p) - _k_n_ray(n, us, x, p)))
+            assert err <= 1e-12 * sw.k_n_bound(n, x, p), (n, x, err)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_k_n_value_independent_of_node_set(p):
+    rng = np.random.default_rng(7)
+    for x in (0.5, 20.0, 2000.0, 1e4):
+        us = np.concatenate([rng.uniform(0.0, 1.35, 120), kn_points(x)])
+        for n in (1, 2, 3, 5):
+            whole = sw.k_n(n, us, x, p)
+            alone = np.array([sw.k_n(n, float(u), x, p) for u in us])
+            assert np.array_equal(whole, alone), (n, x)
+            assert np.array_equal(sw.k_n(n, us[::7], x, p), whole[::7]), (n, x)
+
+
+def test_expand_and_xi_decompose_never_enter_ray_quadrature(monkeypatch, cos_problem):
+    from sympwave import stationary_phase as sp
+    real_ray, calls = sp._k_n_ray, []
+
+    def counted(*args):
+        calls.append(args[0])
+        return real_ray(*args)
+
+    monkeypatch.setattr(sp, "_k_n_ray", counted)
+    sw.expand(cos_problem, 300.0, 2, 1)
+    sw.xi_decompose(sw.gaussian_symbol(3), np.array([1.0, 0.0, 0.0]), 1.0, 40.0)
+    assert calls == []
+    sw.k_n(2, 0.5, 10.0, 3)          # the counter sees p = 3
+    assert calls == [2]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: sw.k_n(1, 0.5, float("nan"), 2),
+    lambda: sw.k_n(1, 0.5, float("inf"), 2),
+    lambda: sw.k_n(1, 0.5, 0.0, 2),
+    lambda: sw.k_n(1, 0.5, 4.0, 0),
+    lambda: sw.k_n(1, 0.5, 4.0, 5),
+    lambda: sw.k_n(1, 0.5, 4.0, 2.0),
+    lambda: sw.k_n(0, 0.5, 4.0, 2),
+    lambda: sw.k_n(1.5, 0.5, 4.0, 2),
+    lambda: sw.k_n(1, np.array([0.5, np.nan]), 4.0, 2),
+    lambda: sw.k_n(1, np.inf, 4.0, 1),
+    lambda: sw.k_n_zero(1, -1.0, 2),
+    lambda: sw.k_n_zero(0, 4.0, 2),
+    lambda: sw.k_n_zero(1, 4.0, 5),
+    lambda: sw.k_n_bound(0, 4.0, 2),
+    lambda: sw.k_n_bound(1, float("nan"), 2),
+    lambda: sw.k_n_bound(1, 4.0, 0),
+], ids=["k_n-x-nan", "k_n-x-inf", "k_n-x-zero", "k_n-p-0", "k_n-p-5", "k_n-p-float",
+        "k_n-n-0", "k_n-n-float", "k_n-u-nan", "k_n-u-inf", "k_n_zero-x-negative",
+        "k_n_zero-n-0", "k_n_zero-p-5", "k_n_bound-n-0", "k_n_bound-x-nan", "k_n_bound-p-0"])
+def test_contour_function_input_contract(call):
+    with pytest.raises(UsageError):
+        call()
+
+
 def test_k_n_derivative_identity():
     h = 1e-4
     fd = (sw.k_n(2, 0.3 + h, 5.0, 2) - sw.k_n(2, 0.3 - h, 5.0, 2)) / (2 * h)
@@ -100,6 +199,16 @@ def test_expansion_is_identity(gname, g, x):
     res = sw.expand(prob, x, 2, 1)
     ref = sw.oracle(prob, x)
     assert abs(res.total - ref) <= 1e-6 * abs(ref) + 1e-9
+
+
+def test_expansion_one_term_at_large_x():
+    # R1's panels follow the phase of k_n: with ten flat panels alone, each
+    # held ~100 periods here and the N = 1 total was off by 2.7e-6
+    prob = make_cos_problem(lambda t: 1.0 + t * t)
+    x = 4598.6
+    res = sw.expand(prob, x, 1, 1)
+    ref = sw.oracle(prob, x)
+    assert abs(res.total - ref) <= 1e-9 * abs(ref)
 
 
 def test_expansion_identity_p1():
