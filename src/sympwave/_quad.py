@@ -4,7 +4,8 @@ Three engines cover everything in the package:
 
 * half-period panel subdivision with fixed-order Gauss-Legendre inside each
   panel, the order doubled until self-consistent (for phases resolved by the
-  panel grid); an integrand may return rows, which refine together;
+  panel grid); an integrand may return rows, which refine together, or take
+  one break array per row, each row then stopping on its own;
 * Filon panels for linear phases of arbitrary frequency: the amplitude is
   Legendre-projected per panel and the moments int P_k(x) e^(i mu x) dx
   = 2 i^k j_k(mu) are exact spherical-Bessel values, so the panel count only
@@ -14,7 +15,7 @@ Three engines cover everything in the package:
   that is read at very many points, such as a Filon transform read at every
   node of an outer quadrature: unit-width chunks of degree 24 are built on
   first use, halved where the function varies fast, and then cost one
-  Clenshaw recurrence per point.
+  Clenshaw recurrence per point, run over fixed-size blocks of points.
 
 A Chebyshev variant with weight (1-c^2)^(-1/2) and ordinary Bessel moments
 int T_k(c) e^(i mu c) (1-c^2)^(-1/2) dc = pi i^k J_k(mu) handles the folded
@@ -30,6 +31,7 @@ from __future__ import annotations
 import threading
 import warnings
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
@@ -56,38 +58,71 @@ def gl_panels_nodes(breaks: np.ndarray, order: int):
     return nodes.ravel(), weights.ravel()
 
 
+# a node of one row of a per-row :func:`integrate_panels` call; nodes carry
+# their rows, so the integrand takes one argument in both modes
+ROW_NODE = np.dtype([("x", float), ("row", np.intp)])
+
+
 def integrate_panels(f, breaks, order0: int = 16, tol: float = 1e-10,
                      max_order: int = 256, warn_label: str = "integral",
                      floor_rel: float = 1e-14):
     """Composite GL with order doubling until two levels agree.
 
-    ``f`` must accept a flat array of nodes and return values (complex ok) of
-    shape ``lead + (nodes,)``; if ``lead`` is not empty, each row is its own
-    integrand and the result has shape ``lead``.  Relative tolerance is
-    measured against the finer level in the max norm over rows, with an
-    absolute floor of ``floor_rel`` times the largest total integrand mass
-    for results that are small through cancellation.
+    With one break array, ``f`` must accept a flat array of nodes and return
+    values (complex ok) of shape ``lead + (nodes,)``; if ``lead`` is not
+    empty, each row is its own integrand, the rows share the nodes and refine
+    together, and the result has shape ``lead``.
+
+    With a sequence of break arrays, one per row, ``f`` gets one flat
+    structured array (:data:`ROW_NODE`) of the nodes ``x`` of every row still
+    refining, each with its ``row`` index, and returns one value per node;
+    the result has one entry per row.  Each row stops at the first order at
+    which its own two levels agree and is not evaluated after that, so its
+    value is the one it has alone.
+
+    Relative tolerance is measured against the finer level in the max norm
+    over the rows that refine together, with an absolute floor of
+    ``floor_rel`` times their largest total integrand mass for results that
+    are small through cancellation.
     """
-    breaks = np.asarray(breaks, dtype=float)
+    per_row = len(breaks) > 0 and np.ndim(breaks[0]) > 0
+    grids = ([np.asarray(b, dtype=float) for b in breaks] if per_row
+             else [np.asarray(breaks, dtype=float)])
+
+    def level(order, live, masses=False):
+        """Integral (and total integrand mass) of each live grid at one order."""
+        rules = [gl_panels_nodes(grids[i], order) for i in live]
+        sizes = [len(x) for x, _ in rules]
+        nodes, weights = rules[0] if len(rules) == 1 else map(np.concatenate, zip(*rules))
+        if per_row:
+            nodes = np.rec.fromarrays([nodes, np.repeat(live, sizes)], dtype=ROW_NODE)
+        fv = f(nodes)
+        cuts = [0, *accumulate(sizes)]
+        spans = list(zip(cuts[:-1], cuts[1:]))
+        prod = fv * weights
+        sums = [prod[..., a:b].sum(axis=-1) for a, b in spans]
+        if not masses:
+            return sums
+        mass = np.abs(fv) * np.abs(weights)
+        return sums, [mass[..., a:b].sum(axis=-1).max() for a, b in spans]
+
     order = order0
-    nodes, weights = gl_panels_nodes(breaks, order)
-    fv = f(nodes)
-    prev = (fv * weights).sum(axis=-1)
-    # cancellation-aware floor
-    scale = (np.abs(fv) * np.abs(weights)).sum(axis=-1).max()
-    cur = prev
-    residual = 0.0
-    while order < max_order:
+    live = list(range(len(grids)))
+    out, scale = level(order, live, masses=True)   # scale: cancellation-aware floor
+    prev, residual = list(out), [0.0] * len(grids)
+    while order < max_order and live:
         order *= 2
-        nodes, weights = gl_panels_nodes(breaks, order)
-        cur = (f(nodes) * weights).sum(axis=-1)
-        residual = abs(cur - prev).max()
-        if residual <= tol * abs(cur).max() + floor_rel * scale + 1e-300:
-            return cur
-        prev = cur
-    warnings.warn(f"{warn_label}: panel refinement hit order {max_order} "
-                  f"with residual {residual:.2e}", AccuracyWarning)
-    return cur
+        still = []
+        for i, c in zip(live, level(order, live)):
+            out[i], residual[i] = c, abs(c - prev[i]).max()
+            if residual[i] > tol * abs(c).max() + floor_rel * scale[i] + 1e-300:
+                prev[i] = c
+                still.append(i)
+        live = still
+    for i in live:
+        warnings.warn(f"{warn_label}: panel refinement hit order {max_order} "
+                      f"with residual {residual[i]:.2e}", AccuracyWarning)
+    return np.array(out) if per_row else out[0]
 
 
 def refine(values, levels, tol: float):
@@ -300,6 +335,7 @@ def cheb_first_kind_points(n: int) -> np.ndarray:
 _TABLE_DEG = 24
 _TABLE_TOL = 1e-13
 _TABLE_DEPTH = 6
+_TABLE_BLOCK = 4096    # points per Clenshaw pass of a lookup
 _TABLE_POINTS = cheb_first_kind_points(_TABLE_DEG + 1)
 
 
@@ -381,9 +417,14 @@ class ChebTable:
             _, lefts, mids, halves, coeffs = self._pieces(np.floor(xs))
             j = np.searchsorted(lefts, xs, side="right") - 1
             u2 = 2.0 * (xs - mids[j]) / halves[j]
-            cj = coeffs[:, j]
-            b1 = b2 = 0.0
-            for c in cj[:0:-1]:  # Clenshaw
-                b1, b2 = c + u2 * b1 - b2, b1
-            out[ok] = cj[0] + 0.5 * u2 * b1 - b2
+            vals = np.empty(xs.shape, dtype=complex)
+            # blocks bound the gathered coefficients at 25 x _TABLE_BLOCK
+            for lo in range(0, xs.size, _TABLE_BLOCK):
+                blk = slice(lo, lo + _TABLE_BLOCK)
+                cj, ub = coeffs[:, j[blk]], u2[blk]
+                b1 = b2 = 0.0
+                for c in cj[:0:-1]:  # Clenshaw
+                    b1, b2 = c + ub * b1 - b2, b1
+                vals[blk] = cj[0] + 0.5 * ub * b1 - b2
+            out[ok] = vals
         return out.reshape(varr.shape) if varr.ndim else complex(out[0])

@@ -353,17 +353,16 @@ def _run_kernel(spec):
     profile = parse_profile(_need(spec, "psi"))
     R = _number(_need(spec, "R"), float, "R")
     ts = parse_grid(_need_list(spec, "t-list"))
-    ev = KernelEvaluator(geom, profile)
+    vals = KernelEvaluator(geom, profile).values(np.array(ts, dtype=float), R)
 
-    def row(t):
-        val = ev.value(t, R)
+    def row(t, val):
         ratio = (abs(val) * abs(t) ** geom.nu
                  / ((1.0 + R) ** (geom.nu + geom.d) * math.exp(-geom.rho * R)))
         return SweepRecord(
             inputs=(("t", t), ("R", R)),
             outputs=(("re", val.real), ("im", val.imag),
                      ("abs", abs(val)), ("bound_ratio", ratio)))
-    return _map_grid(row, ts)
+    return [row(t, complex(v)) for t, v in zip(ts, vals)]
 
 
 def _run_dispersive(spec):

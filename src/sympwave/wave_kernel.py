@@ -22,7 +22,11 @@ regime (where the spherical function supplies most of the oscillation) both
 fast and accurate.  F is tabulated once per profile: Filon panels give exact
 values at any frequency, and a lazy piecewise-Chebyshev table over unit chunks
 of v, filled from those values on first use, serves every quadrature node
-after that.
+after that.  ``KernelEvaluator.values`` evaluates whole arrays of (t, R)
+with one table read per refinement level (per-row stopping in
+:func:`integrate_panels` keeps each value equal to its own ``value``), and
+``phi_zero`` takes an array of radii; ``dispersive_bound`` uses both once per
+level of its outer R-integral.
 """
 
 from __future__ import annotations
@@ -101,9 +105,10 @@ class PoissonRule:
         else:
             self.scale = geom.m_alpha / (2.0 * math.pi)
 
-    def density(self, s):
-        """e^{kappa s} (cosh R - cosh s)^m; entire in s for odd n."""
-        R = self.R
+    def density(self, s, R=None):
+        """e^{kappa s} (cosh R - cosh s)^m; entire in s for odd n.  ``R``, the
+        rule's own radius by default, may give each s its own radius."""
+        R = self.R if R is None else R
         return np.exp(self.kappa * s) * np.maximum(np.cosh(R) - np.cosh(s), 0.0) ** self.m
 
     def disc(self, lam_max: float, order: int, subdiv: int = 1):
@@ -152,16 +157,19 @@ class PoissonRule:
             return self.scale * fil.integrate(-lam)
 
         # even dimension: smooth colatitude integrand, panels sized by the phase
-        npan = max(8, int(np.ceil(2.0 * R * lam_max / np.pi)))
+        # and no wider than one unit of s = log(base)
+        npan = max(8, int(np.ceil(2.0 * R)), int(np.ceil(2.0 * R * lam_max / np.pi)))
         if npan > 60000:
             raise UsageError("lam * R too large for the even-dimension path")
+        # base = cosh R - sinh R cos t, written without cancellation near t = 0
         s_grid = np.linspace(-R, R, npan + 1)
-        theta_breaks = np.arccos(np.clip((np.cosh(R) - np.exp(s_grid)) / np.sinh(R), -1.0, 1.0))
+        sin2 = (np.exp(s_grid) - math.exp(-R)) / (2.0 * math.sinh(R))
+        theta_breaks = 2.0 * np.arcsin(np.sqrt(np.clip(sin2, 0.0, 1.0)))
         theta_breaks[0], theta_breaks[-1] = 0.0, np.pi
 
         def values(order):
             nodes, weights = gl_panels_nodes(theta_breaks, order)
-            base = np.cosh(R) - np.sinh(R) * np.cos(nodes)
+            base = math.exp(-R) + 2.0 * math.sinh(R) * np.sin(nodes / 2.0) ** 2
             logb = np.log(base)
             amp = base ** (-rho) * np.sin(nodes) ** (n - 2)
             ph = np.exp(-1j * np.outer(lam, logb))
@@ -178,19 +186,50 @@ def phi_rank1(geom: RankOneGeometry, lam, R: float):
     """
     _check_radius(R)
     lam_arr = np.atleast_1d(np.asarray(lam, dtype=float))
+    if not np.all(np.isfinite(lam_arr)):
+        raise UsageError("lam must be finite")
     if R == 0.0:
         out = np.ones(lam_arr.shape)
         return out if np.ndim(lam) else 1.0
-    vals = PoissonRule(geom, R).phi(lam_arr)
-    scale = np.max(np.abs(vals)) + 1e-300
-    if not np.max(np.abs(vals.imag)) <= _IM_TOL * max(1.0, scale):
-        raise ResolutionError("spherical function came out non-real")
-    out = vals.real
+    out = _real(PoissonRule(geom, R).phi(lam_arr))
     return out if np.ndim(lam) else float(out[0])
 
 
-def phi_zero(geom: RankOneGeometry, R: float) -> float:
-    return phi_rank1(geom, 0.0, R)
+def _real(vals: np.ndarray) -> np.ndarray:
+    scale = np.max(np.abs(vals)) + 1e-300
+    if not np.max(np.abs(vals.imag)) <= _IM_TOL * max(1.0, scale):
+        raise ResolutionError("spherical function came out non-real")
+    return vals.real
+
+
+def phi_zero(geom: RankOneGeometry, R):
+    """phi_0 at Cartan radius R >= 0, or at every radius of an array R.
+
+    For odd n (the single-angle path, where the boundary density is entire)
+    the radii take one row-batched Filon build per starting panel count, in
+    sigma = s / R on [-1, 1]; this agrees with :func:`phi_rank1` at lam = 0
+    to rounding.  Other geometries evaluate the radii one at a time.
+    """
+    Rs = np.asarray(R, dtype=float)
+    if not np.all(np.isfinite(Rs) & (Rs >= 0.0)):
+        raise UsageError("R must be finite and nonnegative")
+    out = np.ones(Rs.size)
+    pos = np.flatnonzero(Rs.ravel() > 0.0)
+    radii = Rs.ravel()[pos]
+    if geom.m_2alpha == 1 or geom.n % 2 == 0:
+        out[pos] = [phi_rank1(geom, 0.0, float(r)) for r in radii]
+        return out.reshape(Rs.shape) if Rs.ndim else float(out[0])
+    # the starting panel count that PoissonRule.phi gives each radius
+    start = np.maximum(4, np.minimum(48, np.ceil(radii / 2.0))).astype(int)
+    for n_panels in np.unique(start):
+        rows = start == n_panels
+        rr = radii[rows][:, None]
+        rules = [PoissonRule(geom, float(r)) for r in radii[rows]]
+        fil = FilonPanels(lambda sig: rr * rules[0].density(rr * sig, rr), -1.0, 1.0,
+                          n_panels=int(n_panels), warn_label="phi")
+        scale = np.array([rule.scale for rule in rules])
+        out[pos[rows]] = _real(scale * fil.integrate(np.zeros(len(rules))))
+    return out.reshape(Rs.shape) if Rs.ndim else float(out[0])
 
 
 def xi_density(geom: RankOneGeometry, R: float, r):
@@ -262,33 +301,71 @@ class KernelEvaluator:
         return np.array(sorted(pts))
 
     def value(self, t: float, R: float) -> complex:
-        _check_radius(R)
-        if R == 0.0:
-            return 2.0 * self.transform(t)
-        rule = PoissonRule(self.geom, R)
-        if self.geom.m_2alpha == 1:
+        """The kernel at one (t, R): :meth:`values` at a single point."""
+        return complex(self.values(t, R))
+
+    def values(self, t, R) -> np.ndarray:
+        """Kernel values at every pair of the broadcast arrays t and R.
+
+        Each pair gets the value it has alone.  At R = 0 the kernel is
+        2 F(t).  Otherwise (m_2alpha = 0) it is 2 scale times the integral of
+        the boundary density against F(t - s): an interior s-integral plus
+        two endpoint caps in w = sqrt(R -+ s), each a row of one
+        :func:`integrate_panels` call with per-row stopping, so every pair
+        still refining at one order shares one read of ``transform``.  The
+        disc path (m_2alpha = 1) refines one radius at a time.
+        """
+        t, R = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(R, dtype=float))
+        if not np.all(np.isfinite(t)):
+            raise UsageError("t must be finite")
+        if not np.all(np.isfinite(R) & (R >= 0.0)):
+            raise UsageError("R must be finite and nonnegative")
+        ts, Rs = t.ravel(), R.ravel()
+        out = np.empty(ts.shape, dtype=complex)
+        origin = Rs == 0.0
+        if np.any(origin):
+            out[origin] = 2.0 * self.transform(ts[origin])
+        pos = np.flatnonzero(~origin)
+        if pos.size:
+            boundary = self._disc_values if self.geom.m_2alpha == 1 else self._line_values
+            out[pos] = boundary(ts[pos], Rs[pos])
+        return out.reshape(t.shape)
+
+    def _disc_values(self, ts, Rs):
+        out = np.empty(ts.shape, dtype=complex)
+        for i, (t, R) in enumerate(zip(ts, Rs)):
+            rule = PoissonRule(self.geom, float(R))
+
             def disc_values(order):
                 s, w = rule.disc(0.0, order)
                 return 2.0 * rule.scale * np.sum(w * self.transform(t - s))
-            return complex(refine(disc_values, (8, 12, 18), 1e-9))
+            out[i] = refine(disc_values, (8, 12, 18), 1e-9)
+        return out
 
-        def interior(s):
-            return rule.density(s) * self.transform(t - s)
+    def _line_values(self, ts, Rs):
+        rules = [PoissonRule(self.geom, float(R)) for R in Rs]
+        gaps = [min(0.5, 0.25 * float(R)) for R in Rs]
+        breaks = []
+        for t, R, gap in zip(ts, Rs, gaps):
+            caps = np.linspace(0.0, math.sqrt(gap), 5)
+            breaks += [self._s_breaks(float(t), float(R), gap), caps, caps]
+        # rows come in threes per pair: the interior (sign 0), then the caps at
+        # s = R - w^2 and s = -(R - w^2); caps are smooth for every parity of n
+        sign = np.tile([0.0, 1.0, -1.0], len(Rs))
+        pair = np.repeat(np.arange(len(Rs)), 3)
 
-        gap = min(0.5, 0.25 * R)
-        total = integrate_panels(interior, self._s_breaks(t, R, gap),
-                                 order0=10, tol=1e-11, max_order=40,
-                                 warn_label="kernel s-integral", floor_rel=3e-9)
+        def integrand(nodes):
+            x, rows = nodes["x"], nodes["row"]
+            sg, R = sign[rows], Rs[pair[rows]]
+            cap = sg != 0.0
+            s = np.where(cap, sg * (R - x**2), x)
+            jac = np.where(cap, 2.0 * x, 1.0)
+            return jac * rules[0].density(s, R) * self.transform(ts[pair[rows]] - s)
 
-        # endpoint caps in the variable w = sqrt(R -+ s): smooth for every parity of n
-        for sign in (1.0, -1.0):
-            def cap(w):
-                s = sign * (R - w**2)
-                return 2.0 * w * rule.density(s) * self.transform(t - s)
-            total += integrate_panels(cap, np.linspace(0.0, math.sqrt(gap), 5),
-                                      order0=10, tol=1e-11, max_order=40,
-                                      warn_label="kernel endpoint", floor_rel=3e-9)
-        return complex(2.0 * rule.scale * total)
+        parts = integrate_panels(integrand, breaks, order0=10, tol=1e-11, max_order=40,
+                                 warn_label="kernel s-integral", floor_rel=3e-9).reshape(-1, 3)
+        total = parts[:, 0] + parts[:, 1] + parts[:, 2]
+        return 2.0 * np.array([rule.scale for rule in rules]) * total
 
 
 def kernel(geom: RankOneGeometry, profile: Profile, t: float, R: float) -> complex:
@@ -324,7 +401,13 @@ def log_regime_ratio(geom: RankOneGeometry, profile: Profile, t: float, R: float
 
 
 def dispersive_bound(geom: RankOneGeometry, profile: Profile, t: float, p: float) -> float:
-    """Convolution-bound integral {int |k_t|^{p/2} phi_0 D dR}^{2/p} for p > 2."""
+    """Convolution-bound integral {int |k_t|^{p/2} phi_0 D dR}^{2/p} for p > 2.
+
+    Each refinement level of the outer R-integral is one :meth:`KernelEvaluator.values`
+    call and one array :func:`phi_zero` over all of its radii.
+    """
+    if not (math.isfinite(t) and math.isfinite(p)):
+        raise UsageError("t and p must be finite")
     if p <= 2.0:
         raise OutOfRangeError("the convolution bound needs p > 2")
     ev = KernelEvaluator(geom, profile)
@@ -340,11 +423,8 @@ def dispersive_bound(geom: RankOneGeometry, profile: Profile, t: float, p: float
         rmax = min(nxt, 2000.0)
 
     def f(Rs):
-        out = np.empty(len(Rs))
-        for i, R in enumerate(Rs):
-            kv = abs(ev.value(t, float(R)))
-            out[i] = kv ** (p / 2.0) * phi_zero(geom, float(R)) * cartan_weight(geom, float(R))
-        return out
+        kv = np.abs(ev.values(t, Rs))
+        return kv ** (p / 2.0) * phi_zero(geom, Rs) * cartan_weight(geom, Rs)
 
     # |kernel| has root-type kinks at its zeros, so the composite rule is kept
     # coarse and the bound is certified to ~0.1 percent, ample for slope fits

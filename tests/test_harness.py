@@ -152,6 +152,15 @@ def test_run_sweep_kernel_rows():
     assert rows[0].get("abs") > 0.0
 
 
+def test_kernel_sweep_rows_equal_single_values():
+    # the sweep reads all its t at once through KernelEvaluator.values
+    rows = sw.run_sweep(kernel_spec("-3,0,5,10,20,40"))
+    ev = sw.KernelEvaluator(sw.rank_one_geometry("h3"), sw.Profile("exponential", 1.0))
+    for row in rows:
+        val = ev.value(row.get("t"), row.get("R"))
+        assert (row.get("re"), row.get("im"), row.get("abs")) == (val.real, val.imag, abs(val))
+
+
 def test_run_sweep_empty_grid():
     assert sw.run_sweep(kernel_spec("")) == []
 

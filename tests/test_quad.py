@@ -1,6 +1,6 @@
 import numpy as np
 
-from sympwave._quad import FilonPanels, integrate_panels, refine
+from sympwave._quad import _TABLE_BLOCK, ChebTable, FilonPanels, integrate_panels, refine
 
 
 def test_row_batched_filon_matches_one_panel_set_per_row():
@@ -44,6 +44,47 @@ def test_row_batched_integrate_panels_matches_one_row_at_a_time():
             breaks, tol=1e-12)
         assert sizes == batched_sizes, j      # converged at the same order
         assert together[j].tobytes() == np.complex128(alone).tobytes(), j
+
+
+def test_per_row_breaks_stop_each_row_on_its_own():
+    # rows with their own breaks: each row's value and stopping order are the
+    # ones it has alone, and a row that has stopped is not evaluated again
+    rates = np.array([0.3, 4.0, 40.0])
+    grids = [np.linspace(0.0, 2.0, 3), np.linspace(0.0, 1.0, 5), np.array([0.0, 0.3, 2.5])]
+
+    def one(c, s):
+        return np.exp(-c * s) * (1.0 + 1j * np.sin(3.0 * s))
+
+    seen = []
+
+    def rows_f(nodes):
+        seen.append(np.bincount(nodes["row"], minlength=len(rates)))
+        return one(rates[nodes["row"]], nodes["x"])
+
+    together = integrate_panels(rows_f, grids, order0=4, tol=1e-12)
+    assert together.shape == rates.shape
+    for j, (c, breaks) in enumerate(zip(rates, grids)):
+        sizes = []
+
+        def alone_f(s, c=c):
+            sizes.append(s.size)
+            return one(c, s)
+        alone = integrate_panels(alone_f, breaks, order0=4, tol=1e-12)
+        assert together[j].tobytes() == np.complex128(alone).tobytes(), j
+        assert [n[j] for n in seen if n[j]] == sizes, j
+    # the rows stopped at different orders
+    assert len({sum(1 for n in seen if n[j]) for j in range(len(rates))}) > 1
+
+
+def test_table_reads_a_large_batch_as_single_points():
+    def f(v):
+        return np.exp(1j * v) / (1.0 + 0.1 * v * v)
+    table = ChebTable(f, 1.0)
+    v = np.linspace(-20.0, 20.0, 2 * _TABLE_BLOCK + 123)
+    batch = table(v)
+    assert np.max(np.abs(batch - f(v))) <= 1e-12
+    single = np.array([table(x) for x in v])
+    assert batch.tobytes() == single.tobytes()
 
 
 def test_refine_evaluates_the_third_level_only_on_disagreement():

@@ -81,6 +81,44 @@ def test_phi0_decay_envelope(name):
     assert ratios[-1] <= 1.25 * ratios[-2]  # settled, not growing
 
 
+@pytest.mark.parametrize("name", ["h2", "h4"])
+def test_even_phi_at_large_radius_against_hypergeometric_oracle(name):
+    # base = cosh R - sinh R cos t cancels near t = 0; the rule now forms it as
+    # e^{-R} + 2 sinh R sin^2(t/2), which keeps every digit out to R = 166
+    geom = sw.rank_one_geometry(name)
+    lams = np.array([0.0, 0.5, 3.0, 20.0])
+    for R in (0.05, 0.5, 2.0, 8.0, 14.0, 19.0, 19.5, 30.0, 60.0, 166.0):
+        mine = sw.phi_rank1(geom, lams, R)
+        for lam, val in zip(lams, mine):
+            ref = phi_jacobi_oracle(geom, lam, R)
+            assert abs(val - ref) <= 1e-10 * abs(ref), (lam, R)
+
+
+@pytest.mark.parametrize("name", ["h2", "h3", "h4", "ch2"])
+def test_phi_zero_over_an_array_of_radii(name):
+    geom = sw.rank_one_geometry(name)
+    R = np.array([0.0, 0.05, 0.5, 3.0, 9.0, 17.0, 40.0, 120.0])
+    if name == "ch2":
+        R = R[:5]
+    arr = sw.phi_zero(geom, R)
+    assert arr.shape == R.shape
+    for r, val in zip(R, arr):
+        own = sw.phi_rank1(geom, 0.0, float(r))
+        assert abs(val - own) <= 1e-15 * own, r
+        assert sw.phi_zero(geom, float(r)) == val
+    assert sw.phi_zero(geom, R.reshape(-1, 1)).shape == (len(R), 1)
+    if name == "h3":
+        closed = np.ones_like(R)
+        closed[1:] = R[1:] / np.sinh(R[1:])
+        assert np.max(np.abs(arr - closed) / closed) <= 1e-14
+
+
+def test_phi_rejects_non_finite_lambda(h3_geometry):
+    for lam in (np.nan, np.inf, np.array([1.0, -np.inf])):
+        with pytest.raises(UsageError):
+            sw.phi_rank1(h3_geometry, lam, 0.5)
+
+
 def test_phi_rejects_negative_radius(h3_geometry):
     with pytest.raises(UsageError):
         sw.phi_rank1(h3_geometry, 1.0, -0.5)
@@ -185,6 +223,39 @@ def test_kernel_divergent_profile_rejected(h3_geometry):
 def test_kernel_rational_profile_finite(h3_geometry):
     ev = sw.KernelEvaluator(h3_geometry, sw.Profile("rational", 8.0))
     assert np.isfinite(ev.value(3.0, 1.0).real)
+
+
+@pytest.mark.parametrize("name,family,param", [("h2", "bump", 2.0),
+                                               ("h3", "exponential", 1.0),
+                                               ("h4", "rational", 8.0),
+                                               ("ch2", "exponential", 1.0)])
+def test_values_equal_value_bit_for_bit(name, family, param):
+    # R = 0 reads F alone, small R has endpoint caps wider than its interior,
+    # and ch2 takes the disc path
+    ev = _evaluator(name, family, param)
+    radii = np.array([0.0, 0.05, 0.3, 1.0, 2.0, 7.5, 30.0])
+    if name == "ch2":
+        radii = radii[:5]
+    ts = np.array([-3.0, 0.0, 7.5, 40.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AccuracyWarning)
+        grid = ev.values(ts[:, None], radii[None, :])
+        assert grid.shape == (len(ts), len(radii))
+        for i, t in enumerate(ts):
+            for j, R in enumerate(radii):
+                alone = ev.value(float(t), float(R))
+                assert grid[i, j].tobytes() == np.complex128(alone).tobytes(), (t, R)
+    assert ev.values(1.0, np.array([], dtype=float)).shape == (0,)
+
+
+@pytest.mark.parametrize("R", [0.0, 1.0])
+def test_kernel_rejects_non_finite_t(h3_geometry, exp_profile, R):
+    ev = sw.KernelEvaluator(h3_geometry, exp_profile)
+    for t in (np.nan, np.inf, -np.inf):
+        with pytest.raises(UsageError):
+            ev.value(t, R)
+        with pytest.raises(UsageError):
+            ev.values(np.array([1.0, t]), R)
 
 
 # -- tabulated profile transform -------------------------------------------------
@@ -300,6 +371,52 @@ def test_cartan_weight_values(h3_geometry):
 def test_dispersive_requires_p_above_two(h3_geometry, exp_profile):
     with pytest.raises(OutOfRangeError):
         sw.dispersive_bound(h3_geometry, exp_profile, 10.0, 2.0)
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+def test_dispersive_rejects_non_finite_t(h3_geometry, exp_profile, t):
+    with pytest.raises(UsageError):
+        sw.dispersive_bound(h3_geometry, exp_profile, t, 4.0)
+
+
+@pytest.mark.parametrize("p", [np.nan, np.inf])
+def test_dispersive_rejects_non_finite_p(h3_geometry, exp_profile, p):
+    with pytest.raises(UsageError):
+        sw.dispersive_bound(h3_geometry, exp_profile, 10.0, p)
+
+
+def test_dispersive_bound_h3_values(h3_geometry, exp_profile):
+    # the bound as the one-radius-at-a-time integrand computed it
+    known = {10.0: 0.04714612647984843, 20.0: 0.00201309930597432,
+             40.0: 0.0002235640915405553, 80.0: 2.7425126046989702e-05}
+    for t, ref in known.items():
+        val = sw.dispersive_bound(h3_geometry, exp_profile, t, 4.0)
+        assert abs(val - ref) <= 1e-13 * ref, t
+
+
+def test_dispersive_bound_reads_the_table_once_per_order(h3_geometry, exp_profile,
+                                                          monkeypatch):
+    # each outer level is one values call, and each of its (at most three)
+    # orders one table read; one radius at a time took 2,710 reads
+    import sympwave.wave_kernel as wk
+    reads, levels = [], []
+    read, values = wk.ChebTable.__call__, wk.KernelEvaluator.values
+    monkeypatch.setattr(wk.ChebTable, "__call__",
+                        lambda self, v: reads.append(np.size(v)) or read(self, v))
+    monkeypatch.setattr(wk.KernelEvaluator, "values",
+                        lambda self, t, R: levels.append(np.size(R)) or values(self, t, R))
+    sw.dispersive_bound(h3_geometry, exp_profile, 40.0, 4.0)
+    assert 1 <= len(levels) <= 3 and min(levels) > 1
+    assert 1 <= len(reads) <= 3 * len(levels)
+
+
+def test_dispersive_even_dimension_at_large_radius():
+    # phi_0 for h4 used to raise past R ~ 19.5, inside this bound's range
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", AccuracyWarning)
+        val = sw.dispersive_bound(sw.rank_one_geometry("h4"), sw.Profile("exponential", 1.0),
+                                  10.0, 4.0)
+    assert np.isfinite(val) and val > 0.0
 
 
 def test_dispersive_zero_kernel_gives_zero(h3_geometry):
