@@ -64,7 +64,7 @@ ROW_NODE = np.dtype([("x", float), ("row", np.intp)])
 
 
 def integrate_panels(f, breaks, order0: int = 16, tol: float = 1e-10,
-                     max_order: int = 256, warn_label: str = "integral",
+                     max_order: int = 256, warn_label="integral",
                      floor_rel: float = 1e-14):
     """Composite GL with order doubling until two levels agree.
 
@@ -78,7 +78,7 @@ def integrate_panels(f, breaks, order0: int = 16, tol: float = 1e-10,
     refining, each with its ``row`` index, and returns one value per node;
     the result has one entry per row.  Each row stops at the first order at
     which its own two levels agree and is not evaluated after that, so its
-    value is the one it has alone.
+    value is the one it has alone.  ``warn_label`` may then name each row.
 
     Relative tolerance is measured against the finer level in the max norm
     over the rows that refine together, with an absolute floor of
@@ -120,7 +120,8 @@ def integrate_panels(f, breaks, order0: int = 16, tol: float = 1e-10,
                 still.append(i)
         live = still
     for i in live:
-        warnings.warn(f"{warn_label}: panel refinement hit order {max_order} "
+        label = warn_label if isinstance(warn_label, str) else warn_label[i]
+        warnings.warn(f"{label}: panel refinement hit order {max_order} "
                       f"with residual {residual[i]:.2e}", AccuracyWarning)
     return np.array(out) if per_row else out[0]
 
@@ -245,8 +246,9 @@ class FilonPanels:
     largest coefficient, or up to ``max_panels`` (then with a warning).
 
     ``amp`` maps a flat node array to values of shape ``lead + (nodes,)``.  If
-    ``lead`` is not empty, each row is its own amplitude and ``integrate``
-    takes one frequency per row, an array of shape ``lead``.
+    ``lead`` is not empty, each row is its own amplitude, judged against its
+    own largest coefficient, and ``integrate`` takes frequencies whose shape
+    broadcasts against ``lead``.
     """
 
     def __init__(self, amp, a: float, b: float, n_panels: int = 24,
@@ -277,9 +279,10 @@ class FilonPanels:
         self.half = half
 
     def _resolved(self) -> bool:
-        scale = np.max(np.abs(self.coeffs)) + 1e-300
-        tail = np.max(np.abs(self.coeffs[..., -2:]))
-        return tail <= _FILON_TOL * scale
+        # each row's tails against its own largest coefficient
+        scale = np.max(np.abs(self.coeffs), axis=(-2, -1)) + 1e-300
+        tail = np.max(np.abs(self.coeffs[..., -2:]), axis=(-2, -1))
+        return bool(np.all(tail <= _FILON_TOL * scale))
 
     def integrate(self, omega):
         """Integral against exp(i omega s); omega scalar or array."""

@@ -4,8 +4,9 @@ Experiments are registered by name; a sweep spec is a flat string-to-string
 mapping (assembled from a ``key = value`` config file and/or CLI flags) and
 produces an ordered list of records.  Grid points may run on a thread pool
 capped by ``SYMPWAVE_THREADS``; row order and values never depend on the
-worker count.  All randomness is banned: grids are explicit lists or
-arithmetic/geometric progressions.
+worker count.  Kernel sweeps ignore the cap: all their t go through one
+``KernelEvaluator.values`` call.  All randomness is banned: grids are
+explicit lists or arithmetic/geometric progressions.
 """
 
 from __future__ import annotations
@@ -353,6 +354,7 @@ def _run_kernel(spec):
     profile = parse_profile(_need(spec, "psi"))
     R = _number(_need(spec, "R"), float, "R")
     ts = parse_grid(_need_list(spec, "t-list"))
+    # one batched call; threaded chunks of t ran slower and held more memory
     vals = KernelEvaluator(geom, profile).values(np.array(ts, dtype=float), R)
 
     def row(t, val):

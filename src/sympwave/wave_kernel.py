@@ -44,6 +44,7 @@ from .profiles import Profile
 from .root_data import RootDatum, preset
 
 _IM_TOL = 1e-10
+_PAIR_BLOCK = 512    # (t, R) pairs per integrate_panels call of KernelEvaluator.values
 
 
 @dataclass(frozen=True)
@@ -86,30 +87,61 @@ def _check_radius(R: float):
         raise UsageError("R must be finite and nonnegative")
 
 
+def _sphere_constant(n: int) -> float:
+    """c_n = Gamma(n/2) / (sqrt(pi) Gamma((n-1)/2))."""
+    return real_gamma(n / 2.0) / (math.sqrt(math.pi) * real_gamma((n - 1) / 2.0))
+
+
+def _line_scale(geom: RankOneGeometry, radii) -> np.ndarray:
+    """scale = c_n 2^m / sinh^(n-2) R of the m_2alpha = 0 measure, per radius."""
+    n, cn = geom.n, _sphere_constant(geom.n)
+    return np.array([cn * 2.0 ** ((n - 3) / 2.0) / math.sinh(r) ** (n - 2) for r in radii])
+
+
+def _line_density(geom: RankOneGeometry, s, R):
+    """e^{kappa s} (cosh R - cosh s)^m with m = (n-3)/2 and kappa = 1 - rho + m;
+    entire in s for odd n.  s and R broadcast, so each node may carry its own
+    radius."""
+    m = (geom.n - 3) / 2.0
+    return np.exp((1.0 - geom.rho + m) * s) * np.maximum(np.cosh(R) - np.cosh(s), 0.0) ** m
+
+
+def _odd_line_integrals(geom: RankOneGeometry, radii: np.ndarray, omega: np.ndarray):
+    """int_{-1}^{1} e^{i omega sigma} dmu_R(R sigma) for odd n, per radius R.
+
+    ``omega`` has one row of frequencies per radius.  The density is entire,
+    so Filon panels in sigma = s / R need not resolve omega.  Radii with one
+    starting panel count share one row-batched build, which doubles its
+    panels until each radius passes against its own Legendre coefficients.
+    So a radius never gets fewer panels than alone, and at the panel count it
+    has alone (always for n = 3, whose density is constant) it gets the same
+    value.
+    """
+    out = np.empty(omega.shape, dtype=complex)
+    start = np.maximum(4, np.minimum(48, np.ceil(radii / 2.0))).astype(int)
+    for n_panels in np.unique(start):
+        rows = np.flatnonzero(start == n_panels)
+        rr = radii[rows][:, None, None]
+        fil = FilonPanels(lambda sig: rr * _line_density(geom, rr * sig, rr), -1.0, 1.0,
+                          n_panels=int(n_panels), warn_label="phi")
+        out[rows] = _line_scale(geom, radii[rows])[:, None] * fil.integrate(omega[rows])
+    return out
+
+
 class PoissonRule:
     """The boundary (Poisson) measure mu_R at Cartan radius R > 0, in s = log|b|.
 
     phi_lam(R) = int e^{-i lam s} dmu_R(s) and kernel(t, R) = 2 int F(t - s)
     dmu_R(s).  For m_2alpha = 0 the measure has the density
-    ``scale * density(s)`` on [-R, R], with scale = c_n 2^m / sinh^(n-2) R;
-    for m_2alpha = 1 it is ``scale`` times the tensor rule of :meth:`disc`.
+    ``scale * _line_density(s, R)`` on [-R, R], with scale = c_n 2^m /
+    sinh^(n-2) R; for m_2alpha = 1 it is ``scale`` times the tensor rule of
+    :meth:`disc`.
     """
 
     def __init__(self, geom: RankOneGeometry, R: float):
-        self.geom, self.R, n = geom, R, geom.n
-        if geom.m_2alpha == 0:
-            self.m = (n - 3) / 2.0
-            self.kappa = 1.0 - geom.rho + self.m
-            self.cn = real_gamma(n / 2.0) / (math.sqrt(math.pi) * real_gamma((n - 1) / 2.0))
-            self.scale = self.cn * 2.0**self.m / math.sinh(R) ** (n - 2)
-        else:
-            self.scale = geom.m_alpha / (2.0 * math.pi)
-
-    def density(self, s, R=None):
-        """e^{kappa s} (cosh R - cosh s)^m; entire in s for odd n.  ``R``, the
-        rule's own radius by default, may give each s its own radius."""
-        R = self.R if R is None else R
-        return np.exp(self.kappa * s) * np.maximum(np.cosh(R) - np.cosh(s), 0.0) ** self.m
+        self.geom, self.R = geom, R
+        self.scale = (float(_line_scale(geom, [R])[0]) if geom.m_2alpha == 0
+                      else geom.m_alpha / (2.0 * math.pi))
 
     def disc(self, lam_max: float, order: int, subdiv: int = 1):
         """Nodes s = log|b| and weights, shape (d nodes, phi nodes), of a tensor
@@ -150,11 +182,7 @@ class PoissonRule:
 
         n, rho = geom.n, geom.rho
         if n % 2 == 1:
-            # log-radial Filon: the density is entire, so panels need not resolve lam R
-            fil = FilonPanels(self.density, -R, R,
-                              n_panels=max(4, min(48, int(np.ceil(R / 2.0)))),
-                              warn_label="phi")
-            return self.scale * fil.integrate(-lam)
+            return _odd_line_integrals(geom, np.array([R]), -R * lam[None, :])[0]
 
         # even dimension: smooth colatitude integrand, panels sized by the phase
         # and no wider than one unit of s = log(base)
@@ -173,7 +201,7 @@ class PoissonRule:
             logb = np.log(base)
             amp = base ** (-rho) * np.sin(nodes) ** (n - 2)
             ph = np.exp(-1j * np.outer(lam, logb))
-            return self.cn * (ph * (amp * weights)[None, :]).sum(axis=1)
+            return _sphere_constant(n) * (ph * (amp * weights)[None, :]).sum(axis=1)
 
         return refine(values, (16, 32, 64), 1e-11)
 
@@ -196,8 +224,8 @@ def phi_rank1(geom: RankOneGeometry, lam, R: float):
 
 
 def _real(vals: np.ndarray) -> np.ndarray:
-    scale = np.max(np.abs(vals)) + 1e-300
-    if not np.max(np.abs(vals.imag)) <= _IM_TOL * max(1.0, scale):
+    scale = np.max(np.abs(vals), initial=0.0) + 1e-300
+    if not np.max(np.abs(vals.imag), initial=0.0) <= _IM_TOL * max(1.0, scale):
         raise ResolutionError("spherical function came out non-real")
     return vals.real
 
@@ -205,10 +233,9 @@ def _real(vals: np.ndarray) -> np.ndarray:
 def phi_zero(geom: RankOneGeometry, R):
     """phi_0 at Cartan radius R >= 0, or at every radius of an array R.
 
-    For odd n (the single-angle path, where the boundary density is entire)
-    the radii take one row-batched Filon build per starting panel count, in
-    sigma = s / R on [-1, 1]; this agrees with :func:`phi_rank1` at lam = 0
-    to rounding.  Other geometries evaluate the radii one at a time.
+    For odd n all radii go through one call of the Filon rule that
+    :func:`phi_rank1` uses for each radius alone.  Other geometries evaluate
+    the radii one at a time.
     """
     Rs = np.asarray(R, dtype=float)
     if not np.all(np.isfinite(Rs) & (Rs >= 0.0)):
@@ -219,16 +246,7 @@ def phi_zero(geom: RankOneGeometry, R):
     if geom.m_2alpha == 1 or geom.n % 2 == 0:
         out[pos] = [phi_rank1(geom, 0.0, float(r)) for r in radii]
         return out.reshape(Rs.shape) if Rs.ndim else float(out[0])
-    # the starting panel count that PoissonRule.phi gives each radius
-    start = np.maximum(4, np.minimum(48, np.ceil(radii / 2.0))).astype(int)
-    for n_panels in np.unique(start):
-        rows = start == n_panels
-        rr = radii[rows][:, None]
-        rules = [PoissonRule(geom, float(r)) for r in radii[rows]]
-        fil = FilonPanels(lambda sig: rr * rules[0].density(rr * sig, rr), -1.0, 1.0,
-                          n_panels=int(n_panels), warn_label="phi")
-        scale = np.array([rule.scale for rule in rules])
-        out[pos[rows]] = _real(scale * fil.integrate(np.zeros(len(rules))))
+    out[pos] = _real(_odd_line_integrals(geom, radii, np.zeros((radii.size, 1)))[:, 0])
     return out.reshape(Rs.shape) if Rs.ndim else float(out[0])
 
 
@@ -312,7 +330,8 @@ class KernelEvaluator:
         the boundary density against F(t - s): an interior s-integral plus
         two endpoint caps in w = sqrt(R -+ s), each a row of one
         :func:`integrate_panels` call with per-row stopping, so every pair
-        still refining at one order shares one read of ``transform``.  The
+        still refining at one order shares one read of ``transform``.  Pairs
+        go through in blocks of 512, which bounds the nodes held at once.  The
         disc path (m_2alpha = 1) refines one radius at a time.
         """
         t, R = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(R, dtype=float))
@@ -326,9 +345,10 @@ class KernelEvaluator:
         if np.any(origin):
             out[origin] = 2.0 * self.transform(ts[origin])
         pos = np.flatnonzero(~origin)
-        if pos.size:
-            boundary = self._disc_values if self.geom.m_2alpha == 1 else self._line_values
-            out[pos] = boundary(ts[pos], Rs[pos])
+        boundary = self._disc_values if self.geom.m_2alpha == 1 else self._line_values
+        for lo in range(0, pos.size, _PAIR_BLOCK):
+            blk = pos[lo:lo + _PAIR_BLOCK]
+            out[blk] = boundary(ts[blk], Rs[blk])
         return out.reshape(t.shape)
 
     def _disc_values(self, ts, Rs):
@@ -343,10 +363,9 @@ class KernelEvaluator:
         return out
 
     def _line_values(self, ts, Rs):
-        rules = [PoissonRule(self.geom, float(R)) for R in Rs]
-        gaps = [min(0.5, 0.25 * float(R)) for R in Rs]
         breaks = []
-        for t, R, gap in zip(ts, Rs, gaps):
+        for t, R in zip(ts, Rs):
+            gap = min(0.5, 0.25 * float(R))
             caps = np.linspace(0.0, math.sqrt(gap), 5)
             breaks += [self._s_breaks(float(t), float(R), gap), caps, caps]
         # rows come in threes per pair: the interior (sign 0), then the caps at
@@ -360,12 +379,13 @@ class KernelEvaluator:
             cap = sg != 0.0
             s = np.where(cap, sg * (R - x**2), x)
             jac = np.where(cap, 2.0 * x, 1.0)
-            return jac * rules[0].density(s, R) * self.transform(ts[pair[rows]] - s)
+            return jac * _line_density(self.geom, s, R) * self.transform(ts[pair[rows]] - s)
 
+        labels = ["kernel s-integral", "kernel endpoint", "kernel endpoint"] * len(Rs)
         parts = integrate_panels(integrand, breaks, order0=10, tol=1e-11, max_order=40,
-                                 warn_label="kernel s-integral", floor_rel=3e-9).reshape(-1, 3)
+                                 warn_label=labels, floor_rel=3e-9).reshape(-1, 3)
         total = parts[:, 0] + parts[:, 1] + parts[:, 2]
-        return 2.0 * np.array([rule.scale for rule in rules]) * total
+        return 2.0 * _line_scale(self.geom, Rs) * total
 
 
 def kernel(geom: RankOneGeometry, profile: Profile, t: float, R: float) -> complex:

@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 
-from sympwave._quad import _TABLE_BLOCK, ChebTable, FilonPanels, integrate_panels, refine
+from sympwave._quad import (_TABLE_BLOCK, AccuracyWarning, ChebTable, FilonPanels,
+                            integrate_panels, refine)
 
 
 def test_row_batched_filon_matches_one_panel_set_per_row():
@@ -19,6 +22,36 @@ def test_row_batched_filon_matches_one_panel_set_per_row():
         alone = single.integrate(om)
         assert np.array_equal(single.coeffs, batched.coeffs[j])
         assert together[j].tobytes() == np.complex128(alone).tobytes(), j
+
+
+def test_filon_rows_are_judged_against_their_own_coefficients():
+    # a small, steep row beside a large, smooth one: against the largest
+    # coefficient of all rows the steep row would pass at the starting count
+    def steep(s):
+        return np.exp(-20.0 * s**2) + 0j
+
+    def rows(s):
+        return np.stack([1e12 * np.exp(-(s**2)) + 0j, steep(s)])
+
+    batched = FilonPanels(rows, 0.0, 3.0, n_panels=4)
+    alone = FilonPanels(steep, 0.0, 3.0, n_panels=4)
+    assert len(alone.mid) > 4 and len(batched.mid) == len(alone.mid)
+    together = batched.integrate(np.array([0.0, 7.0]))
+    assert together[1].tobytes() == np.complex128(alone.integrate(7.0)).tobytes()
+
+
+def test_per_row_warnings_name_their_rows():
+    # 1/sqrt(x) never settles; the row that hits the order cap warns under its own label
+    grids = [np.linspace(0.0, 1.0, 3), np.linspace(0.0, 1.0, 3)]
+
+    def rows(nodes):
+        x = nodes["x"]
+        return np.where(nodes["row"] == 0, np.exp(x), 1.0 / np.sqrt(x))
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", AccuracyWarning)
+        integrate_panels(rows, grids, order0=4, max_order=16, warn_label=["smooth", "singular"])
+    assert [str(w.message).split(":")[0] for w in caught] == ["singular"]
 
 
 def test_row_batched_integrate_panels_matches_one_row_at_a_time():

@@ -113,6 +113,20 @@ def test_phi_zero_over_an_array_of_radii(name):
         assert np.max(np.abs(arr - closed) / closed) <= 1e-14
 
 
+@pytest.mark.parametrize("m_alpha", [4, 6])
+def test_phi_zero_odd_dimension_with_a_nonconstant_density(m_alpha):
+    # n = 5, 7: the boundary density (cosh R - cosh s)^m is not constant, and
+    # radii that share a starting panel count refine together
+    from sympwave.root_data import ReducedRoot, RootDatum
+    geom = sw.rank_one_geometry(RootDatum(1, (ReducedRoot((1.0,), m_alpha, 0),)))
+    R = np.array([0.05, 0.5, 3.0, 7.9, 9.0, 17.0, 40.0, 95.0])
+    arr = sw.phi_zero(geom, R)
+    for r, val in zip(R, arr):
+        own = sw.phi_rank1(geom, 0.0, float(r))
+        assert abs(val - own) <= 1e-12 * own, r
+        assert abs(val - phi_jacobi_oracle(geom, 0.0, r)) <= 1e-10 * val, r
+
+
 def test_phi_rejects_non_finite_lambda(h3_geometry):
     for lam in (np.nan, np.inf, np.array([1.0, -np.inf])):
         with pytest.raises(UsageError):
@@ -246,6 +260,21 @@ def test_values_equal_value_bit_for_bit(name, family, param):
                 alone = ev.value(float(t), float(R))
                 assert grid[i, j].tobytes() == np.complex128(alone).tobytes(), (t, R)
     assert ev.values(1.0, np.array([], dtype=float)).shape == (0,)
+
+
+def test_values_go_through_in_blocks_of_pairs(h3_geometry, exp_profile, monkeypatch):
+    # blocks bound the nodes held at once and leave every value as it was
+    import sympwave.wave_kernel as wk
+    ev = sw.KernelEvaluator(h3_geometry, exp_profile)
+    ts = np.linspace(-5.0, 45.0, 7)[:, None]
+    radii = np.array([0.0, 0.05, 1.0, 7.5, 30.0])[None, :]
+    whole = ev.values(ts, radii)
+    rows, integrate = [], wk.integrate_panels
+    monkeypatch.setattr(wk, "_PAIR_BLOCK", 4)
+    monkeypatch.setattr(wk, "integrate_panels",
+                        lambda f, breaks, **kw: rows.append(len(breaks)) or integrate(f, breaks, **kw))
+    assert ev.values(ts, radii).tobytes() == whole.tobytes()
+    assert rows == [3 * 4] * 7   # 28 pairs with R > 0, three rows each
 
 
 @pytest.mark.parametrize("R", [0.0, 1.0])
