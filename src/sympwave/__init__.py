@@ -12,7 +12,8 @@ from .model_integral import (QFamily, Symbol, XiDecomposition, gaussian_symbol, 
                              quadratic_gaussian_symbol, rotate_to_axis,
                              sphere_area, xi_decompose, xi_direct, d_r)
 from .plancherel import CFunction
-from .profiles import CutoffProduct, Profile, SmoothCutoff, parse_profile
+from .profiles import (CutoffProduct, Profile, SmoothCutoff, cutoff_product_derivs,
+                       parse_profile)
 from .root_data import (PRESET_NAMES, ReducedRoot, RootDatum, pairing, preset,
                         reflect, rho_of, weyl_orbit)
 from .stationary_phase import (AmplitudeData, ExpansionResult, PhaseProblem,

@@ -332,6 +332,54 @@ def cheb_first_kind_points(n: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# many Chebyshev series at one node set
+# ---------------------------------------------------------------------------
+
+_CHEB_BLOCK = 1 << 18  # Vandermonde entries per block of nodes (2 MB)
+
+
+def cheb_series_blocks(series, x):
+    """Every series of ``series`` at the nodes ``x``, one block of nodes at a time.
+
+    ``series`` are numpy ``Chebyshev`` objects on one domain, with real or
+    complex coefficients.  Yields ``(block, values)`` for consecutive slices
+    ``block`` of the nodes, 2^18 Vandermonde entries' worth each, where
+    ``values[i, j]`` is ``series[j]`` at ``x[block][i]``, complex.  Each
+    block is one Chebyshev-Vandermonde matrix V, built by the three-term
+    recurrence, times one stacked real matrix C whose columns are the
+    zero-padded real and imaginary parts of each series' coefficients; that
+    replaces one Clenshaw recurrence per series.  The product is taken node
+    by node (a vector-matrix product per row of V; one matrix product
+    ``V @ C`` would round a batch differently from a single node), so for a
+    given ``series`` a node gets the same bits in any block or batch.
+    """
+    domain = series[0].domain
+    if any(not np.array_equal(s.domain, domain) for s in series):
+        raise ValueError("Chebyshev series of one evaluation must share a domain")
+    off, scl = series[0].mapparms()
+    deg = max(len(s.coef) for s in series)
+    coef = np.zeros((deg, len(series)), dtype=complex)
+    for j, s in enumerate(series):
+        coef[: len(s.coef), j] = s.coef
+    stacked = np.ascontiguousarray(coef.view(float))      # Re, Im column pairs
+    x = np.asarray(x, dtype=float)
+    size = max(1, _CHEB_BLOCK // deg)
+    for lo in range(0, len(x), size):
+        block = slice(lo, lo + size)
+        t = off + scl * x[block]
+        vander = np.empty((deg, len(t)))
+        vander[0] = 1.0
+        if deg > 1:
+            vander[1] = t
+        two_t = 2.0 * t
+        for k in range(2, deg):
+            np.multiply(two_t, vander[k - 1], out=vander[k])
+            vander[k] -= vander[k - 2]
+        rows = np.ascontiguousarray(vander.T)[:, None, :]
+        yield block, np.matmul(rows, stacked)[:, 0, :].view(complex)
+
+
+# ---------------------------------------------------------------------------
 # Lazy piecewise-Chebyshev table on unit chunks
 # ---------------------------------------------------------------------------
 

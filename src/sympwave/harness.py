@@ -5,7 +5,8 @@ mapping (assembled from a ``key = value`` config file and/or CLI flags) and
 produces an ordered list of records.  Grid points may run on a thread pool
 capped by ``SYMPWAVE_THREADS``; row order and values never depend on the
 worker count.  Kernel sweeps ignore the cap: all their t go through one
-``KernelEvaluator.values`` call.  All randomness is banned: grids are
+``KernelEvaluator.values`` call.  A dispersive sweep shares one
+``KernelEvaluator`` between its t.  All randomness is banned: grids are
 explicit lists or arithmetic/geometric progressions.
 """
 
@@ -372,10 +373,14 @@ def _run_dispersive(spec):
     profile = parse_profile(_need(spec, "psi"))
     p = _number(_need(spec, "p"), float, "p")
     ts = parse_grid(_need_list(spec, "t-list"))
+    # one evaluator, and so one tabulated transform, for every t; with p <= 2
+    # none is built, so the bounds raise OutOfRangeError, not a DivergenceError
+    # from the evaluator
+    ev = KernelEvaluator(geom, profile) if ts and p > 2.0 else None
 
     def row(t):
         return SweepRecord(inputs=(("t", t),),
-                           outputs=(("bound", dispersive_bound(geom, profile, t, p)),))
+                           outputs=(("bound", dispersive_bound(geom, profile, t, p, ev)),))
     return _map_grid(row, ts)
 
 

@@ -316,6 +316,8 @@ def xi_decompose(symbol: Symbol, E, r: float, h: float,
         M = (l + 1) // 2
     if h <= 0.0 or r <= 0.0:
         raise UsageError("decomposition needs h > 0 and r > 0")
+    if M < 0:
+        raise UsageError(f"the number of u = B boundary terms M must be >= 0, got {M}")
     x = h * r
     fam = QFamily(symbol, E, r)
     E = np.asarray(E, dtype=float)

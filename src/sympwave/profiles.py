@@ -17,7 +17,11 @@ truncated-Taylor (jet) arithmetic.  The same :class:`SmoothCutoff` supplies
 the mollifier used to extend stationary-phase amplitudes: every such
 extension is a :class:`CutoffProduct`, a Chebyshev proxy times the cutoff
 at x**p, whose derivatives come from one Leibniz sum over jets computed for
-a whole node array at once.
+a whole node array at once.  :func:`cutoff_product_derivs` differentiates
+several products that share the cutoff at once: one live mask, one cutoff
+jet, and per block of nodes one Chebyshev-Vandermonde matrix times the
+stacked coefficients of every proxy derivative of every product, in place
+of one Clenshaw recurrence per proxy derivative.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from scipy.integrate import quad
 
 from ._jets import (jet_compose, jet_derivatives, jet_div, jet_exp, jet_neg_recip,
                     jet_powi)
+from ._quad import cheb_series_blocks
 from .errors import DivergenceError, UnsupportedOrderError, UsageError
 
 MAX_ORDER = 12
@@ -89,9 +94,10 @@ class SmoothCutoff:
 class CutoffProduct:
     """proxy(x) * cutoff(x**p) on the live interval [lo, hi], zero outside.
 
-    Derivatives are exact up to rounding: the Leibniz rule combines cached
+    Derivatives are exact up to rounding: the Leibniz rule combines the
     derivatives of the Chebyshev ``proxy`` with the cutoff's Taylor jets,
-    composed with x -> x**p, over a whole array of nodes at once.
+    composed with x -> x**p, over a whole array of nodes at once; see
+    :func:`cutoff_product_derivs`, which :meth:`deriv` calls for one product.
     """
 
     def __init__(self, proxy: Chebyshev, cutoff: SmoothCutoff, p: int, lo: float, hi: float):
@@ -113,21 +119,51 @@ class CutoffProduct:
     def deriv(self, k: int, x) -> np.ndarray:
         """k-th derivative at each x, as a complex array of ``np.atleast_1d(x)``'s shape."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.zeros(x.shape, dtype=complex)
-        live = (x >= self.lo) & (x <= self.hi)
-        xl = x[live]
-        v = xl**self.p
-        # rows 0..k of derivatives of cutoff(x**p): constant off the transition
-        cut = np.zeros((k + 1, len(xl)))
-        cut[0] = v <= self.cutoff.lo
-        trans = (v > self.cutoff.lo) & (v < self.cutoff.hi)
-        cut[:, trans] = jet_derivatives(jet_compose(self.cutoff.jet(v[trans], k),
-                                                    jet_powi(xl[trans], self.p, k)))
-        acc = np.zeros(len(xl), dtype=complex)
+        return cutoff_product_derivs((self,), k, x.ravel())[0].reshape(x.shape)
+
+
+def cutoff_product_derivs(prods, k: int, x) -> np.ndarray:
+    """k-th derivative of every product of ``prods`` at the nodes ``x``.
+
+    The products must share the cutoff, p, the live interval and the proxy
+    domain; they then share the live mask, one cutoff jet and, per block of
+    nodes, one Chebyshev-Vandermonde product that gives the proxy
+    derivatives of orders 0..k of every product at once
+    (:func:`~sympwave._quad.cheb_series_blocks`).  Returns a complex array of
+    shape ``(len(prods), len(x))`` for a 1-D ``x``; a node's values do not
+    depend on the other nodes.
+    """
+    if k < 0:
+        raise UsageError(f"derivative order must be >= 0, got {k}")
+    first = prods[0]
+    cutoff, p = first.cutoff, first.p
+    key = (cutoff.lo, cutoff.hi, p, first.lo, first.hi)
+    if any((c.cutoff.lo, c.cutoff.hi, c.p, c.lo, c.hi) != key
+           or not np.array_equal(c.proxy.domain, first.proxy.domain) for c in prods):
+        raise UsageError("cutoff products evaluated together must share the cutoff, "
+                         "p, the live interval and the proxy domain")
+    x = np.asarray(x, dtype=float)
+    out = np.zeros((len(prods), len(x)), dtype=complex)
+    live = (x >= first.lo) & (x <= first.hi)
+    # quadrature nodes are usually all live: then no index array and no copy
+    live = None if live.all() else np.flatnonzero(live)
+    xl = x if live is None else x[live]
+    v = xl**p
+    # rows 0..k of derivatives of cutoff(x**p): constant off the transition
+    cut = np.zeros((k + 1, len(xl)))
+    cut[0] = v <= cutoff.lo
+    trans = (v > cutoff.lo) & (v < cutoff.hi)
+    cut[:, trans] = jet_derivatives(jet_compose(cutoff.jet(v[trans], k),
+                                                jet_powi(xl[trans], p, k)))
+    series = [c.proxy_deriv(j) for c in prods for j in range(k + 1)]
+    weights = [math.comb(k, j) for j in range(k + 1)]
+    for block, vals in cheb_series_blocks(series, xl):
+        vals = vals.reshape(len(vals), len(prods), k + 1)
+        acc = np.zeros((len(prods), len(vals)), dtype=complex)
         for j in range(k + 1):
-            acc += math.comb(k, j) * self.proxy_deriv(j)(xl) * cut[k - j]
-        out[live] = acc
-        return out
+            acc += weights[j] * vals[:, :, j].T * cut[k - j, block]
+        out[:, block if live is None else live[block]] = acc
+    return out
 
 
 @dataclass(frozen=True)

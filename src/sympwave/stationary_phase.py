@@ -20,7 +20,9 @@ The total is extension-independent; the individual remainder values are not.
 evaluated, here and for the two sphere poles of
 :func:`~sympwave.model_integral.xi_decompose`: R1 on Gauss-Legendre panels
 laid out by the cutoff and by the phase x u^p (at most four periods of k_n a
-panel), R2 by Filon panels, both one row per amplitude.
+panel), R2 by Filon panels, both one row per amplitude.  At each node set,
+R1's integrand and R2's Filon amplitude are one
+:func:`~sympwave.profiles.cutoff_product_derivs` call for all amplitudes.
 
 The contour functions :func:`k_n` are closed forms for p = 1 (an
 exponential) and p = 2 (a scaled repeated integral of erfc, Abramowitz &
@@ -42,7 +44,7 @@ from scipy.special import wofz
 
 from ._quad import FilonPanels, gl_panels_nodes, halfperiod_breaks, integrate_panels, refine
 from .errors import OutOfRangeError, ResolutionError, UsageError
-from .profiles import CutoffProduct, SmoothCutoff
+from .profiles import CutoffProduct, SmoothCutoff, cutoff_product_derivs
 
 _GRID_CHECK = 1000
 
@@ -378,7 +380,8 @@ class ExpansionResult:
 def remainder_integrals(amps: tuple[AmplitudeData, ...], n: int, m: int, x: float):
     """The R1 and R2 integrals of each amplitude in ``amps``, one value per amplitude.
 
-    ``amps`` is a tuple of :class:`AmplitudeData` sharing B, p and the cutoff.
+    ``amps`` is a tuple of :class:`AmplitudeData` sharing B, p, the cutoff,
+    and the live intervals and proxy domains of q and of q1.
     Returns ``(r1, r2)`` with r1[i] = int_0^inf q_i^(n)(u) k_n(u) du and
     r2[i] = int_{B^p}^inf q1_i^(m)(v) exp(i x v) dv.  R1's breaks are ten
     panels across the cutoff's flat part and eight across its transition,
@@ -392,10 +395,10 @@ def remainder_integrals(amps: tuple[AmplitudeData, ...], n: int, m: int, x: floa
     breaks = np.union1d(
         np.concatenate([np.linspace(0.0, lo, 11), np.linspace(lo, hi, 9)[1:]]),
         halfperiod_breaks(x * hi**p / 8.0, 0.0, hi, invert=lambda f: hi * f ** (1.0 / p)))
-    r1 = integrate_panels(
-        lambda us: np.stack([a.q.deriv(n, us) for a in amps]) * k_n(n, us, x, p),
-        breaks, order0=16, tol=1e-12, warn_label="R1 integral")
-    fil = FilonPanels(lambda vs: np.stack([a.q1.deriv(m, vs) for a in amps]),
+    qs, q1s = [a.q for a in amps], [a.q1 for a in amps]
+    r1 = integrate_panels(lambda us: cutoff_product_derivs(qs, n, us) * k_n(n, us, x, p),
+                          breaks, order0=16, tol=1e-12, warn_label="R1 integral")
+    fil = FilonPanels(lambda vs: cutoff_product_derivs(q1s, m, vs),
                       first.B**p, first.q1.hi, n_panels=12, warn_label="R2 integral")
     return r1, fil.integrate(np.full(len(amps), x))
 

@@ -420,17 +420,24 @@ def log_regime_ratio(geom: RankOneGeometry, profile: Profile, t: float, R: float
     return float(val * math.exp(geom.rho * R) / math.log(t))
 
 
-def dispersive_bound(geom: RankOneGeometry, profile: Profile, t: float, p: float) -> float:
+def dispersive_bound(geom: RankOneGeometry, profile: Profile, t: float, p: float,
+                     evaluator: KernelEvaluator | None = None) -> float:
     """Convolution-bound integral {int |k_t|^{p/2} phi_0 D dR}^{2/p} for p > 2.
 
     Each refinement level of the outer R-integral is one :meth:`KernelEvaluator.values`
-    call and one array :func:`phi_zero` over all of its radii.
+    call and one array :func:`phi_zero` over all of its radii.  ``evaluator``
+    is a :class:`KernelEvaluator` of this geometry and profile, shared by the
+    bounds of a sweep so that the profile transform is tabulated once; the
+    bound is the same, bit for bit, as with an evaluator of its own.
     """
     if not (math.isfinite(t) and math.isfinite(p)):
         raise UsageError("t and p must be finite")
     if p <= 2.0:
         raise OutOfRangeError("the convolution bound needs p > 2")
-    ev = KernelEvaluator(geom, profile)
+    if evaluator is None:
+        evaluator = KernelEvaluator(geom, profile)
+    elif evaluator.geom.datum != geom.datum or evaluator.profile != profile:
+        raise UsageError("the kernel evaluator was built for another geometry or profile")
 
     # decay exponent of the integrand envelope fixes the truncation radius
     decay = geom.rho * (p / 2.0 - 1.0)
@@ -443,7 +450,7 @@ def dispersive_bound(geom: RankOneGeometry, profile: Profile, t: float, p: float
         rmax = min(nxt, 2000.0)
 
     def f(Rs):
-        kv = np.abs(ev.values(t, Rs))
+        kv = np.abs(evaluator.values(t, Rs))
         return kv ** (p / 2.0) * phi_zero(geom, Rs) * cartan_weight(geom, Rs)
 
     # |kernel| has root-type kinks at its zeros, so the composite rule is kept

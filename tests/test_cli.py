@@ -1,4 +1,10 @@
+import io
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
+
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 import sympwave as sw
 from sympwave.cli import main
@@ -137,3 +143,74 @@ def test_invalid_input_exit_code(argv, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert "usage error" in captured.err and captured.out == ""
+
+
+# -- every spec gets rows or a documented exit code ---------------------------------
+
+# valid and malformed values of each flag; sizes and radii are bounded so that
+# an example runs in about a second and allocates little: no dispersive sweep
+# on the ch2 disc path, which takes minutes, and no tiny profile parameter,
+# whose truncation radius sizes the transform's panels
+_BAD = ["nan", "inf", "-1", "x", "", None]      # None leaves the flag out
+_PRESETS = (["h2", "h3", "h4", "ch2", "a2"], ["bogus", "", None])
+_POOLS = {
+    "cfun": {"preset": _PRESETS, "lambda-max": (["0", "3", "1e3"], _BAD),
+             "steps": (["0", "1", "40"], ["2.5", *_BAD]),
+             "direction": (["1", "1,0", "1,2", None], ["0,0", "1,2,3", "nan,1", "a"])},
+    "stphase": {"demo": (["cos", None], ["sin", ""]),
+                "x-list": (["20", "20,300", "", "20:60:3:log"], ["0", "-5", "1:2:3", "x", "nan",
+                                                                None]),
+                "N": (["1", "2", "3", None], ["0", "70", *_BAD]),
+                "M": (["1", "2", None], ["0", *_BAD])},
+    "model": {"preset": (["a2"], ["h3", "bogus", "", None]),
+              "symbol": (["gauss", "plancherel", None], ["bogus", ""]),
+              "r": (["0.5", "1", "2"], ["0", *_BAD]),
+              "h-list": (["5", "1,40", "0", "", "2:8:2:lin"], ["-3", "nan", None]),
+              "M": (["0", "1", "2", None], ["-1", "x"])},
+    "kernel": {"preset": (["h2", "h3", "h4", "ch2"], ["a2", "bogus", "", None]),
+               "psi": (["exp:1.0", "rational:8", "bump:2"],
+                       ["rational:2.0", "exp:nan", "exp:-1", "exp:0", "foo:1", "exp", "", None]),
+               "t-list": (["5", "5,40", "-5", "0", ""], ["nan", "x", None]),
+               "R": (["0", "0.5", "2"], _BAD)},
+    "dispersive": {"preset": (["h3", "h4"], ["a2", "bogus", "", None]),
+                   "psi": (["exp:1.0"], ["rational:2.0", "exp:nan", "foo:1", "", None]),
+                   "t-list": (["10", "-10", ""], ["nan", "x", None]),
+                   "p": (["4"], ["2", "1.5", *_BAD])},
+}
+
+
+@st.composite
+def cli_cases(draw):
+    """A subcommand with valid flags, except, in about half the cases, one
+    malformed or missing flag."""
+    experiment = draw(st.sampled_from(sorted(_POOLS)))
+    pools = _POOLS[experiment]
+    broken = draw(st.sampled_from([*pools, *[None] * len(pools)]))
+    argv = [experiment]
+    for flag, (valid, bad) in pools.items():
+        value = draw(st.sampled_from(bad if flag == broken else valid))
+        if value is not None:
+            argv.append(f"--{flag}={value}")
+    return argv
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(cli_cases())
+def test_every_spec_gets_rows_or_a_documented_exit_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            code = main(argv)
+        except SystemExit as exc:        # argparse's own usage errors
+            code = exc.code
+    event(f"{argv[0]} exit {code}")
+    assert code in (0, 2, 3, 4), (argv, code, err.getvalue())
+    if code == 0:
+        lines = out.getvalue().splitlines()
+        assert all(len(line.split(",")) == len(lines[0].split(",")) for line in lines)
+        for line in lines[1:]:
+            [float(tok) for tok in line.split(",")]
+    else:
+        assert err.getvalue(), argv

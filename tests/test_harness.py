@@ -217,11 +217,54 @@ def test_rerun_byte_identical():
 
 
 def test_worker_count_invariance(monkeypatch):
-    monkeypatch.setenv("SYMPWAVE_THREADS", "1")
-    one = _sweep_digest(kernel_spec("5,10,15,20"))
-    monkeypatch.setenv("SYMPWAVE_THREADS", "4")
-    four = _sweep_digest(kernel_spec("5,10,15,20"))
-    assert one == four
+    specs = [
+        kernel_spec("5,10,15,20"),
+        # grid points on worker threads: xi decompositions through the
+        # Chebyshev evaluator, and dispersive bounds sharing one kernel evaluator
+        {"experiment": "model", "preset": "a2", "symbol": "plancherel", "r": "1.0",
+         "h-list": "2,5,10,40"},
+        {"experiment": "dispersive", "preset": "h3", "psi": "exp:1.0", "p": "4",
+         "t-list": "10,20,40"},
+    ]
+    for spec in specs:
+        monkeypatch.setenv("SYMPWAVE_THREADS", "1")
+        one = _sweep_digest(spec)
+        monkeypatch.setenv("SYMPWAVE_THREADS", "4")
+        four = _sweep_digest(spec)
+        assert one == four, spec["experiment"]
+
+
+def test_dispersive_sweep_builds_one_evaluator(monkeypatch):
+    from sympwave import wave_kernel
+
+    builds = []
+    init = wave_kernel.KernelEvaluator.__init__
+
+    def counted(self, *args):
+        builds.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(wave_kernel.KernelEvaluator, "__init__", counted)
+    rows = sw.run_sweep({"experiment": "dispersive", "preset": "h3", "psi": "exp:1.0",
+                         "p": "4", "t-list": "10,20,40"})
+    assert len(builds) == 1
+    # the same bits as a bound with an evaluator of its own
+    geom, prof = sw.rank_one_geometry("h3"), sw.Profile("exponential", 1.0)
+    for row in rows:
+        alone = sw.dispersive_bound(geom, prof, row.get("t"), 4.0)
+        assert np.float64(row.get("bound")).tobytes() == np.float64(alone).tobytes()
+    assert len(builds) == 1 + len(rows)
+
+
+def test_dispersive_bound_rejects_a_foreign_evaluator():
+    geom, prof = sw.rank_one_geometry("h3"), sw.Profile("exponential", 1.0)
+    ev = sw.KernelEvaluator(geom, prof)
+    # an equal geometry built anew is accepted; another preset or profile is not
+    assert sw.dispersive_bound(sw.rank_one_geometry("h3"), prof, 10.0, 4.0, ev) > 0.0
+    with pytest.raises(UsageError):
+        sw.dispersive_bound(sw.rank_one_geometry("h2"), prof, 10.0, 4.0, ev)
+    with pytest.raises(UsageError):
+        sw.dispersive_bound(geom, sw.Profile("exponential", 2.0), 10.0, 4.0, ev)
 
 
 def test_registered_experiments():

@@ -1,9 +1,12 @@
 import warnings
 
 import numpy as np
+import pytest
+from numpy.polynomial import chebyshev as npcheb
 
-from sympwave._quad import (_TABLE_BLOCK, AccuracyWarning, ChebTable, FilonPanels,
-                            integrate_panels, refine)
+import sympwave as sw
+from sympwave._quad import (_CHEB_BLOCK, _TABLE_BLOCK, AccuracyWarning, ChebTable, FilonPanels,
+                            cheb_series_blocks, integrate_panels, refine)
 
 
 def test_row_batched_filon_matches_one_panel_set_per_row():
@@ -132,3 +135,97 @@ def test_refine_evaluates_the_third_level_only_on_disagreement():
     seen.clear()
     assert refine(close, (1, 2, 3), 1e-14)[1] == 2.0 + 3e-13
     assert seen == [1, 2, 3]
+
+
+# -- many Chebyshev series at one node set ---------------------------------------
+
+EPS = np.finfo(float).eps
+
+
+def cheb_series_values(series, x):
+    """Every series at every node, shape (len(series), len(x)), from the blocks."""
+    return np.concatenate([vals for _, vals in cheb_series_blocks(series, x)]).T
+
+
+@pytest.fixture(scope="module")
+def proxies():
+    """q and q''' of criterion 3's three amplitudes, and both poles' proxies of
+    the a2 Plancherel QFamily at each degree it reaches, 96 to 384."""
+    out = {}
+    for label, g in (("1", lambda t: 1.0), ("sin", np.sin), ("1+t^2", lambda t: 1.0 + t * t)):
+        prob = sw.PhaseProblem(a=0.0, b=np.pi / 2.0, p=2, f=lambda t: -np.cos(t),
+                               fprime=np.sin, fsecond=np.cos, g=g)
+        q = sw.amplitude_data(prob).q
+        out[f"q {label}"], out[f"q''' {label}"] = q.proxy_deriv(0), q.proxy_deriv(3)
+    sym = sw.plancherel_symbol(sw.CFunction(sw.preset("a2")))
+    for r in (1.0, 4.0, 6.0, 10.0):
+        fam = sw.QFamily(sym, np.array([1.0, 0.0]), r)
+        for i, a in enumerate(fam.amps):
+            out[f"a2 r={r} pole {i} q"], out[f"a2 r={r} pole {i} q1"] = a.q.proxy, a.q1.proxy
+    assert {len(s.coef) for k, s in out.items() if k.startswith("a2")} == {97, 193, 289, 385}
+    return out
+
+
+def _nodes(series, n):
+    a, b = series.domain
+    inner = a + (b - a) * np.random.default_rng(7).random(n - 2)
+    return np.concatenate([[a, b], inner])
+
+
+def _bound(series):
+    return 8.0 * EPS * np.sum(np.abs(series.coef))
+
+
+def test_cheb_series_match_40_digit_clenshaw(proxies):
+    import mpmath as mp
+
+    def clenshaw(coef, t):
+        with mp.workdps(40):
+            t, b1, b2 = mp.mpf(t), mp.mpc(0), mp.mpc(0)
+            for c in coef[:0:-1]:
+                b1, b2 = mp.mpc(c) + 2 * t * b1 - b2, b1
+            return complex(mp.mpc(coef[0]) + t * b1 - b2)
+
+    for label, series in proxies.items():
+        x = _nodes(series, 10)
+        off, scl = series.mapparms()
+        ref = np.array([clenshaw(series.coef, off + scl * xi) for xi in x])
+        got = cheb_series_values([series], x)[0]
+        assert np.max(np.abs(got - ref)) <= _bound(series), label
+
+
+def test_cheb_series_match_numpy_clenshaw(proxies):
+    for label, series in proxies.items():
+        x = _nodes(series, 400)
+        got = cheb_series_values([series], x)[0]
+        assert np.max(np.abs(got - series(x))) <= _bound(series), label
+
+
+def test_cheb_series_batch_over_blocks_equals_single_calls(proxies):
+    qs = [proxies[f"a2 r=10.0 pole {i} q"] for i in (0, 1)]
+    series = [d for q in qs for d in (q, q.deriv(1), q.deriv(3))]
+    per_block = _CHEB_BLOCK // 385
+    x = _nodes(qs[0], 3 * per_block + 11)
+    assert len(list(cheb_series_blocks(series, x))) == 4
+    batch = cheb_series_values(series, x)
+    for i in np.unique(np.r_[0:len(x):7, per_block + np.arange(-2, 2)]):
+        assert np.array_equal(cheb_series_values(series, x[i : i + 1])[:, 0], batch[:, i]), i
+    # and through the cutoff products of both poles, Leibniz sum included
+    cutoff = sw.SmoothCutoff(1.5, 1.75)
+    prods = [sw.CutoffProduct(q, cutoff, 2, 0.0, 1.36) for q in qs]
+    derivs = sw.cutoff_product_derivs(prods, 3, x)
+    for i in np.r_[0:len(x):23]:
+        assert np.array_equal(sw.cutoff_product_derivs(prods, 3, x[i : i + 1])[:, 0],
+                              derivs[:, i]), i
+
+
+def test_cutoff_products_evaluated_together_must_match():
+    q = npcheb.Chebyshev([1.0, 0.5], domain=[0.0, 1.36])
+    cutoff = sw.SmoothCutoff(1.5, 1.75)
+    for other in (sw.CutoffProduct(q, cutoff, 1, 0.0, 1.36),
+                  sw.CutoffProduct(q, sw.SmoothCutoff(1.5, 1.8), 2, 0.0, 1.36),
+                  sw.CutoffProduct(npcheb.Chebyshev([1.0], domain=[0.0, 1.4]),
+                                   cutoff, 2, 0.0, 1.36)):
+        with pytest.raises(sw.UsageError):
+            sw.cutoff_product_derivs([sw.CutoffProduct(q, cutoff, 2, 0.0, 1.36), other],
+                                     1, np.array([0.5]))
