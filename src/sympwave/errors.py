@@ -25,8 +25,9 @@ class ResolutionError(SympwaveError):
     """A quadrature or spectral proxy did not resolve what it was asked for.
 
     Raised when a Chebyshev proxy is too coarse for the requested
-    derivatives, and when a spherical function that must be real comes out
-    of its quadrature with an imaginary part above tolerance.
+    derivatives, when a spherical function that must be real comes out
+    of its quadrature with an imaginary part above tolerance, and when a
+    profile transform would need more Filon nodes than its fixed budget.
     """
 
 

@@ -24,7 +24,7 @@ from .model_integral import gaussian_symbol, plancherel_symbol, xi_decompose, xi
 from .plancherel import CFunction
 from .profiles import parse_profile
 from .root_data import preset
-from .stationary_phase import PhaseProblem, expand, oracle
+from .stationary_phase import PhaseProblem, amplitude_data, expand, oracle
 from .wave_kernel import KernelEvaluator, dispersive_bound, rank_one_geometry
 
 
@@ -301,9 +301,11 @@ def _run_stphase(spec):
     N = _number(spec.get("N", "2"), int, "N")
     M = _number(spec.get("M", "1"), int, "M")
     xs = parse_grid(_need_list(spec, "x-list"))
+    # one amplitude for every x; its proxy derivatives are cached across rows
+    amp = amplitude_data(problem) if xs else None
 
     def row(x):
-        res = expand(problem, x, N, M)
+        res = expand(problem, x, N, M, amplitude=amp)
         ref = oracle(problem, x)
         return SweepRecord(
             inputs=(("x", x),),

@@ -39,7 +39,6 @@ from math import gamma as real_gamma
 
 import numpy as np
 from numpy.polynomial.chebyshev import Chebyshev
-from scipy.optimize import brentq
 from scipy.special import wofz
 
 from ._quad import FilonPanels, gl_panels_nodes, halfperiod_breaks, integrate_panels, refine
@@ -55,6 +54,13 @@ class PhaseProblem:
 
     ``f`` must be increasing on (a, b) and, for the amplitude extension, keep
     increasing slightly beyond b.  ``fprime``/``fsecond`` evaluate f' and f''.
+
+    Array contract: each callable takes a numpy array of t and returns its
+    values elementwise, in an array of the same shape; ``g``, ``fprime`` and
+    ``fsecond`` may return one scalar where they are constant, which is
+    broadcast.  A value must depend only on its own t.  The monotonicity
+    check makes one array call of each callable and raises
+    :class:`~sympwave.errors.UsageError` for one that rejects arrays.
     """
 
     a: float
@@ -71,11 +77,16 @@ class PhaseProblem:
         if self.p < 1 or self.p > 4:
             raise UsageError("phase degeneracy p must be in 1..4")
         ts = np.linspace(self.a, self.b, _GRID_CHECK)
-        vals = np.array([self.f(t) for t in ts])
-        if np.any(np.diff(vals) <= 0.0):
-            raise UsageError("phase is not strictly increasing on (a, b)")
-        self.fa = float(self.f(self.a))
-        self.fb = float(self.f(self.b))
+        try:
+            vals, *_ = [np.broadcast_to(fn(ts), ts.shape)
+                        for fn in (self.f, self.fprime, self.fsecond, self.g)]
+        except (TypeError, ValueError) as exc:
+            raise UsageError("f, fprime, fsecond and g must take a numpy array of t "
+                             f"and return its values elementwise: {exc}") from None
+        if not np.all(np.diff(vals) > 0.0):
+            raise UsageError("phase is not finite and strictly increasing on (a, b)")
+        self.fa = float(vals[0])
+        self.fb = float(vals[-1])
         self.B = (self.fb - self.fa) ** (1.0 / self.p)
         # leading coefficient f1(a) of f - f(a) = (t-a)^p f1(t) must not vanish
         eps = 1e-4 * (self.b - self.a)
@@ -83,46 +94,62 @@ class PhaseProblem:
         if abs(lead) < 1e-10:
             raise UsageError("phase vanishes to higher order than p at the endpoint")
 
-    def t_prime_at_zero(self) -> float:
-        if self.p == 1:
-            return 1.0 / self.fprime(self.a)
-        if self.p == 2:
-            return math.sqrt(2.0 / self.fsecond(self.a))
-        # higher-order contact: estimate f1(a) = lim (f - fa)/(t-a)^p
-        eps = 1e-5 * (self.b - self.a)
-        lead = (self.f(self.a + eps) - self.fa) / eps**self.p
-        return lead ** (-1.0 / self.p)
 
+def invert_phase(problem: PhaseProblem, u):
+    """Solve f(t) - f(a) = u^p for t in [a, b], elementwise.
 
-def invert_phase(problem: PhaseProblem, u: float) -> float:
-    """Solve f(t) - f(a) = u^p for t in [a, b]."""
-    if u < 0.0 or u > problem.B * (1.0 + 1e-12):
+    ``u`` may be a scalar, for which a float is returned, or an array; each
+    t depends only on its own u, so an array call equals the per-point calls
+    bit for bit.  Raises :class:`~sympwave.errors.OutOfRangeError` unless
+    every u lies in [0, B (1 + 1e-12)]; u past B is clipped to B.
+    """
+    u_arr = np.asarray(u, dtype=float)
+    if not np.all((u_arr >= 0.0) & (u_arr <= problem.B * (1.0 + 1e-12))):
         raise OutOfRangeError(f"u = {u} outside [0, B = {problem.B}]")
-    return _invert_extended(problem, min(u, problem.B))
+    t = _invert_extended(problem, np.minimum(u_arr, problem.B))
+    return t if np.ndim(u) else float(t[0])
 
 
-def _invert_extended(problem: PhaseProblem, u: float) -> float:
-    """Phase inversion allowing u slightly past B (f continued beyond b)."""
-    if u == 0.0:
-        return problem.a
-    target = problem.fa + float(u) ** problem.p
-    hi = problem.b
-    if target <= problem.fb:
-        lo = problem.a
-    else:
-        lo = problem.b
-        step = 0.25 * (problem.b - problem.a)
-        for _ in range(64):
-            nxt = hi + step
-            if problem.f(nxt) <= problem.f(hi):
-                raise OutOfRangeError(
-                    "phase stops increasing before the amplitude extension is covered")
-            hi = nxt
-            if problem.f(hi) >= target:
-                break
-        else:
-            raise OutOfRangeError("could not continue the phase far enough past b")
-    return brentq(lambda t: problem.f(t) - target, lo, hi, xtol=1e-15, rtol=8.9e-16)
+def _invert_extended(problem: PhaseProblem, u) -> np.ndarray:
+    """Phase inversion allowing u slightly past B (f continued beyond b).
+
+    Returns a 1-D array for any ``u``.  Each point is bisected on [a, b] or,
+    past b, on [b, hi], where hi steps beyond b by (b - a)/4 until f reaches
+    that point's own target (OutOfRangeError if f stops increasing there).
+    As in scipy's ``bisect``, a point stops when f hits its target or its
+    bracket is narrower than brentq's tolerances, 1e-15 + 8.9e-16 |t|, and
+    its t is the last midpoint.
+    """
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    target = problem.fa + u**problem.p
+    lo = np.where(target > problem.fb, problem.b, problem.a)
+    hi, f_hi = np.full(u.shape, problem.b), np.full(u.shape, problem.fb)
+    grow = np.flatnonzero(target > problem.fb)
+    for _ in range(64):
+        if not grow.size:
+            break
+        nxt = hi[grow] + 0.25 * (problem.b - problem.a)
+        f_nxt = problem.f(nxt)
+        if not np.all(f_nxt > f_hi[grow]):
+            raise OutOfRangeError(
+                "phase stops increasing before the amplitude extension is covered")
+        hi[grow], f_hi[grow] = nxt, f_nxt
+        grow = grow[f_nxt < target[grow]]
+    if grow.size:
+        raise OutOfRangeError("could not continue the phase far enough past b")
+    t = np.full(u.shape, problem.a)
+    live = np.flatnonzero(u != 0.0)
+    lo, hi, target = lo[live], hi[live], target[live]
+    while live.size:
+        mid = 0.5 * (lo + hi)
+        r = problem.f(mid) - target
+        if not np.all(np.isfinite(r)):
+            raise OutOfRangeError("phase is not finite where it is inverted")
+        lo, hi = np.where(r < 0.0, mid, lo), np.where(r < 0.0, hi, mid)
+        done = (r == 0.0) | (hi - lo < 1e-15 + 8.9e-16 * np.abs(mid))
+        t[live[done]] = mid[done]
+        live, lo, hi, target = (v[~done] for v in (live, lo, hi, target))
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -326,20 +353,16 @@ def amplitude_data(problem: PhaseProblem, degree: int = 64) -> AmplitudeData:
     u_hi = cut_hi * 1.02
 
     def q_raw(u):
-        if u == 0.0:
-            return problem.g(problem.a) * problem.t_prime_at_zero()
+        # Chebyshev points are interior, so u > 0 and f'(t) > 0 at every sample
         t = _invert_extended(problem, u)
         return problem.g(t) * p * u ** (p - 1) / problem.fprime(t)
 
-    proxy_u = Chebyshev.interpolate(
-        lambda us: np.array([q_raw(float(u)) for u in np.atleast_1d(us)]),
-        degree, domain=[0.0, u_hi])
+    proxy_u = Chebyshev.interpolate(q_raw, degree, domain=[0.0, u_hi])
     _check_resolution(proxy_u, "q proxy")
 
     v_lo, v_hi = (0.5 * B) ** p, u_hi**p
     proxy_v = Chebyshev.interpolate(
-        lambda vs: np.array([v ** (1.0 / p - 1.0) * q_raw(v ** (1.0 / p))
-                             for v in np.atleast_1d(vs)]),
+        lambda vs: vs ** (1.0 / p - 1.0) * q_raw(vs ** (1.0 / p)),
         degree, domain=[v_lo, v_hi])
     _check_resolution(proxy_v, "q1 proxy")
 
@@ -448,22 +471,22 @@ def expand(problem: PhaseProblem, x: float, N: int, M: int,
 def oracle(problem: PhaseProblem, x: float) -> complex:
     """Ground-truth quadrature of int_a^b g exp(i x f) dt.
 
-    Panels split at half-periods of the phase x f(t) (exact breakpoints via
-    phase inversion), fixed-order Gauss-Legendre inside, order doubled until
-    two refinements agree to ~1e-9 relative; a warning is attached when the
-    refinement cap is reached first.
+    Panels split at half-periods of the phase x f(t), at breakpoints from
+    one array phase inversion; fixed-order Gauss-Legendre inside, order
+    doubled until two levels agree to 1e-10 relative (see
+    :func:`~sympwave._quad.integrate_panels`); a warning is attached when the
+    order cap of 128 is reached first.  ``g`` and ``f`` are called once per
+    level, on all nodes.
     """
     if x <= 0.0:
         raise UsageError("x must be positive")
     span = problem.fb - problem.fa
-    breaks = halfperiod_breaks(
-        x * span, problem.a, problem.b,
-        invert=lambda frac: _invert_extended(problem, (frac * span) ** (1.0 / problem.p)))
+    fracs = halfperiod_breaks(x * span, 0.0, 1.0)
+    breaks = _invert_extended(problem, (fracs * span) ** (1.0 / problem.p))
+    breaks[0], breaks[-1] = problem.a, problem.b
 
-    def f(ts):
-        g = np.array([problem.g(t) for t in ts], dtype=complex)
-        ph = np.array([problem.f(t) for t in ts], dtype=float)
-        return g * np.exp(1j * x * ph)
+    def integrand(ts):
+        return problem.g(ts) * np.exp(1j * x * problem.f(ts))
 
-    return complex(integrate_panels(f, breaks, order0=16, tol=1e-10,
+    return complex(integrate_panels(integrand, breaks, order0=16, tol=1e-10,
                                     max_order=128, warn_label="oracle"))

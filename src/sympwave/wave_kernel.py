@@ -37,7 +37,7 @@ from math import gamma as real_gamma
 
 import numpy as np
 
-from ._quad import ChebTable, FilonPanels, gl_panels_nodes, integrate_panels, refine
+from ._quad import _FILON_NODES, ChebTable, FilonPanels, gl_panels_nodes, integrate_panels, refine
 from .errors import DivergenceError, OutOfRangeError, ResolutionError, UsageError
 from .plancherel import CFunction
 from .profiles import Profile
@@ -45,6 +45,9 @@ from .root_data import RootDatum, preset
 
 _IM_TOL = 1e-10
 _PAIR_BLOCK = 512    # (t, R) pairs per integrate_panels call of KernelEvaluator.values
+# Filon nodes of the largest starting grid a transform may ask for: an h3
+# evaluator of this size peaks at about 225 MB of RSS after its first value
+_TRANSFORM_NODES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -298,8 +301,14 @@ class KernelEvaluator:
             rs = np.atleast_1d(rs)
             return profile.eval(0, rs) * geom.cfun.density(rs[:, None])
 
-        panels = FilonPanels(amp, 0.0, self.rmax,
-                             n_panels=max(10, int(np.ceil(self.rmax / 3.0))),
+        n_panels = max(10, int(np.ceil(self.rmax / 3.0)))
+        if n_panels * _FILON_NODES > _TRANSFORM_NODES:
+            raise ResolutionError(
+                f"profile transform out to its truncation radius rmax = {self.rmax:.3g} "
+                f"would need {n_panels} Filon panels of {_FILON_NODES} nodes, more than "
+                f"the {_TRANSFORM_NODES // _FILON_NODES} allowed; use a faster-decaying "
+                "profile")
+        panels = FilonPanels(amp, 0.0, self.rmax, n_panels=n_panels,
                              warn_label="kernel transform")
         # tolerance scale: sum over panels of |int A|, fixed before any chunk exists
         mass = float(np.sum(2.0 * panels.half * np.abs(panels.coeffs[:, 0])))

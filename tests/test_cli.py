@@ -70,6 +70,16 @@ def test_unresolved_exit_code(capsys):
     assert captured.out == ""
 
 
+def test_oversized_transform_exit_code(capsys):
+    # exp:1e-6 decays so slowly that its transform would need 23M Filon panels
+    code = main(["kernel", "--preset", "h3", "--psi", "exp:1e-6",
+                 "--t-list", "10", "--R", "0.5"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert "numeric error" in captured.err and "rmax" in captured.err
+    assert "23033713 Filon panels" in captured.err and captured.out == ""
+
+
 def test_io_error_exit_code(capsys):
     code = main(["kernel", "--preset", "h3", "--psi", "exp:1.0",
                  "--t-list", "10", "--R", "1.0", "--out", "/no-such-dir/x.csv"])
@@ -149,8 +159,8 @@ def test_invalid_input_exit_code(argv, capsys):
 
 # valid and malformed values of each flag; sizes and radii are bounded so that
 # an example runs in about a second and allocates little: no dispersive sweep
-# on the ch2 disc path, which takes minutes, and no tiny profile parameter,
-# whose truncation radius sizes the transform's panels
+# on the ch2 disc path, which takes minutes.  A tiny profile parameter such as
+# exp:1e-6 exits 3 before its transform's panels are allocated
 _BAD = ["nan", "inf", "-1", "x", "", None]      # None leaves the flag out
 _PRESETS = (["h2", "h3", "h4", "ch2", "a2"], ["bogus", "", None])
 _POOLS = {
@@ -168,12 +178,13 @@ _POOLS = {
               "h-list": (["5", "1,40", "0", "", "2:8:2:lin"], ["-3", "nan", None]),
               "M": (["0", "1", "2", None], ["-1", "x"])},
     "kernel": {"preset": (["h2", "h3", "h4", "ch2"], ["a2", "bogus", "", None]),
-               "psi": (["exp:1.0", "rational:8", "bump:2"],
+               "psi": (["exp:1.0", "rational:8", "bump:2", "exp:1e-6"],
                        ["rational:2.0", "exp:nan", "exp:-1", "exp:0", "foo:1", "exp", "", None]),
                "t-list": (["5", "5,40", "-5", "0", ""], ["nan", "x", None]),
                "R": (["0", "0.5", "2"], _BAD)},
     "dispersive": {"preset": (["h3", "h4"], ["a2", "bogus", "", None]),
-                   "psi": (["exp:1.0"], ["rational:2.0", "exp:nan", "foo:1", "", None]),
+                   "psi": (["exp:1.0", "exp:1e-6"],
+                           ["rational:2.0", "exp:nan", "foo:1", "", None]),
                    "t-list": (["10", "-10", ""], ["nan", "x", None]),
                    "p": (["4"], ["2", "1.5", *_BAD])},
 }

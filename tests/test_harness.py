@@ -256,6 +256,33 @@ def test_dispersive_sweep_builds_one_evaluator(monkeypatch):
     assert len(builds) == 1 + len(rows)
 
 
+def test_stphase_sweep_builds_one_amplitude(monkeypatch):
+    from sympwave import harness
+
+    builds = []
+
+    def counted(problem, *args):
+        builds.append(problem)
+        return sw.amplitude_data(problem, *args)
+
+    monkeypatch.setattr(harness, "amplitude_data", counted)
+    spec = {"experiment": "stphase", "x-list": "20,50,300", "N": "2", "M": "1"}
+    rows = sw.run_sweep(spec)
+    assert len(builds) == 1
+    # the same bits as an expansion that builds its own amplitude
+    prob = builds[0]
+    for row in rows:
+        alone = sw.expand(prob, row.get("x"), 2, 1).total
+        assert np.complex128(row.get("total")).tobytes() == np.complex128(alone).tobytes()
+    # and on four worker threads, which share the amplitude's derivative cache
+    monkeypatch.setenv("SYMPWAVE_THREADS", "1")
+    one = _sweep_digest(spec)
+    monkeypatch.setenv("SYMPWAVE_THREADS", "4")
+    assert _sweep_digest(spec) == one
+    # one build for each digest, none for an empty sweep
+    assert sw.run_sweep({**spec, "x-list": ""}) == [] and len(builds) == 3
+
+
 def test_dispersive_bound_rejects_a_foreign_evaluator():
     geom, prof = sw.rank_one_geometry("h3"), sw.Profile("exponential", 1.0)
     ev = sw.KernelEvaluator(geom, prof)

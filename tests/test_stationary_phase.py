@@ -29,6 +29,35 @@ def test_invert_phase_residual(cos_problem):
         assert abs(cos_problem.f(t) - cos_problem.fa - u**2) <= 1e-12
 
 
+def linear_problem():
+    return sw.PhaseProblem(a=0.5, b=1.5, p=1, f=lambda t: t,
+                           fprime=lambda t: 1.0, fsecond=lambda t: 0.0, g=lambda t: 1.0)
+
+
+@pytest.mark.parametrize("name", ["cos", "linear"])
+def test_phase_inversion_on_arrays(name, cos_problem):
+    from sympwave.stationary_phase import _invert_extended
+    prob = cos_problem if name == "cos" else linear_problem()
+    u_hi = math.sqrt(1.75) * prob.B * 1.02      # amplitude_data's proxy domain
+    for invert, us in ((sw.invert_phase, np.linspace(0.0, prob.B, 10**4)),
+                       (_invert_extended, np.linspace(0.0, u_hi, 10**4))):
+        ts = invert(prob, us)
+        assert ts.shape == us.shape
+        assert np.max(np.abs(prob.f(ts) - prob.fa - us**prob.p)) <= 1e-14
+        # each t depends only on its own u
+        some = np.r_[0:us.size:40, us.size - 1]
+        alone = np.array([np.ravel(invert(prob, float(u)))[0] for u in us[some]])
+        assert np.array_equal(alone, ts[some])
+        assert np.array_equal(invert(prob, us[::-7]), ts[::-7])
+    assert isinstance(sw.invert_phase(prob, 0.5 * prob.B), float)
+
+
+def test_phase_callables_must_take_arrays():
+    with pytest.raises(UsageError, match="numpy array"):
+        sw.PhaseProblem(a=0.0, b=np.pi / 2, p=2, f=lambda t: -math.cos(t),
+                        fprime=np.sin, fsecond=np.cos, g=lambda t: 1.0)
+
+
 def test_monotonicity_checked():
     with pytest.raises(UsageError):
         sw.PhaseProblem(a=0.0, b=3.0, p=1, f=np.sin,
@@ -170,6 +199,53 @@ def test_oracle_linear_phase_closed_form():
     for x in (3.0, 10.0, 57.0):
         ref = (np.exp(1j * x) - 1.0) / (1j * x)
         assert abs(sw.oracle(lin, x) - ref) <= 1e-10 * abs(ref)
+
+
+def cos_demo_closed(gname, x):
+    """int_0^(pi/2) g(t) exp(-i x cos t) dt: pi/2 (J0(x) - i H0(x)) for g = 1,
+    with H0 Struve's function, and (1 - e^{-ix})/(ix) for g = sin."""
+    import mpmath as mp
+    with mp.workdps(30):
+        if gname == "one":
+            return complex(mp.pi / 2 * (mp.besselj(0, x) - 1j * mp.struveh(0, x)))
+        return complex((1 - mp.expj(-x)) / (1j * mp.mpf(x)))
+
+
+@pytest.mark.parametrize("gname,g", [("one", lambda t: 1.0), ("sin", np.sin)])
+@pytest.mark.parametrize("x", [20.0, 1e3, 4598.63, 1e4])
+def test_oracle_matches_closed_forms(gname, g, x):
+    ref = cos_demo_closed(gname, x)
+    assert abs(sw.oracle(make_cos_problem(g), x) - ref) <= 1e-10 * abs(ref)
+
+
+def test_oracle_evaluates_g_and_f_once_per_level():
+    sizes = {"f": [], "g": []}
+
+    def counted(name, fn):
+        def wrapped(ts):
+            sizes[name].append(np.size(ts))
+            return fn(ts)
+        return wrapped
+
+    prob = sw.PhaseProblem(a=0.0, b=np.pi / 2, p=2, f=counted("f", lambda t: -np.cos(t)),
+                           fprime=np.sin, fsecond=np.cos, g=counted("g", np.sin))
+    sizes["f"].clear()        # the construction's own grid calls
+    sizes["g"].clear()
+    sw.oracle(prob, 300.0)
+    # 96 half-period panels; the order doubles from 16 up to at most 128
+    assert 2 <= len(sizes["g"]) <= 4 and min(sizes["g"]) >= 96 * 16
+    assert [n for n in sizes["f"] if n > 97] == sizes["g"]
+    # the 96 breaks past t = a come from one bisection of about 50 array calls
+    assert len(sizes["f"]) - len(sizes["g"]) <= 64
+
+
+def test_oracle_constant_amplitude_may_return_a_scalar():
+    scalar = make_cos_problem(lambda t: 2.5)
+    array = make_cos_problem(lambda t: np.full(np.shape(t), 2.5))
+    for x in (20.0, 1e3):
+        assert sw.oracle(scalar, x) == sw.oracle(array, x)
+        assert abs(sw.oracle(scalar, x) - 2.5 * cos_demo_closed("one", x)) \
+            <= 1e-10 * 2.5 * abs(cos_demo_closed("one", x))
 
 
 def test_oracle_zero_amplitude(cos_problem):

@@ -234,6 +234,16 @@ def test_kernel_divergent_profile_rejected(h3_geometry):
         sw.KernelEvaluator(h3_geometry, sw.Profile("rational", 2.5))
 
 
+def test_oversized_transform_grid_refused(h3_geometry, monkeypatch):
+    # exp:1e-6 reaches 1e-14 only at r = 6.9e7: 23M panels, 553M nodes
+    from sympwave import _quad
+    builds = []
+    monkeypatch.setattr(_quad.FilonPanels, "_build", lambda self, n: builds.append(n))
+    with pytest.raises(ResolutionError, match=r"rmax = 6\.91e\+07.* 23033713 Filon panels"):
+        sw.KernelEvaluator(h3_geometry, sw.Profile("exponential", 1e-6))
+    assert builds == []          # refused before anything is sampled
+
+
 def test_kernel_rational_profile_finite(h3_geometry):
     ev = sw.KernelEvaluator(h3_geometry, sw.Profile("rational", 8.0))
     assert np.isfinite(ev.value(3.0, 1.0).real)
