@@ -8,14 +8,20 @@ Three engines cover everything in the package:
   one break array per row, each row then stopping on its own;
 * Filon panels for linear phases of arbitrary frequency: the amplitude is
   Legendre-projected per panel and the moments int P_k(x) e^(i mu x) dx
-  = 2 i^k j_k(mu) are exact spherical-Bessel values, so the panel count only
-  has to resolve the amplitude, never the oscillation; an amplitude may
+  = 2 i^k j_k(mu) are exact spherical-Bessel values, so the panels only
+  have to resolve the amplitude, never the oscillation; an amplitude may
   return rows, each integrated at its own frequency;
 * a lazy piecewise-Chebyshev table for a smooth function of one variable
   that is read at very many points, such as a Filon transform read at every
   node of an outer quadrature: unit-width chunks of degree 24 are built on
   first use, halved where the function varies fast, and then cost one
   Clenshaw recurrence per point, run over fixed-size blocks of points.
+
+Filon panels and table chunks are refined by one rule, :func:`_split`: fit
+every starting piece, halve only the pieces whose last two coefficients are
+not small, fit only the halves, and stop after six halvings with one
+:class:`AccuracyWarning` (the split-where-unresolved rule of piecewise
+Chebyshev constructors, Pachon, Platte & Trefethen 2010).
 
 A Chebyshev variant with weight (1-c^2)^(-1/2) and ordinary Bessel moments
 int T_k(c) e^(i mu c) (1-c^2)^(-1/2) dc = pi i^k J_k(mu) handles the folded
@@ -39,7 +45,7 @@ from scipy.special import jv
 
 
 class AccuracyWarning(UserWarning):
-    """Raised when panel refinement stops before reaching the target."""
+    """Raised when panel or piece refinement stops before reaching the target."""
 
 
 @lru_cache(maxsize=None)
@@ -152,12 +158,60 @@ def halfperiod_breaks(total_phase: float, a: float, b: float, invert=None) -> np
 
 
 # ---------------------------------------------------------------------------
+# one split rule for Filon panels and table pieces
+# ---------------------------------------------------------------------------
+
+_SPLIT_DEPTH = 6       # halvings of a starting piece before it is kept unresolved
+
+
+def _split(fit, lo, hi, tol: float, warn_label: str, scale=None):
+    """Pieces refining the starting pieces [lo[i], hi[i]], halving only those that fail.
+
+    ``fit(lo, hi)`` returns the coefficients of the pieces [lo, hi], pieces on
+    axis -2 and the coefficient index last, with any leading axes for rows.
+    A piece fails where, in any row, either of its last two coefficients
+    exceeds ``tol * scale``; ``scale`` defaults to each row's largest
+    coefficient over the starting pieces.  Every starting piece is fitted
+    once; each round replaces the failing pieces by their halves and fits
+    only the halves, in one ``fit`` call, and pieces that pass are kept as
+    they are.  A piece that still fails after 6 halvings is kept, with one
+    :class:`AccuracyWarning` for the whole call.  Returns ``(lo, hi,
+    coeffs)`` sorted by position.
+    """
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    coeffs = fit(lo, hi)
+    if scale is None:
+        scale = np.max(np.abs(coeffs), axis=(-2, -1))
+    bound = tol * np.asarray(scale)[..., None]
+    kept = []
+    for depth in range(_SPLIT_DEPTH + 1):
+        over = np.max(np.abs(coeffs[..., -2:]), axis=-1) > bound
+        bad = over.reshape(-1, len(lo)).any(axis=0)
+        if depth == _SPLIT_DEPTH and bad.any():
+            warnings.warn(f"{warn_label}: {bad.sum()} pieces in [{lo[bad].min():g}, "
+                          f"{hi[bad].max():g}] not resolved at width "
+                          f"{np.max(hi[bad] - lo[bad]):g}", AccuracyWarning)
+            bad[:] = False
+        kept.append((lo[~bad], hi[~bad], coeffs[..., ~bad, :]))
+        if not bad.any():
+            break
+        mid = 0.5 * (lo[bad] + hi[bad])
+        lo = np.stack([lo[bad], mid], axis=-1).ravel()
+        hi = np.stack([mid, hi[bad]], axis=-1).ravel()
+        coeffs = fit(lo, hi)
+    lo, hi = (np.concatenate([part[i] for part in kept]) for i in (0, 1))
+    coeffs = np.concatenate([part[2] for part in kept], axis=-2)
+    order = np.argsort(lo)
+    return lo[order], hi[order], coeffs[..., order, :]
+
+
+# ---------------------------------------------------------------------------
 # Filon panels with Legendre amplitude and spherical-Bessel moments
 # ---------------------------------------------------------------------------
 
 _FILON_NODES = 24
 _FILON_DEG = 16
-_FILON_TOL = 2e-11     # Legendre tail / largest coefficient, over all panels
+_FILON_TOL = 2e-11     # Legendre tail / the row's largest starting coefficient
 
 
 @lru_cache(maxsize=None)
@@ -241,48 +295,33 @@ class FilonPanels:
     """Reusable linear-phase integrator for a fixed amplitude on [a, b].
 
     Build once, then evaluate int_a^b A(s) exp(i omega s) ds for whole arrays
-    of frequencies; the amplitude is sampled only at construction.  Panels
-    double from ``n_panels`` until the Legendre tails fall below 2e-11 of the
-    largest coefficient, or up to ``max_panels`` (then with a warning).
+    of frequencies; the amplitude is sampled only at construction.  The
+    ``n_panels`` equal starting panels are refined by :func:`_split`: a panel
+    is halved while its Legendre tail exceeds 2e-11 of the largest starting
+    coefficient, so only the panels that fail are refined.
 
     ``amp`` maps a flat node array to values of shape ``lead + (nodes,)``.  If
     ``lead`` is not empty, each row is its own amplitude, judged against its
-    own largest coefficient, and ``integrate`` takes frequencies whose shape
-    broadcasts against ``lead``.
+    own largest coefficient, and a panel is halved where any row fails, so a
+    row never gets fewer panels than it has alone; ``integrate`` takes
+    frequencies whose shape broadcasts against ``lead``.
     """
 
     def __init__(self, amp, a: float, b: float, n_panels: int = 24,
-                 max_panels: int = 384, warn_label: str = "filon"):
-        self.a, self.b = float(a), float(b)
+                 warn_label: str = "filon"):
         self.amp = amp
-        n = max(2, n_panels)
-        while True:
-            self._build(n)
-            if self._resolved() or n >= max_panels:
-                break
-            n *= 2
-        if n >= max_panels and not self._resolved():
-            warnings.warn(f"{warn_label}: amplitude not resolved at {n} panels",
-                          AccuracyWarning)
+        breaks = np.linspace(float(a), float(b), max(2, n_panels) + 1)
+        lo, hi, self.coeffs = _split(self._fit, breaks[:-1], breaks[1:], _FILON_TOL,
+                                     warn_label)
+        self.mid = 0.5 * (hi + lo)
+        self.half = 0.5 * (hi - lo)
 
-    def _build(self, n: int):
-        breaks = np.linspace(self.a, self.b, n + 1)
+    def _fit(self, lo, hi):
+        """Legendre coefficients, shape lead + (panels, deg), of the panels [lo, hi]."""
         x, proj = _filon_projection(_FILON_NODES, _FILON_DEG)
-        mid = 0.5 * (breaks[1:] + breaks[:-1])
-        half = 0.5 * (breaks[1:] - breaks[:-1])
-        nodes = mid[:, None] + half[:, None] * x[None, :]  # (n, nodes)
+        nodes = 0.5 * (hi + lo)[:, None] + 0.5 * (hi - lo)[:, None] * x[None, :]
         vals = np.asarray(self.amp(nodes.ravel()), dtype=complex)
-        lead = vals.shape[:-1]
-        # Legendre coefficients per panel, shape lead + (n, deg)
-        self.coeffs = vals.reshape(lead + (n, _FILON_NODES)) @ proj.T
-        self.mid = mid
-        self.half = half
-
-    def _resolved(self) -> bool:
-        # each row's tails against its own largest coefficient
-        scale = np.max(np.abs(self.coeffs), axis=(-2, -1)) + 1e-300
-        tail = np.max(np.abs(self.coeffs[..., -2:]), axis=(-2, -1))
-        return bool(np.all(tail <= _FILON_TOL * scale))
+        return vals.reshape(vals.shape[:-1] + nodes.shape) @ proj.T
 
     def integrate(self, omega):
         """Integral against exp(i omega s); omega scalar or array."""
@@ -385,7 +424,6 @@ def cheb_series_blocks(series, x):
 
 _TABLE_DEG = 24
 _TABLE_TOL = 1e-13
-_TABLE_DEPTH = 6
 _TABLE_BLOCK = 4096    # points per Clenshaw pass of a lookup
 _TABLE_POINTS = cheb_first_kind_points(_TABLE_DEG + 1)
 
@@ -395,13 +433,13 @@ class ChebTable:
 
     The line is cut into unit chunks [k, k + 1), k an integer.  A chunk is
     built the first time a lookup falls in it: ``f`` is sampled at the 25
-    first-kind Chebyshev points of the chunk, and the chunk is halved, down
-    to 1/64 width, while either of its last two coefficients exceeds
-    ``1e-13 * scale``.  A piece that is still unresolved at that width emits
-    an :class:`AccuracyWarning`.  Each piece comes from its own call of ``f``
-    on exactly 25 points, so its coefficients are the same whichever thread
-    or lookup builds it; building is serialized by a lock.  Non-finite
-    arguments give NaN.
+    first-kind Chebyshev points of the chunk, and :func:`_split` halves a
+    piece, down to 1/64 width, while either of its last two coefficients
+    exceeds ``1e-13 * scale``; a chunk with pieces still unresolved at that
+    width emits one :class:`AccuracyWarning`.  Each piece comes from its own
+    call of ``f`` on exactly 25 points, so its coefficients are the same
+    whichever thread or lookup builds it; building is serialized by a lock.
+    Non-finite arguments give NaN.
 
     ``chunks`` maps each built chunk's left end k to its pieces, a tuple of
     (left ends, midpoints, half-widths, coefficients of shape (pieces, 25)).
@@ -419,25 +457,13 @@ class ChebTable:
                       np.empty((_TABLE_DEG + 1, 0), dtype=complex))
 
     def _build_chunk(self, k: float):
-        lefts, mids, halves, coeffs = [], [], [], []
-        stack = [(k, k + 1.0, 0)]
-        while stack:
-            a, b, depth = stack.pop()
-            mid, half = 0.5 * (a + b), 0.5 * (b - a)
-            vals = np.asarray(self.f(mid + half * _TABLE_POINTS), dtype=complex)
-            c = _cheb_coeffs_from_values(vals)
-            if np.max(np.abs(c[-2:])) > _TABLE_TOL * self.scale:
-                if depth < _TABLE_DEPTH:
-                    stack.append((mid, b, depth + 1))
-                    stack.append((a, mid, depth + 1))
-                    continue
-                warnings.warn(f"{self.warn_label}: piece [{a:g}, {b:g}] not resolved "
-                              f"at width {b - a:g}", AccuracyWarning)
-            lefts.append(a)
-            mids.append(mid)
-            halves.append(half)
-            coeffs.append(c)
-        return np.array(lefts), np.array(mids), np.array(halves), np.array(coeffs)
+        def fit(lo, hi):
+            return np.array([_cheb_coeffs_from_values(np.asarray(
+                self.f(0.5 * (a + b) + 0.5 * (b - a) * _TABLE_POINTS), dtype=complex))
+                for a, b in zip(lo, hi)])
+        lo, hi, coeffs = _split(fit, [k], [k + 1.0], _TABLE_TOL, self.warn_label,
+                                scale=self.scale)
+        return lo, 0.5 * (lo + hi), 0.5 * (hi - lo), coeffs
 
     def _pieces(self, keys: np.ndarray):
         """The flat piece arrays, after building every chunk named in ``keys``."""

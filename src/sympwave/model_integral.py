@@ -426,9 +426,8 @@ def i_psi(symbol: Symbol, profile: Profile, t_phase: float, E, h: float):
             lam = rs[None, :, None] * dirs[:, None, :]
             return (profile.eval(0, rs)[None, :] * rs[None, :] ** (l - 1)
                     * np.asarray(symbol.eval(lam)))
-        # one row per colatitude node, each at its own frequency; the panel
-        # count stays fixed, since doubling it for the tail test costs ~9x
-        fil = FilonPanels(amp, 0.0, rmax, n_panels=24, max_panels=24, warn_label="i_psi direct")
+        # one row per colatitude node, each at its own frequency
+        fil = FilonPanels(amp, 0.0, rmax, n_panels=24, warn_label="i_psi direct")
         vals[:, ip] = fil.integrate(freqs)
     weighted = (vals @ w) * st ** (l - 2)
     direct = np.sum(nodes_w * weighted)

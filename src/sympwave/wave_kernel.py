@@ -45,8 +45,9 @@ from .root_data import RootDatum, preset
 
 _IM_TOL = 1e-10
 _PAIR_BLOCK = 512    # (t, R) pairs per integrate_panels call of KernelEvaluator.values
-# Filon nodes of the largest starting grid a transform may ask for: an h3
-# evaluator of this size peaks at about 225 MB of RSS after its first value
+# Filon nodes of the largest starting grid a transform may ask for (halving
+# the panels that fail can multiply it by at most 64): an h3 evaluator of
+# this size peaks at about 225 MB of RSS after its first value
 _TRANSFORM_NODES = 1 << 18
 
 
@@ -114,9 +115,9 @@ def _odd_line_integrals(geom: RankOneGeometry, radii: np.ndarray, omega: np.ndar
 
     ``omega`` has one row of frequencies per radius.  The density is entire,
     so Filon panels in sigma = s / R need not resolve omega.  Radii with one
-    starting panel count share one row-batched build, which doubles its
-    panels until each radius passes against its own Legendre coefficients.
-    So a radius never gets fewer panels than alone, and at the panel count it
+    starting panel count share one row-batched build, which halves only the
+    panels where some radius fails against its own Legendre coefficients.
+    So a radius never gets fewer panels than alone, and with the panels it
     has alone (always for n = 3, whose density is constant) it gets the same
     value.
     """
@@ -281,11 +282,12 @@ class KernelEvaluator:
     """Kernel of exp(i t r) psi(r) against the spectral density, reusable in (t, R).
 
     The profile transform F(v) = int_0^rmax psi(r) |c(r)|^-2 exp(i r v) dr is
-    built once as Filon panels (exact at any frequency) and read through
-    ``transform``, a :class:`ChebTable` filled from the panels one unit chunk
-    of v at a time, on first use, to 1e-13 of int |A|.  Each kernel value is
-    then a short non-oscillatory integral of the boundary amplitude against
-    F.  One evaluator may be shared between threads.
+    built once as Filon panels (exact at any frequency), starting from
+    max(10, rmax/3) panels and halving only those that are unresolved.  It is
+    read through ``transform``, a :class:`ChebTable` filled from the panels
+    one unit chunk of v at a time, on first use, to 1e-13 of int |A|.  Each
+    kernel value is then a short non-oscillatory integral of the boundary
+    amplitude against F.  One evaluator may be shared between threads.
     """
 
     def __init__(self, geom: RankOneGeometry, profile: Profile):

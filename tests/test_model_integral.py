@@ -260,6 +260,25 @@ def test_i_psi_decay_slope():
     assert slope <= -0.5 + 0.1
 
 
+def test_i_psi_direct_matches_bessel_transform():
+    # gauss, exp:1, t = 0, E = e1: direct = 2 pi int_0^inf r e^(-r - r^2) J0(h r) dr.
+    # Expanding e^(-r) and int_0^inf r^(k+1) e^(-r^2) J0(h r) dr
+    # = Gamma(k/2 + 1) 1F1(k/2 + 1; 1; -h^2/4) / 2 gives
+    # pi sum_k (-1)^k Gamma(k/2 + 1) / k! 1F1(k/2 + 1; 1; -h^2/4), whose terms
+    # fall like (h^2/4)^(-k/2) here
+    import mpmath as mp
+    sym = sw.gaussian_symbol(2)
+    prof = sw.Profile("exponential", 1.0)
+    for h in (20.0, 80.0, 160.0, 320.0):
+        with mp.workdps(30):
+            a = [mp.mpf(k) / 2 + 1 for k in range(40)]
+            ref = float(mp.pi * mp.fsum((-1) ** k * mp.gamma(a[k]) / mp.factorial(k)
+                                        * mp.hyp1f1(a[k], 1, -mp.mpf(h) ** 2 / 4)
+                                        for k in range(40)))
+        d, _ = sw.i_psi(sym, prof, 0.0, E2, h)
+        assert abs(d - ref) <= 1e-9 * abs(ref), h
+
+
 def test_i_psi_divergence_check():
     sym = sw.plancherel_symbol(sw.CFunction(sw.preset("a2")))
     thin = sw.Profile("rational", 2.0)

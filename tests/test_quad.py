@@ -16,13 +16,14 @@ def test_row_batched_filon_matches_one_panel_set_per_row():
     def rows(s):
         return np.exp(-widths[:, None] * s[None, :] ** 2) * (1.0 + 1j * s[None, :])
 
-    batched = FilonPanels(rows, 0.0, 3.0, n_panels=24, max_panels=24)
-    assert batched.coeffs.shape[0] == len(widths)
+    batched = FilonPanels(rows, 0.0, 3.0, n_panels=24)
+    assert batched.coeffs.shape[:2] == (len(widths), 24)
     together = batched.integrate(freqs)
     for j, (c, om) in enumerate(zip(widths, freqs)):
         single = FilonPanels(lambda s, c=c: np.exp(-c * s**2) * (1.0 + 1j * s), 0.0, 3.0,
-                             n_panels=24, max_panels=24)
+                             n_panels=24)
         alone = single.integrate(om)
+        assert len(single.mid) == 24
         assert np.array_equal(single.coeffs, batched.coeffs[j])
         assert together[j].tobytes() == np.complex128(alone).tobytes(), j
 
@@ -41,6 +42,68 @@ def test_filon_rows_are_judged_against_their_own_coefficients():
     assert len(alone.mid) > 4 and len(batched.mid) == len(alone.mid)
     together = batched.integrate(np.array([0.0, 7.0]))
     assert together[1].tobytes() == np.complex128(alone.integrate(7.0)).tobytes()
+
+
+def _filon_breaks(fil):
+    return np.union1d(fil.mid - fil.half, fil.mid + fil.half)
+
+
+def test_filon_splits_only_the_panels_that_fail():
+    # a narrow Gaussian at s = 1: the panels near it are halved, the rest are
+    # fitted once, and each round samples only the new halves
+    sizes = []
+
+    def bump(s):
+        sizes.append(s.size)
+        return np.exp(-400.0 * (s - 1.0) ** 2) + 0j
+
+    fil = FilonPanels(bump, 0.0, 3.0, n_panels=8)
+    split = fil.half < 0.1                         # starting panels have half-width 3/16
+    assert 8 < len(fil.mid) < 32 and np.all(np.abs(fil.mid[split] - 1.0) < 0.5)
+    assert np.sum(~split) >= 5                     # far panels keep their width
+    children = 2 * (len(fil.mid) - 8)              # each split adds one panel, fits two
+    assert sum(sizes) == 24 * (8 + children) and len(sizes) > 2
+    # int_0^3 e^(-a (s-1)^2 + i w s) ds as a difference of complex error functions
+    import mpmath as mp
+    a, w = mp.mpf(400), mp.mpf(7)
+    with mp.workdps(30):
+        u = [mp.sqrt(a) * (s - 1) - 1j * w / (2 * mp.sqrt(a)) for s in (0, 3)]
+        ref = complex(mp.exp(1j * w - w**2 / (4 * a)) * mp.sqrt(mp.pi) / (2 * mp.sqrt(a))
+                      * (mp.erf(u[1]) - mp.erf(u[0])))
+    assert abs(fil.integrate(7.0) - ref) <= 1e-13 * abs(ref)
+
+
+def test_filon_unresolved_amplitude_warns_once():
+    with pytest.warns(AccuracyWarning) as caught:
+        fil = FilonPanels(lambda s: np.sqrt(np.abs(s - 1.0)) + 0j, 0.0, 3.0, n_panels=8,
+                          warn_label="kink")
+    assert len(caught) == 1
+    assert str(caught[0].message).startswith("kink: ") and "not resolved" in str(caught[0].message)
+    assert len(fil.mid) < 32
+
+
+def test_filon_batch_refines_the_union_of_its_rows():
+    # a row's panels in a batch refine the ones it has alone; a row whose
+    # panels are the same has the same value, bit for bit
+    rows = [lambda s: np.exp(-400.0 * (s - 1.0) ** 2) + 0j,
+            lambda s: np.exp(-((s - 1.0) ** 2)) * (1.0 + 1j * s),
+            lambda s: np.exp(-400.0 * (s - 2.0) ** 2) + 0j]
+    alone = [FilonPanels(f, 0.0, 3.0, n_panels=8) for f in rows]
+    equal = 0
+    for members in ([0, 1, 2], [0, 1], [1, 2]):
+        batch = FilonPanels(lambda s: np.stack([rows[j](s) for j in members]), 0.0, 3.0,
+                            n_panels=8)
+        freqs = np.full(len(members), 7.0)
+        together = batch.integrate(freqs)
+        for i, j in enumerate(members):
+            own, mine = _filon_breaks(alone[j]), _filon_breaks(batch)
+            assert np.all(np.min(np.abs(mine[:, None] - own[None, :]), axis=0) <= 1e-12), j
+            if np.array_equal(batch.mid, alone[j].mid) and np.array_equal(batch.half,
+                                                                          alone[j].half):
+                equal += 1
+                assert together[i].tobytes() == np.complex128(
+                    alone[j].integrate(7.0)).tobytes(), (members, j)
+    assert equal == 2 and len(alone[1].mid) == 8
 
 
 def test_per_row_warnings_name_their_rows():

@@ -238,7 +238,7 @@ def test_oversized_transform_grid_refused(h3_geometry, monkeypatch):
     # exp:1e-6 reaches 1e-14 only at r = 6.9e7: 23M panels, 553M nodes
     from sympwave import _quad
     builds = []
-    monkeypatch.setattr(_quad.FilonPanels, "_build", lambda self, n: builds.append(n))
+    monkeypatch.setattr(_quad.FilonPanels, "_fit", lambda self, lo, hi: builds.append(len(lo)))
     with pytest.raises(ResolutionError, match=r"rmax = 6\.91e\+07.* 23033713 Filon panels"):
         sw.KernelEvaluator(h3_geometry, sw.Profile("exponential", 1e-6))
     assert builds == []          # refused before anything is sampled
@@ -300,10 +300,7 @@ def test_kernel_rejects_non_finite_t(h3_geometry, exp_profile, R):
 # -- tabulated profile transform -------------------------------------------------
 
 def _evaluator(name, family, param):
-    with warnings.catch_warnings():
-        # h4/rational:8 warns that its Filon amplitude is not fully resolved
-        warnings.simplefilter("ignore", AccuracyWarning)
-        return sw.KernelEvaluator(sw.rank_one_geometry(name), sw.Profile(family, param))
+    return sw.KernelEvaluator(sw.rank_one_geometry(name), sw.Profile(family, param))
 
 
 @pytest.mark.parametrize("name,family,param", [("h3", "exponential", 1.0),
@@ -317,6 +314,20 @@ def test_transform_table_matches_filon(name, family, param):
         warnings.simplefilter("error", AccuracyWarning)
         tab = table(v)
     assert np.max(np.abs(tab - table.f(v))) <= 1e-12 * table.scale
+
+
+def test_h4_rational_kernel_matches_stored_references():
+    # mpmath kernel values of h4/rational:8 at R = 0.5, from bench/refs.json
+    # (written by bench/make_refs.py at 20 digits); the transform builds without
+    # an AccuracyWarning
+    refs = {15.931155007797706: -2.1486137722563846e-06 - 0.00017447100953058733j,
+            25.21653717435108: -5.414443722458473e-10 - 3.840270693070538e-05j,
+            100.0: 3.267233790628452e-17 - 5.776381029562522e-07j}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", AccuracyWarning)
+        ev = _evaluator("h4", "rational", 8.0)
+        for t, ref in refs.items():
+            assert abs(ev.value(t, 0.5) - ref) <= 1e-8 * abs(ref), t
 
 
 def test_transform_table_h3_closed_form(h3_geometry, exp_profile):
@@ -426,8 +437,8 @@ def test_dispersive_rejects_non_finite_p(h3_geometry, exp_profile, p):
 
 def test_dispersive_bound_h3_values(h3_geometry, exp_profile):
     # the bound as the one-radius-at-a-time integrand computed it
-    known = {10.0: 0.04714612647984843, 20.0: 0.00201309930597432,
-             40.0: 0.0002235640915405553, 80.0: 2.7425126046989702e-05}
+    known = {10.0: 0.047146126479848414, 20.0: 0.0020130993059742667,
+             40.0: 0.00022356409154055824, 80.0: 2.742512604692375e-05}
     for t, ref in known.items():
         val = sw.dispersive_bound(h3_geometry, exp_profile, t, 4.0)
         assert abs(val - ref) <= 1e-13 * ref, t
