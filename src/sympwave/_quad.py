@@ -27,8 +27,8 @@ A Chebyshev variant with weight (1-c^2)^(-1/2) and ordinary Bessel moments
 int T_k(c) e^(i mu c) (1-c^2)^(-1/2) dc = pi i^k J_k(mu) handles the folded
 circle integrals in rank 2.
 
-Fixed three-level quadratures (spherical functions, disc kernels, the ray
-integral of the contour functions k_n for p = 3 and 4) stop by one rule,
+Fixed three-level quadratures (spherical functions on colatitude panels, the
+ray integral of the contour functions k_n for p = 3 and 4) stop by one rule,
 :func:`refine`.
 """
 

@@ -1,17 +1,24 @@
 """Rank-one spherical functions, the radial spectral density, and wave kernels.
 
-The spherical function at Cartan radius R is evaluated through its boundary
-(Poisson) representation: for multiplicities (m, m2) with m2 = 0 this is the
-single-angle integral
+The spherical function at Cartan radius R is phi_lam(R) = int e^{-i lam s}
+dmu_R(s), over the boundary (Poisson) measure mu_R in s = log|b|.  By
+Koornwinder's Laplace-type representation of Jacobi functions (Koornwinder,
+"Jacobi functions and analysis on noncompact semisimple Lie groups", 1984),
+mu_R has one density on [-R, R] for every rank-one geometry:
 
-    phi_lam(R) = c_n int_0^pi (cosh R - sinh R cos t)^(-(rho + i lam)) (sin t)^(n-2) dt,
+    dmu_R(s) = C(R) g(z) ds,    z = (cosh R - cosh s) / (2 cosh R) in [0, 1/2),
+    C(R) = 2^(2a-1) Gamma(a+1) / (sqrt(pi) Gamma(a+1/2)) cosh^(a-b-1) R / sinh^(2a) R,
+    g(z) = (z (1 - z))^(a-1/2) 2F1(a+b, a-b; a+1/2; z),
 
-and for m2 = 1 (complex hyperbolic type) the same kernel integrated over the
-unit disc with weight (1 - |w|^2)^((m-2)/2).  Both are one boundary measure
-mu_R in s = log|b|, a :class:`PoissonRule`, with phi_lam(R) = int e^{-i lam s}
-dmu_R.  For m2 = 0 it has the density (cosh R - cosh s)^((n-3)/2) e^{kappa s}
-on [-R, R]; for odd n, phi is then a finite Fourier integral done by Filon
-panels, whose cost does not grow with lam R (even n uses colatitude panels).
+with a = (m + m2 - 1)/2 and b = (m2 - 1)/2 for the root multiplicities
+(m, m2) = (m_alpha, m_2alpha).  For m2 = 0, g(z) = z^(a-1/2); for ch2
+(a = 1, b = 0), C g = 4 arcsin(sqrt z) / (pi sinh^2 R).  When a - 1/2 is a
+nonnegative integer (every odd-dimensional m2 = 0 geometry) the density is
+entire in s, and phi is a finite Fourier integral done by Filon panels, whose
+cost does not grow with lam R; otherwise phi takes colatitude panels, in
+which the endpoint powers of z are smooth.  A radius at which C(R), its
+factors or z would leave double range is a :class:`UsageError` that names
+the range.
 
 The kernel of exp(i t sqrt(.)) psi(sqrt(.)) applied to the shifted Laplacian
 is the radial integral of exp(i t r) psi(r) against the spectral density
@@ -36,6 +43,7 @@ from dataclasses import dataclass
 from math import gamma as real_gamma
 
 import numpy as np
+from scipy.special import hyp2f1
 
 from ._quad import _FILON_NODES, ChebTable, FilonPanels, gl_panels_nodes, integrate_panels, refine
 from .errors import DivergenceError, OutOfRangeError, ResolutionError, UsageError
@@ -71,6 +79,14 @@ class RankOneGeometry:
     def nu(self) -> int:
         return self.datum.nu
 
+    @property
+    def alpha(self) -> float:       # the Jacobi indices (a, b) of the spherical functions
+        return (self.m_alpha + self.m_2alpha - 1) / 2.0
+
+    @property
+    def beta(self) -> float:
+        return (self.m_2alpha - 1) / 2.0
+
 
 def rank_one_geometry(name_or_datum) -> RankOneGeometry:
     datum = preset(name_or_datum) if isinstance(name_or_datum, str) else name_or_datum
@@ -86,32 +102,53 @@ def rank_one_geometry(name_or_datum) -> RankOneGeometry:
 # the Poisson boundary measure and spherical functions
 # ---------------------------------------------------------------------------
 
-def _check_radius(R: float):
-    if not (math.isfinite(R) and R >= 0.0):
-        raise UsageError("R must be finite and nonnegative")
+_LOG_RANGE = 700.0      # e^{+-700}, about 1e+-304, are normal doubles
 
 
-def _sphere_constant(n: int) -> float:
-    """c_n = Gamma(n/2) / (sqrt(pi) Gamma((n-1)/2))."""
-    return real_gamma(n / 2.0) / (math.sqrt(math.pi) * real_gamma((n - 1) / 2.0))
+def _radius_range(geom: RankOneGeometry) -> tuple[float, float]:
+    """The positive radii at which C(R), its factors, z and e^{-rho R} stay in
+    double range: sinh^(2a) R ~ R^(2a) and z ~ R^2 as R -> 0, and
+    sinh^(2a) R ~ e^(2a R) and C(R) ~ e^(-rho R) as R -> oo."""
+    a2 = 2.0 * geom.alpha
+    return (math.exp(-_LOG_RANGE / max(a2, 2.0)), _LOG_RANGE / max(a2, geom.rho, 1.0))
 
 
-def _line_scale(geom: RankOneGeometry, radii) -> np.ndarray:
-    """scale = c_n 2^m / sinh^(n-2) R of the m_2alpha = 0 measure, per radius."""
-    n, cn = geom.n, _sphere_constant(geom.n)
-    return np.array([cn * 2.0 ** ((n - 3) / 2.0) / math.sinh(r) ** (n - 2) for r in radii])
+def _check_radii(geom: RankOneGeometry, R) -> np.ndarray:
+    """R as a float array, after a UsageError unless each radius is 0 or in range."""
+    R = np.asarray(R, dtype=float)
+    lo, hi = _radius_range(geom)
+    if not np.all((R == 0.0) | ((R >= lo) & (R <= hi))):
+        raise UsageError(f"R must be 0 or in [{lo:.3g}, {hi:.4g}] for this geometry; "
+                         "outside, its boundary density leaves double range")
+    return R
 
 
-def _line_density(geom: RankOneGeometry, s, R):
-    """e^{kappa s} (cosh R - cosh s)^m with m = (n-3)/2 and kappa = 1 - rho + m;
-    entire in s for odd n.  s and R broadcast, so each node may carry its own
-    radius."""
-    m = (geom.n - 3) / 2.0
-    return np.exp((1.0 - geom.rho + m) * s) * np.maximum(np.cosh(R) - np.cosh(s), 0.0) ** m
+def _boundary_density(geom: RankOneGeometry, R):
+    """The density C(R) g(z) of mu_R in s, as its two factors: C at the radii
+    R, and g as a function of z = (cosh R - cosh s) / (2 cosh R).  Quadratures
+    sum g and multiply by C once."""
+    a, b = geom.alpha, geom.beta
+    const = 2.0 ** (2.0 * a - 1.0) * real_gamma(a + 1.0) / (math.sqrt(math.pi)
+                                                             * real_gamma(a + 0.5))
+    scale = const * np.cosh(R) ** (a - b - 1.0) / np.sinh(R) ** (2.0 * a)
+
+    def shape(z):
+        return (z * (1.0 - z)) ** (a - 0.5) * hyp2f1(a + b, a - b, a + 0.5, z)
+    return scale, shape
 
 
-def _odd_line_integrals(geom: RankOneGeometry, radii: np.ndarray, omega: np.ndarray):
-    """int_{-1}^{1} e^{i omega sigma} dmu_R(R sigma) for odd n, per radius R.
+def _line_z(R, plus, minus):
+    """z at s in [-R, R], from plus = R + s and minus = R - s, without cancellation."""
+    return np.sinh(0.5 * plus) * np.sinh(0.5 * minus) / np.cosh(R)
+
+
+def _entire_density(geom: RankOneGeometry) -> bool:
+    """Whether a - 1/2 is a nonnegative integer, so that the density is entire in s."""
+    return geom.alpha >= 0.5 and (geom.alpha - 0.5).is_integer()
+
+
+def _line_integrals(geom: RankOneGeometry, radii: np.ndarray, omega: np.ndarray):
+    """int_{-1}^{1} e^{i omega sigma} dmu_R(R sigma) for an entire density, per radius R.
 
     ``omega`` has one row of frequencies per radius.  The density is entire,
     so Filon panels in sigma = s / R need not resolve omega.  Radii with one
@@ -126,88 +163,40 @@ def _odd_line_integrals(geom: RankOneGeometry, radii: np.ndarray, omega: np.ndar
     for n_panels in np.unique(start):
         rows = np.flatnonzero(start == n_panels)
         rr = radii[rows][:, None, None]
-        fil = FilonPanels(lambda sig: rr * _line_density(geom, rr * sig, rr), -1.0, 1.0,
-                          n_panels=int(n_panels), warn_label="phi")
-        out[rows] = _line_scale(geom, radii[rows])[:, None] * fil.integrate(omega[rows])
+        scale, shape = _boundary_density(geom, radii[rows])
+        fil = FilonPanels(lambda sig: rr * shape(_line_z(rr, rr * (1.0 + sig), rr * (1.0 - sig))),
+                          -1.0, 1.0, n_panels=int(n_panels), warn_label="phi")
+        out[rows] = scale[:, None] * fil.integrate(omega[rows])
     return out
 
 
-class PoissonRule:
-    """The boundary (Poisson) measure mu_R at Cartan radius R > 0, in s = log|b|.
+def _phi_quadrature(geom: RankOneGeometry, lam: np.ndarray, R: float) -> np.ndarray:
+    """phi_lam(R) at R > 0 for an array of real lam, as complex quadrature values."""
+    if _entire_density(geom):
+        return _line_integrals(geom, np.array([R]), -R * lam[None, :])[0]
 
-    phi_lam(R) = int e^{-i lam s} dmu_R(s) and kernel(t, R) = 2 int F(t - s)
-    dmu_R(s).  For m_2alpha = 0 the measure has the density
-    ``scale * _line_density(s, R)`` on [-R, R], with scale = c_n 2^m /
-    sinh^(n-2) R; for m_2alpha = 1 it is ``scale`` times the tensor rule of
-    :meth:`disc`.
-    """
+    # colatitude t, s = log(base): the endpoint powers of z become smooth; panels
+    # are sized by the phase and no wider than one unit of s
+    lam_max = float(np.max(np.abs(lam))) if len(lam) else 0.0
+    npan = max(8, int(np.ceil(2.0 * R)), int(np.ceil(2.0 * R * lam_max / np.pi)))
+    if npan > 60000:
+        raise UsageError("lam * R too large for the colatitude path")
+    # base = cosh R - sinh R cos t, written without cancellation near t = 0
+    s_grid = np.linspace(-R, R, npan + 1)
+    sin2 = (np.exp(s_grid) - math.exp(-R)) / (2.0 * math.sinh(R))
+    theta_breaks = 2.0 * np.arcsin(np.sqrt(np.clip(sin2, 0.0, 1.0)))
+    theta_breaks[0], theta_breaks[-1] = 0.0, np.pi
+    scale, shape = _boundary_density(geom, R)
 
-    def __init__(self, geom: RankOneGeometry, R: float):
-        self.geom, self.R = geom, R
-        self.scale = (float(_line_scale(geom, [R])[0]) if geom.m_2alpha == 0
-                      else geom.m_alpha / (2.0 * math.pi))
+    def values(order):
+        nodes, weights = gl_panels_nodes(theta_breaks, order)
+        base = math.exp(-R) + 2.0 * math.sinh(R) * np.sin(nodes / 2.0) ** 2
+        ds = math.sinh(R) * np.sin(nodes) / base                 # ds / dt
+        amp = shape(0.25 * math.tanh(R) * ds * np.sin(nodes)) * ds
+        ph = np.exp(-1j * np.outer(lam, np.log(base)))
+        return scale * (ph * (amp * weights)[None, :]).sum(axis=1)
 
-    def disc(self, lam_max: float, order: int, subdiv: int = 1):
-        """Nodes s = log|b| and weights, shape (d nodes, phi nodes), of a tensor
-        rule on the unit disc in d = 1 - |w| and phi: dyadic panels toward the
-        peak at (0, 0) of width ~ exp(-2R), split to resolve lam_max * s."""
-        R, rho = self.R, self.geom.rho
-        eps = max(1e-13, min(0.25, math.exp(-2.0 * R) / 8.0))
-        k_max = int(np.ceil(np.log2(1.0 / eps)))
-        levels = 2.0 ** (-np.arange(1, k_max + 1, dtype=float))
-        half = np.unique(np.concatenate([[0.0, 1.0], levels]))
-        split = max(subdiv, int(np.ceil(lam_max * 0.7 / 4.0)))
-        if split > 1:
-            half = np.unique(np.concatenate(
-                [np.linspace(a, b, split + 1) for a, b in zip(half[:-1], half[1:])]))
-        d, wd = gl_panels_nodes(half, order)
-        breaks_phi = np.unique(np.concatenate([-np.pi * half[::-1], np.pi * half]))
-        phi, wphi = gl_panels_nodes(breaks_phi, order)
-        # log |cosh R - (1-d) e^{i phi} sinh R| without cancellation at the peak
-        radial = math.exp(-R) + d[:, None] * math.sinh(R)
-        angular = 4.0 * (1.0 - d[:, None]) * math.cosh(R) * math.sinh(R) \
-            * np.sin(phi[None, :] / 2.0) ** 2
-        s = 0.5 * np.log(radial**2 + angular)
-        q = (self.geom.m_alpha - 2) / 2.0
-        weight = (wd * (d * (2.0 - d)) ** q * (1.0 - d))[:, None] * wphi[None, :] \
-            * np.exp(-rho * s)
-        return s, weight
-
-    def phi(self, lam: np.ndarray) -> np.ndarray:
-        """phi_lam(R) for an array of real lam, as complex quadrature values."""
-        geom, R = self.geom, self.R
-        lam_max = float(np.max(np.abs(lam))) if len(lam) else 0.0
-        if geom.m_2alpha == 1:
-            def disc_values(level):
-                s, w = self.disc(lam_max, *level)
-                ph = np.exp(-1j * lam[:, None, None] * s[None, :, :])
-                return self.scale * np.sum(ph * w[None, :, :], axis=(1, 2))
-            return refine(disc_values, ((10, 1), (14, 1), (18, 2)), 1e-12)
-
-        n, rho = geom.n, geom.rho
-        if n % 2 == 1:
-            return _odd_line_integrals(geom, np.array([R]), -R * lam[None, :])[0]
-
-        # even dimension: smooth colatitude integrand, panels sized by the phase
-        # and no wider than one unit of s = log(base)
-        npan = max(8, int(np.ceil(2.0 * R)), int(np.ceil(2.0 * R * lam_max / np.pi)))
-        if npan > 60000:
-            raise UsageError("lam * R too large for the even-dimension path")
-        # base = cosh R - sinh R cos t, written without cancellation near t = 0
-        s_grid = np.linspace(-R, R, npan + 1)
-        sin2 = (np.exp(s_grid) - math.exp(-R)) / (2.0 * math.sinh(R))
-        theta_breaks = 2.0 * np.arcsin(np.sqrt(np.clip(sin2, 0.0, 1.0)))
-        theta_breaks[0], theta_breaks[-1] = 0.0, np.pi
-
-        def values(order):
-            nodes, weights = gl_panels_nodes(theta_breaks, order)
-            base = math.exp(-R) + 2.0 * math.sinh(R) * np.sin(nodes / 2.0) ** 2
-            logb = np.log(base)
-            amp = base ** (-rho) * np.sin(nodes) ** (n - 2)
-            ph = np.exp(-1j * np.outer(lam, logb))
-            return _sphere_constant(n) * (ph * (amp * weights)[None, :]).sum(axis=1)
-
-        return refine(values, (16, 32, 64), 1e-11)
+    return refine(values, (16, 32, 64), 1e-11)
 
 
 def phi_rank1(geom: RankOneGeometry, lam, R: float):
@@ -216,14 +205,14 @@ def phi_rank1(geom: RankOneGeometry, lam, R: float):
     Real-valued for real lam; raises :class:`ResolutionError` if the
     imaginary part of the quadrature exceeds 1e-10 relative.
     """
-    _check_radius(R)
+    R = float(_check_radii(geom, R))
     lam_arr = np.atleast_1d(np.asarray(lam, dtype=float))
     if not np.all(np.isfinite(lam_arr)):
         raise UsageError("lam must be finite")
     if R == 0.0:
         out = np.ones(lam_arr.shape)
         return out if np.ndim(lam) else 1.0
-    out = _real(PoissonRule(geom, R).phi(lam_arr))
+    out = _real(_phi_quadrature(geom, lam_arr, R))
     return out if np.ndim(lam) else float(out[0])
 
 
@@ -237,20 +226,18 @@ def _real(vals: np.ndarray) -> np.ndarray:
 def phi_zero(geom: RankOneGeometry, R):
     """phi_0 at Cartan radius R >= 0, or at every radius of an array R.
 
-    For odd n all radii go through one call of the Filon rule that
-    :func:`phi_rank1` uses for each radius alone.  Other geometries evaluate
-    the radii one at a time.
+    With an entire density all radii go through one call of the Filon rule
+    that :func:`phi_rank1` uses for each radius alone.  Other geometries
+    evaluate the radii one at a time.
     """
-    Rs = np.asarray(R, dtype=float)
-    if not np.all(np.isfinite(Rs) & (Rs >= 0.0)):
-        raise UsageError("R must be finite and nonnegative")
+    Rs = _check_radii(geom, R)
     out = np.ones(Rs.size)
     pos = np.flatnonzero(Rs.ravel() > 0.0)
     radii = Rs.ravel()[pos]
-    if geom.m_2alpha == 1 or geom.n % 2 == 0:
+    if _entire_density(geom):
+        out[pos] = _real(_line_integrals(geom, radii, np.zeros((radii.size, 1)))[:, 0])
+    else:
         out[pos] = [phi_rank1(geom, 0.0, float(r)) for r in radii]
-        return out.reshape(Rs.shape) if Rs.ndim else float(out[0])
-    out[pos] = _real(_odd_line_integrals(geom, radii, np.zeros((radii.size, 1)))[:, 0])
     return out.reshape(Rs.shape) if Rs.ndim else float(out[0])
 
 
@@ -337,41 +324,26 @@ class KernelEvaluator:
         """Kernel values at every pair of the broadcast arrays t and R.
 
         Each pair gets the value it has alone.  At R = 0 the kernel is
-        2 F(t).  Otherwise (m_2alpha = 0) it is 2 scale times the integral of
-        the boundary density against F(t - s): an interior s-integral plus
-        two endpoint caps in w = sqrt(R -+ s), each a row of one
-        :func:`integrate_panels` call with per-row stopping, so every pair
-        still refining at one order shares one read of ``transform``.  Pairs
-        go through in blocks of 512, which bounds the nodes held at once.  The
-        disc path (m_2alpha = 1) refines one radius at a time.
+        2 F(t).  Otherwise it is twice the integral of the boundary density
+        against F(t - s): an interior s-integral plus two endpoint caps in
+        w = sqrt(R -+ s), each a row of one :func:`integrate_panels` call with
+        per-row stopping, so every pair still refining at one order shares
+        one read of ``transform``.  Pairs go through in blocks of 512, which
+        bounds the nodes held at once.
         """
-        t, R = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(R, dtype=float))
+        t, R = np.broadcast_arrays(np.asarray(t, dtype=float), _check_radii(self.geom, R))
         if not np.all(np.isfinite(t)):
             raise UsageError("t must be finite")
-        if not np.all(np.isfinite(R) & (R >= 0.0)):
-            raise UsageError("R must be finite and nonnegative")
         ts, Rs = t.ravel(), R.ravel()
         out = np.empty(ts.shape, dtype=complex)
         origin = Rs == 0.0
         if np.any(origin):
             out[origin] = 2.0 * self.transform(ts[origin])
         pos = np.flatnonzero(~origin)
-        boundary = self._disc_values if self.geom.m_2alpha == 1 else self._line_values
         for lo in range(0, pos.size, _PAIR_BLOCK):
             blk = pos[lo:lo + _PAIR_BLOCK]
-            out[blk] = boundary(ts[blk], Rs[blk])
+            out[blk] = self._line_values(ts[blk], Rs[blk])
         return out.reshape(t.shape)
-
-    def _disc_values(self, ts, Rs):
-        out = np.empty(ts.shape, dtype=complex)
-        for i, (t, R) in enumerate(zip(ts, Rs)):
-            rule = PoissonRule(self.geom, float(R))
-
-            def disc_values(order):
-                s, w = rule.disc(0.0, order)
-                return 2.0 * rule.scale * np.sum(w * self.transform(t - s))
-            out[i] = refine(disc_values, (8, 12, 18), 1e-9)
-        return out
 
     def _line_values(self, ts, Rs):
         breaks = []
@@ -383,20 +355,23 @@ class KernelEvaluator:
         # s = R - w^2 and s = -(R - w^2); caps are smooth for every parity of n
         sign = np.tile([0.0, 1.0, -1.0], len(Rs))
         pair = np.repeat(np.arange(len(Rs)), 3)
+        scale, shape = _boundary_density(self.geom, Rs)
 
         def integrand(nodes):
             x, rows = nodes["x"], nodes["row"]
             sg, R = sign[rows], Rs[pair[rows]]
             cap = sg != 0.0
             s = np.where(cap, sg * (R - x**2), x)
+            # R + s and R - s, taken as w^2 at the cap's own end
+            z = _line_z(R, np.where(sg < 0.0, x**2, R + s), np.where(sg > 0.0, x**2, R - s))
             jac = np.where(cap, 2.0 * x, 1.0)
-            return jac * _line_density(self.geom, s, R) * self.transform(ts[pair[rows]] - s)
+            return jac * shape(z) * self.transform(ts[pair[rows]] - s)
 
         labels = ["kernel s-integral", "kernel endpoint", "kernel endpoint"] * len(Rs)
         parts = integrate_panels(integrand, breaks, order0=10, tol=1e-11, max_order=40,
                                  warn_label=labels, floor_rel=3e-9).reshape(-1, 3)
         total = parts[:, 0] + parts[:, 1] + parts[:, 2]
-        return 2.0 * _line_scale(self.geom, Rs) * total
+        return 2.0 * scale * total
 
 
 def kernel(geom: RankOneGeometry, profile: Profile, t: float, R: float) -> complex:
@@ -431,26 +406,8 @@ def log_regime_ratio(geom: RankOneGeometry, profile: Profile, t: float, R: float
     return float(val * math.exp(geom.rho * R) / math.log(t))
 
 
-def dispersive_bound(geom: RankOneGeometry, profile: Profile, t: float, p: float,
-                     evaluator: KernelEvaluator | None = None) -> float:
-    """Convolution-bound integral {int |k_t|^{p/2} phi_0 D dR}^{2/p} for p > 2.
-
-    Each refinement level of the outer R-integral is one :meth:`KernelEvaluator.values`
-    call and one array :func:`phi_zero` over all of its radii.  ``evaluator``
-    is a :class:`KernelEvaluator` of this geometry and profile, shared by the
-    bounds of a sweep so that the profile transform is tabulated once; the
-    bound is the same, bit for bit, as with an evaluator of its own.
-    """
-    if not (math.isfinite(t) and math.isfinite(p)):
-        raise UsageError("t and p must be finite")
-    if p <= 2.0:
-        raise OutOfRangeError("the convolution bound needs p > 2")
-    if evaluator is None:
-        evaluator = KernelEvaluator(geom, profile)
-    elif evaluator.geom.datum != geom.datum or evaluator.profile != profile:
-        raise UsageError("the kernel evaluator was built for another geometry or profile")
-
-    # decay exponent of the integrand envelope fixes the truncation radius
+def _truncation_radius(geom: RankOneGeometry, p: float) -> float:
+    """Where the dispersive integrand's envelope e^{-decay R} (1 + R)^poly falls to 1e-16."""
     decay = geom.rho * (p / 2.0 - 1.0)
     poly = (geom.nu + geom.d) * p / 2.0 + geom.d
     rmax = 40.0 / decay
@@ -459,6 +416,44 @@ def dispersive_bound(geom: RankOneGeometry, profile: Profile, t: float, p: float
         if abs(nxt - rmax) < 1e-6:
             break
         rmax = min(nxt, 2000.0)
+    return rmax
+
+
+def _bound_fits(geom: RankOneGeometry, rmax: float) -> bool:
+    """Whether kernel values and the polar weight stay in double range out to rmax."""
+    with np.errstate(over="ignore"):
+        return rmax <= _radius_range(geom)[1] and math.isfinite(cartan_weight(geom, rmax))
+
+
+def dispersive_bound(geom: RankOneGeometry, profile: Profile, t: float, p: float,
+                     evaluator: KernelEvaluator | None = None) -> float:
+    """Convolution-bound integral {int |k_t|^{p/2} phi_0 D dR}^{2/p} for p > 2.
+
+    Each refinement level of the outer R-integral is one :meth:`KernelEvaluator.values`
+    call and one array :func:`phi_zero` over all of its radii.  ``evaluator``
+    is a :class:`KernelEvaluator` of this geometry and profile, shared by the
+    bounds of a sweep so that the profile transform is tabulated once; the
+    bound is the same, bit for bit, as with an evaluator of its own.  A p whose
+    truncation radius leaves the range of :func:`cartan_weight` or of the
+    kernel raises :class:`OutOfRangeError`, naming the smallest p that fits.
+    """
+    if not (math.isfinite(t) and math.isfinite(p)):
+        raise UsageError("t and p must be finite")
+    if p <= 2.0:
+        raise OutOfRangeError("the convolution bound needs p > 2")
+    rmax = _truncation_radius(geom, p)
+    if not _bound_fits(geom, rmax):
+        fit = math.ceil(p * 1000.0) / 1000.0
+        while not _bound_fits(geom, _truncation_radius(geom, fit)):
+            fit = round(fit + 1e-3, 3)
+        raise OutOfRangeError(
+            f"at p = {p:g} the convolution bound runs out to R = {rmax:.4g}, where the "
+            "polar weight or the kernel leaves double range; the smallest p this "
+            f"geometry supports is {fit:g}")
+    if evaluator is None:
+        evaluator = KernelEvaluator(geom, profile)
+    elif evaluator.geom.datum != geom.datum or evaluator.profile != profile:
+        raise UsageError("the kernel evaluator was built for another geometry or profile")
 
     def f(Rs):
         kv = np.abs(evaluator.values(t, Rs))

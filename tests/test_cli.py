@@ -146,9 +146,14 @@ def test_malformed_or_out_of_range_input_exit_code(argv, capsys):
     ["cfun", "--preset", "h3", "--lambda-max", "nan", "--steps", "2"],
     ["kernel", "--preset", "h3", "--psi", "exp:inf", "--t-list", "10", "--R", "0.5"],
     ["kernel", "--preset", "h3", "--psi", "exp:nan", "--t-list", "10", "--R", "0.5"],
+    ["kernel", "--preset", "h3", "--psi", "exp:1.0", "--t-list", "5", "--R", "800"],
+    ["kernel", "--preset", "h4", "--psi", "exp:1.0", "--t-list", "5", "--R", "400"],
+    ["dispersive", "--preset", "h3", "--psi", "exp:1.0", "--p", "2.3", "--t-list", "10"],
+    ["dispersive", "--preset", "h3", "--psi", "exp:1.0", "--p", "2.2", "--t-list", "10"],
 ], ids=["direction-length", "direction-zero-rank1", "direction-zero-rank2",
         "negative-radius", "non-finite-times", "non-finite-lambda-max",
-        "infinite-profile-parameter", "nan-profile-parameter"])
+        "infinite-profile-parameter", "nan-profile-parameter", "radius-past-double-range",
+        "radius-past-sinh-range", "bound-radius-past-polar-weight", "bound-radius-past-double-range"])
 def test_invalid_input_exit_code(argv, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -158,9 +163,8 @@ def test_invalid_input_exit_code(argv, capsys):
 # -- every spec gets rows or a documented exit code ---------------------------------
 
 # valid and malformed values of each flag; sizes and radii are bounded so that
-# an example runs in about a second and allocates little: no dispersive sweep
-# on the ch2 disc path, which takes minutes.  A tiny profile parameter such as
-# exp:1e-6 exits 3 before its transform's panels are allocated
+# an example runs in about a second and allocates little.  A tiny profile
+# parameter such as exp:1e-6 exits 3 before its transform's panels are allocated
 _BAD = ["nan", "inf", "-1", "x", "", None]      # None leaves the flag out
 _PRESETS = (["h2", "h3", "h4", "ch2", "a2"], ["bogus", "", None])
 _POOLS = {
@@ -182,7 +186,7 @@ _POOLS = {
                        ["rational:2.0", "exp:nan", "exp:-1", "exp:0", "foo:1", "exp", "", None]),
                "t-list": (["5", "5,40", "-5", "0", ""], ["nan", "x", None]),
                "R": (["0", "0.5", "2"], _BAD)},
-    "dispersive": {"preset": (["h3", "h4"], ["a2", "bogus", "", None]),
+    "dispersive": {"preset": (["h3", "h4", "ch2"], ["a2", "bogus", "", None]),
                    "psi": (["exp:1.0", "exp:1e-6"],
                            ["rational:2.0", "exp:nan", "foo:1", "", None]),
                    "t-list": (["10", "-10", ""], ["nan", "x", None]),

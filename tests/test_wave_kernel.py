@@ -10,6 +10,7 @@ import pytest
 import sympwave as sw
 from sympwave._quad import AccuracyWarning
 from sympwave.errors import DivergenceError, OutOfRangeError, ResolutionError, UsageError
+from sympwave.root_data import ReducedRoot, RootDatum
 
 mp.mp.dps = 25
 
@@ -49,7 +50,8 @@ def test_phi_h3_closed_form(h3_geometry):
         assert sw.phi_rank1(h3_geometry, lam, R) == pytest.approx(ref, abs=1e-8 * max(1, abs(ref)))
 
 
-@pytest.mark.parametrize("name", ["h2", "h4", "ch2"])
+@pytest.mark.parametrize("name", ["h2", "h4", "ch2", RootDatum(1, (ReducedRoot((1.0,), 4, 1),))],
+                         ids=["h2", "h4", "ch2", "ch3"])
 def test_phi_against_hypergeometric_oracle(name):
     geom = sw.rank_one_geometry(name)
     for (lam, R) in [(1.5, 0.8), (4.0, 2.0), (0.7, 3.5), (6.0, 5.0)]:
@@ -81,7 +83,7 @@ def test_phi0_decay_envelope(name):
     assert ratios[-1] <= 1.25 * ratios[-2]  # settled, not growing
 
 
-@pytest.mark.parametrize("name", ["h2", "h4"])
+@pytest.mark.parametrize("name", ["h2", "h4", "ch2"])
 def test_even_phi_at_large_radius_against_hypergeometric_oracle(name):
     # base = cosh R - sinh R cos t cancels near t = 0; the rule now forms it as
     # e^{-R} + 2 sinh R sin^2(t/2), which keeps every digit out to R = 166
@@ -98,8 +100,6 @@ def test_even_phi_at_large_radius_against_hypergeometric_oracle(name):
 def test_phi_zero_over_an_array_of_radii(name):
     geom = sw.rank_one_geometry(name)
     R = np.array([0.0, 0.05, 0.5, 3.0, 9.0, 17.0, 40.0, 120.0])
-    if name == "ch2":
-        R = R[:5]
     arr = sw.phi_zero(geom, R)
     assert arr.shape == R.shape
     for r, val in zip(R, arr):
@@ -117,7 +117,6 @@ def test_phi_zero_over_an_array_of_radii(name):
 def test_phi_zero_odd_dimension_with_a_nonconstant_density(m_alpha):
     # n = 5, 7: the boundary density (cosh R - cosh s)^m is not constant, and
     # radii that share a starting panel count refine together
-    from sympwave.root_data import ReducedRoot, RootDatum
     geom = sw.rank_one_geometry(RootDatum(1, (ReducedRoot((1.0,), m_alpha, 0),)))
     R = np.array([0.05, 0.5, 3.0, 7.9, 9.0, 17.0, 40.0, 95.0])
     arr = sw.phi_zero(geom, R)
@@ -141,8 +140,8 @@ def test_phi_rejects_negative_radius(h3_geometry):
 def test_phi_non_real_quadrature_raises(h3_geometry, monkeypatch):
     # a real exception, not an assert, so python -O keeps the check
     import sympwave.wave_kernel as wk
-    monkeypatch.setattr(wk.PoissonRule, "phi",
-                        lambda self, lam: np.ones(lam.shape) + 1e-3j)
+    monkeypatch.setattr(wk, "_phi_quadrature",
+                        lambda geom, lam, R: np.ones(lam.shape) + 1e-3j)
     with pytest.raises(ResolutionError):
         sw.phi_rank1(h3_geometry, 1.0, 0.5)
 
@@ -152,7 +151,7 @@ def test_phi_non_real_quadrature_raises(h3_geometry, monkeypatch):
 def test_poisson_rule_unit_mass(name, R):
     # phi_{-i rho}(R) = 1: the Poisson measure has unit mass against e^{rho s}.
     # A transform F(v) = e^{-rho v} makes the kernel at t = 0 exactly twice
-    # that mass, through the same panels, endpoint caps and disc sum.
+    # that mass, through the same panels and endpoint caps.
     geom = sw.rank_one_geometry(name)
     ev = sw.KernelEvaluator(geom, sw.Profile("exponential", 1.0))
     ev.transform = lambda v: np.exp(-geom.rho * np.asarray(v)) + 0j
@@ -254,12 +253,9 @@ def test_kernel_rational_profile_finite(h3_geometry):
                                                ("h4", "rational", 8.0),
                                                ("ch2", "exponential", 1.0)])
 def test_values_equal_value_bit_for_bit(name, family, param):
-    # R = 0 reads F alone, small R has endpoint caps wider than its interior,
-    # and ch2 takes the disc path
+    # R = 0 reads F alone, and small R has endpoint caps wider than its interior
     ev = _evaluator(name, family, param)
     radii = np.array([0.0, 0.05, 0.3, 1.0, 2.0, 7.5, 30.0])
-    if name == "ch2":
-        radii = radii[:5]
     ts = np.array([-3.0, 0.0, 7.5, 40.0])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", AccuracyWarning)
@@ -467,6 +463,38 @@ def test_dispersive_even_dimension_at_large_radius():
         val = sw.dispersive_bound(sw.rank_one_geometry("h4"), sw.Profile("exponential", 1.0),
                                   10.0, 4.0)
     assert np.isfinite(val) and val > 0.0
+
+
+def test_dispersive_bound_ch2_against_the_disc_rule():
+    # the value a tensor rule on the unit disc gave in minutes, certified to 0.1 %
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", AccuracyWarning)
+        val = sw.dispersive_bound(sw.rank_one_geometry("ch2"), sw.Profile("exponential", 1.0),
+                                  10.0, 4.0)
+    assert abs(val - 6.830443871136595e-4) <= 1e-3 * 6.830443871136595e-4
+
+
+def test_radii_outside_double_range_refused():
+    # h3 stops at R = 700, where e^{-rho R} nears the smallest normal double;
+    # h4's sinh^2 R stops it at 350, and tiny radii underflow sinh^2 R and z
+    h3, h4 = sw.rank_one_geometry("h3"), sw.rank_one_geometry("h4")
+    ev = sw.KernelEvaluator(h3, sw.Profile("exponential", 1.0))
+    for call in (lambda: sw.phi_rank1(h3, 1.0, 800.0), lambda: sw.phi_zero(h3, [1.0, 800.0]),
+                 lambda: ev.values(5.0, np.array([0.5, 800.0])),
+                 lambda: sw.phi_rank1(h4, 1.0, 351.0), lambda: sw.phi_zero(h4, 1e-200)):
+        with pytest.raises(UsageError, match="double range"):
+            call()
+    assert 0.0 < sw.phi_zero(h3, 700.0) < 1e-300
+    assert sw.phi_zero(h4, 1e-150) == pytest.approx(1.0)
+
+
+def test_dispersive_bound_names_the_smallest_p_that_fits(h3_geometry, exp_profile):
+    # at p = 2.3 the bound runs out to R = 476, past where sinh^2 R overflows
+    # (R = 355.6); p = 2.4 runs out to 354.5
+    for p in (2.2, 2.3):
+        with pytest.raises(OutOfRangeError, match=r"smallest p .* is 2\.399"):
+            sw.dispersive_bound(h3_geometry, exp_profile, 10.0, p)
+    assert sw.dispersive_bound(h3_geometry, exp_profile, 10.0, 2.4) == 2.9985933550300903
 
 
 def test_dispersive_zero_kernel_gives_zero(h3_geometry):
