@@ -23,13 +23,19 @@ not small, fit only the halves, and stop after six halvings with one
 :class:`AccuracyWarning` (the split-where-unresolved rule of piecewise
 Chebyshev constructors, Pachon, Platte & Trefethen 2010).
 
-A Chebyshev variant with weight (1-c^2)^(-1/2) and ordinary Bessel moments
-int T_k(c) e^(i mu c) (1-c^2)^(-1/2) dc = pi i^k J_k(mu) handles the folded
-circle integrals in rank 2.
+Chebyshev proxies of whole functions, such as the boundary amplitudes of
+the stationary-phase expansions, come from one fit rule, :func:`cheb_fit`:
+sample at first-kind points of degree 16, 32, ..., 4096, stop at the first
+degree whose last three coefficients are at most 1e-11 of the largest, chop
+the trailing coefficients below that, and raise ResolutionError past 4096.
+Every fit turns samples into coefficients by one DCT-II.
 
-Fixed three-level quadratures (spherical functions on colatitude panels, the
-ray integral of the contour functions k_n for p = 3 and 4) stop by one rule,
-:func:`refine`.
+A Chebyshev variant with weight (1-c^2)^(-1/2) and ordinary Bessel moments
+int T_k(c) e^(i mu c) (1-c^2)^(-1/2) dc = pi i^k J_k(mu) integrates such a
+proxy for the folded circle integrals in rank 2.
+
+Fixed three-level quadratures (spherical functions on colatitude panels)
+stop by one rule, :func:`refine`.
 """
 
 from __future__ import annotations
@@ -41,7 +47,11 @@ from itertools import accumulate
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
+from numpy.polynomial.chebyshev import Chebyshev
+from scipy.fft import dct
 from scipy.special import jv
+
+from .errors import ResolutionError
 
 
 class AccuracyWarning(UserWarning):
@@ -338,15 +348,13 @@ class FilonPanels:
 # Chebyshev-weighted Filon on [-1, 1]: weight (1 - c^2)^(-1/2)
 # ---------------------------------------------------------------------------
 
-def filon_chebyshev(fvals_at_chebpts, mu: float, deg: int) -> complex:
-    """int_{-1}^1 f(c) exp(i mu c) (1-c^2)^(-1/2) dc from Chebyshev samples.
+def filon_chebyshev(series: Chebyshev, mu: float) -> complex:
+    """int_{-1}^1 f(c) exp(i mu c) (1-c^2)^(-1/2) dc for a Chebyshev series f on [-1, 1].
 
-    ``fvals_at_chebpts`` are values at the first-kind points cos(pi (2j+1)/2n)
-    with n = deg + 1; moments are pi i^k J_k(mu).
+    The moments are pi i^k J_k(mu).
     """
-    n = len(fvals_at_chebpts)
-    coeffs = _cheb_coeffs_from_values(np.asarray(fvals_at_chebpts, dtype=complex))
-    k = np.arange(n)
+    coeffs = series.coef
+    k = np.arange(len(coeffs))
     sign = -1.0 if mu < 0 else 1.0
     bess = jv(k, abs(mu)) * (sign**k)
     moments = np.pi * (1j**k) * bess
@@ -354,13 +362,9 @@ def filon_chebyshev(fvals_at_chebpts, mu: float, deg: int) -> complex:
 
 
 def _cheb_coeffs_from_values(vals: np.ndarray) -> np.ndarray:
-    """Chebyshev coefficients from values at first-kind points (full weight on c0)."""
-    n = len(vals)
-    j = np.arange(n)
-    theta = np.pi * (2.0 * j + 1.0) / (2.0 * n)
-    k = np.arange(n)
-    T = np.cos(np.outer(k, theta))
-    coeffs = (2.0 / n) * (T @ vals)
+    """Chebyshev coefficients from values at the first-kind points of
+    :func:`cheb_first_kind_points`, by one DCT-II (full weight on c0)."""
+    coeffs = dct(vals, type=2) / len(vals)
     coeffs[0] *= 0.5
     return coeffs
 
@@ -371,10 +375,49 @@ def cheb_first_kind_points(n: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# one fit rule for Chebyshev proxies
+# ---------------------------------------------------------------------------
+
+_CHEB_TOL = 1e-11      # chopped tail / the series' largest coefficient
+
+
+def cheb_fit(f, domain, label: str) -> Chebyshev:
+    """Chebyshev series of ``f`` on ``domain``, at the first degree that resolves it.
+
+    ``f`` is sampled at the deg + 1 first-kind points of degree 16, 32, ...,
+    4096 in turn, and the first degree whose last three coefficients are all
+    at most 1e-11 of the largest is kept, with its trailing coefficients
+    below that bound dropped (after Aurentz & Trefethen, "Chopping a
+    Chebyshev series", 2017); a polynomial comes back at its own degree.
+    ``f`` takes an array of points and returns real or complex values.
+    Raises :class:`~sympwave.errors.ResolutionError`, naming ``label``, the
+    degree and the tail, if degree 4096 does not resolve ``f``.
+    """
+    lo, hi = map(float, domain)
+    deg = 16
+    while True:
+        pts = 0.5 * (lo + hi) + 0.5 * (hi - lo) * cheb_first_kind_points(deg + 1)
+        coeffs = _cheb_coeffs_from_values(np.asarray(f(pts)))
+        mag = np.abs(coeffs)
+        bound = _CHEB_TOL * mag.max()
+        if mag[-3:].max() <= bound:
+            keep = np.flatnonzero(mag > bound).max(initial=0) + 1
+            return Chebyshev(coeffs[:keep], domain=[lo, hi])
+        if deg >= 4096:
+            raise ResolutionError(f"{label}: Chebyshev tail {mag[-3:].max():.2e} of a "
+                                  f"largest coefficient {mag.max():.2e} at degree {deg}")
+        deg *= 2
+
+
+# ---------------------------------------------------------------------------
 # many Chebyshev series at one node set
 # ---------------------------------------------------------------------------
 
 _CHEB_BLOCK = 1 << 18  # Vandermonde entries per block of nodes (2 MB)
+# leading coefficients summed apart from the rest: one running sum over the
+# ~500 coefficients of an a2 proxy at r = 10 rounds past 8 eps sum|c_k|, two
+# sums stay within 0.6 of that to degree 1474
+_CHEB_HEAD = 64
 
 
 def cheb_series_blocks(series, x):
@@ -386,11 +429,12 @@ def cheb_series_blocks(series, x):
     ``values[i, j]`` is ``series[j]`` at ``x[block][i]``, complex.  Each
     block is one Chebyshev-Vandermonde matrix V, built by the three-term
     recurrence, times one stacked real matrix C whose columns are the
-    zero-padded real and imaginary parts of each series' coefficients; that
-    replaces one Clenshaw recurrence per series.  The product is taken node
-    by node (a vector-matrix product per row of V; one matrix product
-    ``V @ C`` would round a batch differently from a single node), so for a
-    given ``series`` a node gets the same bits in any block or batch.
+    zero-padded real and imaginary parts of each series' coefficients, the
+    first 64 coefficients and the rest in two sums; that replaces one
+    Clenshaw recurrence per series.  The product is taken node by node (a
+    vector-matrix product per row of V; one matrix product ``V @ C`` would
+    round a batch differently from a single node), so for a given ``series``
+    a node gets the same bits in any block or batch.
     """
     domain = series[0].domain
     if any(not np.array_equal(s.domain, domain) for s in series):
@@ -415,7 +459,10 @@ def cheb_series_blocks(series, x):
             np.multiply(two_t, vander[k - 1], out=vander[k])
             vander[k] -= vander[k - 2]
         rows = np.ascontiguousarray(vander.T)[:, None, :]
-        yield block, np.matmul(rows, stacked)[:, 0, :].view(complex)
+        vals = np.matmul(rows[..., :_CHEB_HEAD], stacked[:_CHEB_HEAD])
+        if deg > _CHEB_HEAD:
+            vals = vals + np.matmul(rows[..., _CHEB_HEAD:], stacked[_CHEB_HEAD:])
+        yield block, vals[:, 0, :].view(complex)
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,8 @@ class OutOfRangeError(SympwaveError):
 class ResolutionError(SympwaveError):
     """A quadrature or spectral proxy did not resolve what it was asked for.
 
-    Raised when a Chebyshev proxy is too coarse for the requested
-    derivatives, when a spherical function that must be real comes out
+    Raised when a Chebyshev fit does not resolve its function by degree
+    4096, when a spherical function that must be real comes out
     of its quadrature with an imaginary part above tolerance, and when a
     profile transform would need more Filon nodes than its fixed budget.
     """

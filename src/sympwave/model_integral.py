@@ -30,16 +30,14 @@ of both poles come from one call of
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from math import gamma as real_gamma
 
 import numpy as np
-from numpy.polynomial.chebyshev import Chebyshev
 
-from ._quad import (AccuracyWarning, FilonPanels, cheb_first_kind_points, filon_chebyshev,
-                    gl_panels_nodes, gl_rule, halfperiod_breaks, integrate_panels)
-from .errors import DivergenceError, NormalizationError, ResolutionError, UsageError
+from ._quad import (FilonPanels, cheb_fit, filon_chebyshev, gl_panels_nodes, gl_rule,
+                    halfperiod_breaks, integrate_panels)
+from .errors import DivergenceError, NormalizationError, UsageError
 from .plancherel import CFunction
 from .profiles import CutoffProduct, Profile, SmoothCutoff
 from .stationary_phase import AmplitudeData, k_n_zero, remainder_integrals
@@ -47,7 +45,6 @@ from .stationary_phase import AmplitudeData, k_n_zero, remainder_integrals
 _U_HI = 1.36          # proxy domain end, between sqrt(7/4) and the sqrt(2) singularity
 _V_LO, _V_HI = 0.40, 1.85
 _CUT = (1.5, 1.75)    # cutoff thresholds in v = u^2
-_Q_DEGREE = 96        # starting proxy degree of the q family, escalated up to 4x
 
 
 def sphere_area(k: int) -> float:
@@ -186,7 +183,13 @@ class _DrTable:
 # ---------------------------------------------------------------------------
 
 def xi_direct(symbol: Symbol, E, r: float, h: float) -> complex:
-    """Radial density xi(r, h) by quadrature of the colatitude integral."""
+    """Radial density xi(r, h) by quadrature of the colatitude integral.
+
+    At l = 2 the integrand is one :func:`~sympwave._quad.cheb_fit` proxy in
+    c = cos t, integrated exactly against e^(i h r c) (1-c^2)^(-1/2) by
+    :func:`~sympwave._quad.filon_chebyshev`; a symbol it cannot resolve by
+    degree 4096 raises :class:`~sympwave.errors.ResolutionError`.
+    """
     if r <= 0.0 or h < 0.0:
         raise UsageError("need r > 0 and h >= 0")
     l = symbol.dimension
@@ -196,18 +199,8 @@ def xi_direct(symbol: Symbol, E, r: float, h: float) -> complex:
 
     if l == 2:
         # int_0^pi e^{i mu cos t} D(t) dt = int_{-1}^{1} e^{i mu c} D(arccos c) / sqrt(1-c^2) dc
-        deg, max_deg = 48, 3072
-        prev = None
-        while deg <= max_deg:
-            c = cheb_first_kind_points(deg + 1)
-            vals = dr(np.arccos(c))
-            cur = filon_chebyshev(vals, mu, deg + 1)
-            if prev is not None and abs(cur - prev) <= 1e-11 * max(abs(cur), 1e-300) + 1e-16:
-                return r ** (l - 1) * cur
-            prev, deg = cur, deg * 2
-        warnings.warn(f"xi_direct: Chebyshev refinement hit degree {max_deg} "
-                      f"with residual {abs(cur - prev):.2e}", AccuracyWarning)
-        return r ** (l - 1) * cur
+        series = cheb_fit(lambda c: dr(np.arccos(c)), (-1.0, 1.0), "xi_direct")
+        return r ** (l - 1) * filon_chebyshev(series, mu)
 
     if l == 3:
         fil = FilonPanels(lambda c: dr(np.arccos(np.clip(c, -1.0, 1.0))),
@@ -233,9 +226,10 @@ class QFamily:
 
     ``amps`` holds one :class:`~sympwave.stationary_phase.AmplitudeData` per
     pole, (q, q1) for Theta = +e1 and (q~, q~1) for its mirror, with B = 1;
-    ``proxy_u`` is the proxy of q, whose length is the degree reached.
-    The analytic parts are proxied by Chebyshev interpolants away from the
-    sqrt(2) endpoint singularity; the compact support comes from the fixed
+    ``proxy_u`` is the proxy of q.  The analytic parts are proxied away from
+    the sqrt(2) endpoint singularity by :func:`~sympwave._quad.cheb_fit`,
+    each at the degree it needs, which grows with r for the Plancherel
+    densities; the compact support comes from the fixed
     smooth cutoff in v = u^2 equal to 1 below 3/2 and 0 above 7/4, applied
     through exact Taylor jets so that derivatives of the extended functions
     stay accurate to spectral precision.
@@ -263,21 +257,10 @@ class QFamily:
             pv = 2.0 * (2.0 * vs - vs**2) ** ((l - 3) / 2.0)
             return pv * (vals if mirror else np.conj(vals))
 
-        # symbols with shrinking analyticity strips (the Plancherel densities
-        # at large r) need more resolution, so the degree escalates on demand
-        for factor in (1, 2, 3, 4):
-            deg = _Q_DEGREE * factor
-            self.proxy_u = Chebyshev.interpolate(lambda u: a_u(u, False), deg, domain=[0.0, _U_HI])
-            proxy_ut = Chebyshev.interpolate(lambda u: a_u(u, True), deg, domain=[0.0, _U_HI])
-            proxy_v = Chebyshev.interpolate(lambda v: a_v(v, False), deg, domain=[_V_LO, _V_HI])
-            proxy_vt = Chebyshev.interpolate(lambda v: a_v(v, True), deg, domain=[_V_LO, _V_HI])
-            worst = max(np.abs(p.coef)[-3:].max() / (np.abs(p.coef).max() + 1e-300)
-                        for p in (self.proxy_u, proxy_ut, proxy_v, proxy_vt))
-            if worst <= 1e-7:
-                break
-        else:
-            raise ResolutionError(
-                f"q family unresolved at degree {deg}; tail ratio {worst:.1e}")
+        self.proxy_u = cheb_fit(lambda u: a_u(u, False), (0.0, _U_HI), "q proxy, pole +e1")
+        proxy_ut = cheb_fit(lambda u: a_u(u, True), (0.0, _U_HI), "q proxy, pole -e1")
+        proxy_v = cheb_fit(lambda v: a_v(v, False), (_V_LO, _V_HI), "q1 proxy, pole +e1")
+        proxy_vt = cheb_fit(lambda v: a_v(v, True), (_V_LO, _V_HI), "q1 proxy, pole -e1")
         cutoff = SmoothCutoff(*_CUT)
         self.amps = tuple(
             AmplitudeData(B=1.0, q=CutoffProduct(pu, cutoff, 2, 0.0, _U_HI),

@@ -38,11 +38,10 @@ from dataclasses import dataclass, field
 from math import gamma as real_gamma
 
 import numpy as np
-from numpy.polynomial.chebyshev import Chebyshev
 from scipy.special import wofz
 
-from ._quad import FilonPanels, gl_panels_nodes, halfperiod_breaks, integrate_panels, refine
-from .errors import OutOfRangeError, ResolutionError, UsageError
+from ._quad import FilonPanels, cheb_fit, gl_panels_nodes, halfperiod_breaks, integrate_panels
+from .errors import OutOfRangeError, UsageError
 from .profiles import CutoffProduct, SmoothCutoff, cutoff_product_derivs
 
 _GRID_CHECK = 1000
@@ -182,9 +181,8 @@ def k_n(n: int, u, x: float, p: int):
       with z0 = sqrt(x/2) u (1 - i) and E_k(z) = e^{z^2} i^k erfc(z), the scaled
       repeated integral of erfc (Abramowitz & Stegun 7.2), see :func:`_scaled_ierfc`.
 
-    p = 3 and p = 4 integrate along the ray, see :func:`_k_n_ray`.  For
-    p <= 2 each value depends only on its own u, never on the other entries
-    of an array.
+    p = 3 and p = 4 integrate along the ray, see :func:`_k_n_ray`.  Each
+    value depends only on its own u, never on the other entries of an array.
     """
     _check_contour_args(n, x, p)
     u_arr = np.atleast_1d(np.asarray(u, dtype=float))
@@ -275,43 +273,50 @@ def _scaled_ierfc(k: int, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _k_n_ray(n: int, u_arr: np.ndarray, x: float, p: int) -> np.ndarray:
-    """k_n by adaptive Gauss-Legendre quadrature along the ray, for any p in 1..4;
-    :func:`k_n` uses it for p = 3 and p = 4, where the integrand is
-    non-oscillatory and decays like exp(-x zeta^p)."""
-    beta = np.pi / (2.0 * p)
-    ray = np.exp(1j * beta)
+_RAY_EDGES = np.concatenate([[0.0], 2.0 ** np.arange(-12.0, 0.1)])   # times zeta_max
 
-    def ipow(z):
+
+def _k_n_ray(n: int, u_arr: np.ndarray, x: float, p: int) -> np.ndarray:
+    """k_n by Gauss-Legendre quadrature along the ray, for any p in 1..4;
+    :func:`k_n` uses it for p = 3 and p = 4, where the integrand is
+    non-oscillatory and decays like exp(-x zeta^p).
+
+    Each u gets its own truncation radius zeta_max: starting from
+    (60/x)^(1/p), it doubles until the integrand's modulus there is below
+    1e-18 of its larger value at 0.1 and 0.5 of the start.  One fixed rule
+    then integrates every u: 48-point Gauss-Legendre on the geometric panels
+    zeta_max [0, 2^-12, 2^-11, ..., 1], which resolve the decay scale near
+    zero.  So each value depends only on its own u.
+    """
+    ray = np.exp(1j * np.pi / (2.0 * p))
+    u = u_arr[:, None]
+
+    def exponent(zeta):
+        """x (u + zeta ray)^p, the integrand being zeta^(n-1) exp(i exponent)."""
+        z = u + zeta * ray
         out = z
         for _ in range(p - 1):
             out = out * z
-        return out
+        return x * out
 
-    # truncation radius: |integrand| ~ zeta^(n-1) exp(-x Im((u+zeta ray)^p))
-    zmax = (60.0 / x) ** (1.0 / p)
-    def peak(zeta):
-        z = u_arr[:, None] + zeta * ray
-        mag = np.abs(zeta) ** (n - 1) * np.exp(-x * np.imag(ipow(z)))
-        return float(np.max(mag))
-    ref = max(peak(zmax * 0.1), peak(zmax * 0.5), 1e-300)
-    while peak(zmax) > 1e-18 * ref and zmax < 1e8:
-        zmax *= 2.0
+    def modulus(zeta):
+        return zeta ** (n - 1) * np.exp(-exponent(zeta).imag)
 
-    def f(zeta):
-        z = u_arr[:, None] + zeta[None, :] * ray
-        return zeta[None, :] ** (n - 1) * np.exp(1j * x * ipow(z))
+    start = (60.0 / x) ** (1.0 / p)
+    ref = np.maximum(np.maximum(modulus(0.1 * start), modulus(0.5 * start)), 1e-300)
+    zmax = np.full(u.shape, start)
+    while True:
+        grow = (modulus(zmax) > 1e-18 * ref) & (zmax < 1e8)
+        if not grow.any():
+            break
+        zmax = np.where(grow, 2.0 * zmax, zmax)
 
-    # geometric panels resolve the decay scale near zero
-    edges = np.unique(np.concatenate([[0.0], zmax * 2.0 ** np.arange(-12.0, 0.1)]))
-
-    def values(order):
-        nodes, weights = gl_panels_nodes(edges, order)
-        return f(nodes) @ weights
-
-    cur = refine(values, (24, 48, 96), 1e-13)
+    nodes, weights = gl_panels_nodes(_RAY_EDGES, 48)
+    zeta = zmax * nodes
+    vals = zeta ** (n - 1) * np.exp(1j * exponent(zeta))
+    integral = np.sum(vals * weights, axis=-1) * zmax[:, 0]
     # (z-u)^(n-1) dz contributes ray^(n-1) * ray on the parameterized ray
-    return ((-1.0) ** n / math.factorial(n - 1)) * ray**n * cur
+    return ((-1.0) ** n / math.factorial(n - 1)) * ray**n * integral
 
 
 def k_n_zero(n: int, x: float, p: int) -> complex:
@@ -345,8 +350,9 @@ class AmplitudeData:
     p: int
 
 
-def amplitude_data(problem: PhaseProblem, degree: int = 64) -> AmplitudeData:
-    """Build the Chebyshev proxies of q (in u) and of q1's analytic part (in v)."""
+def amplitude_data(problem: PhaseProblem) -> AmplitudeData:
+    """Build the Chebyshev proxies of q (in u) and of q1's analytic part (in v),
+    each by :func:`~sympwave._quad.cheb_fit`."""
     B, p = problem.B, problem.p
     cut_lo = math.sqrt(1.5) * B
     cut_hi = math.sqrt(1.75) * B
@@ -357,27 +363,14 @@ def amplitude_data(problem: PhaseProblem, degree: int = 64) -> AmplitudeData:
         t = _invert_extended(problem, u)
         return problem.g(t) * p * u ** (p - 1) / problem.fprime(t)
 
-    proxy_u = Chebyshev.interpolate(q_raw, degree, domain=[0.0, u_hi])
-    _check_resolution(proxy_u, "q proxy")
-
+    proxy_u = cheb_fit(q_raw, (0.0, u_hi), "q proxy")
     v_lo, v_hi = (0.5 * B) ** p, u_hi**p
-    proxy_v = Chebyshev.interpolate(
-        lambda vs: vs ** (1.0 / p - 1.0) * q_raw(vs ** (1.0 / p)),
-        degree, domain=[v_lo, v_hi])
-    _check_resolution(proxy_v, "q1 proxy")
+    proxy_v = cheb_fit(lambda vs: vs ** (1.0 / p - 1.0) * q_raw(vs ** (1.0 / p)),
+                       (v_lo, v_hi), "q1 proxy")
 
     cutoff_v = SmoothCutoff(cut_lo**p, cut_hi**p)
     return AmplitudeData(B=B, q=CutoffProduct(proxy_u, cutoff_v, p, 0.0, u_hi),
                          q1=CutoffProduct(proxy_v, cutoff_v, 1, v_lo, v_hi), p=p)
-
-
-def _check_resolution(proxy: Chebyshev, label: str):
-    c = np.abs(proxy.coef)
-    scale = c.max() + 1e-300
-    if c[-3:].max() > 1e-8 * scale:
-        raise ResolutionError(
-            f"{label}: Chebyshev tail {c[-3:].max():.2e} vs scale {scale:.2e}; "
-            "raise the proxy degree")
 
 
 # ---------------------------------------------------------------------------
@@ -426,21 +419,25 @@ def remainder_integrals(amps: tuple[AmplitudeData, ...], n: int, m: int, x: floa
     return r1, fil.integrate(np.full(len(amps), x))
 
 
+# the most boundary terms N and M: the N-th term and the remainders take up to
+# N + 1 (or M) derivatives of the proxies, and beyond 9 the derivatives' noise
+# puts the criterion-3 amplitudes at x = 20 past 1e-6 of the integral
+_MAX_TERMS = 9
+
+
 def expand(problem: PhaseProblem, x: float, N: int, M: int,
-           degree: int = 64, amplitude: AmplitudeData | None = None) -> ExpansionResult:
+           amplitude: AmplitudeData | None = None) -> ExpansionResult:
     """Boundary expansion of the oscillatory integral at frequency x > 0.
 
-    N and M are the number of boundary terms kept at u = 0 and u = B; the
-    remainders are evaluated from their integral formulas, so
-    ``result.total`` reproduces the integral itself up to quadrature error.
+    N and M are the number of boundary terms kept at u = 0 and u = B, each
+    from 1 to 9; the remainders are evaluated from their integral formulas,
+    so ``result.total`` reproduces the integral itself up to quadrature error.
     """
     if x <= 0.0:
         raise UsageError("x must be positive")
-    if N < 1 or M < 1:
-        raise UsageError("need N >= 1 and M >= 1")
-    if N > degree - 2:
-        raise ResolutionError(f"N = {N} too large for proxy degree {degree}")
-    amp = amplitude if amplitude is not None else amplitude_data(problem, degree)
+    if not (1 <= N <= _MAX_TERMS and 1 <= M <= _MAX_TERMS):
+        raise UsageError(f"need 1 <= N, M <= {_MAX_TERMS}, got N = {N} and M = {M}")
+    amp = amplitude if amplitude is not None else amplitude_data(problem)
     p = problem.p
 
     main_terms = []

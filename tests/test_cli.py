@@ -61,13 +61,13 @@ def test_divergence_exit_code(tmp_path, capsys):
 
 
 def test_unresolved_exit_code(capsys):
-    # the a2 Plancherel density at r = 16 outgrows the pole amplitudes' largest proxy degree
+    # the a2 Plancherel density at r = 128 outgrows the largest proxy degree, 4096
     code = main(["model", "--preset", "a2", "--symbol", "plancherel",
-                 "--r", "16", "--h-list", "5"])
+                 "--r", "128", "--h-list", "5"])
     assert code == 3
     captured = capsys.readouterr()
     assert "numeric error" in captured.err and "Traceback" not in captured.err
-    assert captured.out == ""
+    assert "at degree 4096" in captured.err and captured.out == ""
 
 
 def test_oversized_transform_exit_code(capsys):
@@ -150,10 +150,14 @@ def test_malformed_or_out_of_range_input_exit_code(argv, capsys):
     ["kernel", "--preset", "h4", "--psi", "exp:1.0", "--t-list", "5", "--R", "400"],
     ["dispersive", "--preset", "h3", "--psi", "exp:1.0", "--p", "2.3", "--t-list", "10"],
     ["dispersive", "--preset", "h3", "--psi", "exp:1.0", "--p", "2.2", "--t-list", "10"],
+    ["stphase", "--x-list", "300", "--N", "40", "--M", "1"],
+    ["stphase", "--x-list", "300", "--N", "62"],
+    ["stphase", "--x-list", "300", "--N", "2", "--M", "30"],
 ], ids=["direction-length", "direction-zero-rank1", "direction-zero-rank2",
         "negative-radius", "non-finite-times", "non-finite-lambda-max",
         "infinite-profile-parameter", "nan-profile-parameter", "radius-past-double-range",
-        "radius-past-sinh-range", "bound-radius-past-polar-weight", "bound-radius-past-double-range"])
+        "radius-past-sinh-range", "bound-radius-past-polar-weight", "bound-radius-past-double-range",
+        "expansion-terms-N-40", "expansion-terms-N-62", "expansion-terms-M-30"])
 def test_invalid_input_exit_code(argv, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -175,7 +179,7 @@ _POOLS = {
                 "x-list": (["20", "20,300", "", "20:60:3:log"], ["0", "-5", "1:2:3", "x", "nan",
                                                                 None]),
                 "N": (["1", "2", "3", None], ["0", "70", *_BAD]),
-                "M": (["1", "2", None], ["0", *_BAD])},
+                "M": (["1", "2", None], ["0", "30", *_BAD])},
     "model": {"preset": (["a2"], ["h3", "bogus", "", None]),
               "symbol": (["gauss", "plancherel", None], ["bogus", ""]),
               "r": (["0.5", "1", "2"], ["0", *_BAD]),

@@ -1,11 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.special import j0 as scipy_j0
 
 import sympwave as sw
-from sympwave.errors import DivergenceError, NormalizationError, UsageError
+from sympwave.errors import DivergenceError, NormalizationError, ResolutionError, UsageError
 
 from conftest import j0_series
 
@@ -363,12 +364,19 @@ def test_r1_integrals_share_k_n_per_node_set(monkeypatch):
     assert dec.R1 == complex(R1)
 
 
-def test_xi_direct_l2_warns_when_refinement_is_capped(monkeypatch):
-    from sympwave import model_integral as mi
-    from sympwave._quad import AccuracyWarning
-
-    levels = iter(range(1, 100))
-    monkeypatch.setattr(mi, "filon_chebyshev", lambda vals, mu, n: float(next(levels)))
-    with pytest.warns(AccuracyWarning, match="xi_direct: Chebyshev refinement hit degree 3072"):
-        value = sw.xi_direct(sw.gaussian_symbol(2), E2, 1.0, 30.0)
-    assert value == 7.0   # the last level, degree 3072 after six doublings of 48
+def test_xi_direct_l2_non_smooth_symbol_exits_3(monkeypatch, capsys):
+    # |lam_1| has a kink, so D(arccos c) = 2 r |c| defeats every degree of the
+    # fit rule; with h r < 2 the model sweep calls xi_direct alone
+    from sympwave import harness
+    from sympwave.cli import main
+    kinked = sw.Symbol(2, lambda lam: np.abs(np.asarray(lam)[..., 0]) + 0j,
+                       vanishing_order=0, growth_exponent=1.0, label="kink")
+    with pytest.raises(ResolutionError, match=r"^xi_direct: Chebyshev tail .* at degree 4096$"):
+        sw.xi_direct(kinked, E2, 1.0, 30.0)
+    monkeypatch.setattr(harness, "gaussian_symbol", lambda l: kinked)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["model", "--preset", "a2", "--r", "1", "--h-list", "1"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("numeric error: xi_direct: Chebyshev tail")

@@ -6,7 +6,8 @@ from numpy.polynomial import chebyshev as npcheb
 
 import sympwave as sw
 from sympwave._quad import (_CHEB_BLOCK, _TABLE_BLOCK, AccuracyWarning, ChebTable, FilonPanels,
-                            cheb_series_blocks, integrate_panels, refine)
+                            cheb_fit, cheb_series_blocks, integrate_panels, refine)
+from sympwave.errors import ResolutionError
 
 
 def test_row_batched_filon_matches_one_panel_set_per_row():
@@ -213,7 +214,7 @@ def cheb_series_values(series, x):
 @pytest.fixture(scope="module")
 def proxies():
     """q and q''' of criterion 3's three amplitudes, and both poles' proxies of
-    the a2 Plancherel QFamily at each degree it reaches, 96 to 384."""
+    the a2 Plancherel QFamily at four radii, whose q proxies reach four degrees."""
     out = {}
     for label, g in (("1", lambda t: 1.0), ("sin", np.sin), ("1+t^2", lambda t: 1.0 + t * t)):
         prob = sw.PhaseProblem(a=0.0, b=np.pi / 2.0, p=2, f=lambda t: -np.cos(t),
@@ -225,7 +226,9 @@ def proxies():
         fam = sw.QFamily(sym, np.array([1.0, 0.0]), r)
         for i, a in enumerate(fam.amps):
             out[f"a2 r={r} pole {i} q"], out[f"a2 r={r} pole {i} q1"] = a.q.proxy, a.q1.proxy
-    assert {len(s.coef) for k, s in out.items() if k.startswith("a2")} == {97, 193, 289, 385}
+    degrees = {k: len(s.coef) - 1 for k, s in out.items() if k.startswith("a2")}
+    assert {d for k, d in degrees.items() if k.endswith("q")} == {67, 224, 323, 515}
+    assert {d for k, d in degrees.items() if k.endswith("q1")} == {40, 135, 195, 310}
     return out
 
 
@@ -237,6 +240,24 @@ def _nodes(series, n):
 
 def _bound(series):
     return 8.0 * EPS * np.sum(np.abs(series.coef))
+
+
+def test_cheb_fit_returns_polynomials_at_their_own_degree():
+    assert len(cheb_fit(lambda x: 3.0 * x * x - x + 2.0, (-0.5, 2.0), "quadratic").coef) == 3
+    assert np.array_equal(cheb_fit(lambda x: 0.0 * x, (0.0, 1.0), "zero").coef, [0.0])
+    # g = sin on the cos demo: q = 2u exactly
+    prob = sw.PhaseProblem(a=0.0, b=np.pi / 2.0, p=2, f=lambda t: -np.cos(t),
+                           fprime=np.sin, fsecond=np.cos, g=np.sin)
+    assert len(sw.amplitude_data(prob).q.proxy.coef) - 1 == 1
+    # the Gaussian's sphere average is constant, so its l = 3 pole amplitudes are linear
+    fam = sw.QFamily(sw.gaussian_symbol(3), np.array([0.0, 0.6, 0.8]), 1.0)
+    assert all(len(s.coef) - 1 <= 2 for a in fam.amps for s in (a.q.proxy, a.q1.proxy))
+
+
+def test_cheb_fit_unresolved_raises_naming_label_degree_and_tail():
+    with pytest.raises(ResolutionError,
+                       match=r"^kink: Chebyshev tail \d\.\d\de-\d\d .* at degree 4096$"):
+        cheb_fit(np.abs, (-1.0, 1.0), "kink")
 
 
 def test_cheb_series_match_40_digit_clenshaw(proxies):
@@ -267,7 +288,7 @@ def test_cheb_series_match_numpy_clenshaw(proxies):
 def test_cheb_series_batch_over_blocks_equals_single_calls(proxies):
     qs = [proxies[f"a2 r=10.0 pole {i} q"] for i in (0, 1)]
     series = [d for q in qs for d in (q, q.deriv(1), q.deriv(3))]
-    per_block = _CHEB_BLOCK // 385
+    per_block = _CHEB_BLOCK // len(qs[0].coef)
     x = _nodes(qs[0], 3 * per_block + 11)
     assert len(list(cheb_series_blocks(series, x))) == 4
     batch = cheb_series_values(series, x)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import sympwave as sw
-from sympwave.errors import OutOfRangeError, ResolutionError, UsageError
+from sympwave.errors import OutOfRangeError, UsageError
 
 
 def make_cos_problem(g):
@@ -134,7 +134,7 @@ def test_k_n_closed_form_matches_ray_quadrature(p):
             assert err <= 1e-12 * sw.k_n_bound(n, x, p), (n, x, err)
 
 
-@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
 def test_k_n_value_independent_of_node_set(p):
     rng = np.random.default_rng(7)
     for x in (0.5, 20.0, 2000.0, 1e4):
@@ -345,8 +345,11 @@ def test_q_vanishes_beyond_cutoff(cos_problem):
 
 
 def test_N_too_large_raises(cos_problem):
-    with pytest.raises(ResolutionError):
-        sw.expand(cos_problem, 20.0, 40, 1, degree=16)
+    # past 9 terms the proxies' high derivatives are noise, so N and M are refused
+    with pytest.raises(UsageError, match="N, M <= 9, got N = 40"):
+        sw.expand(cos_problem, 20.0, 40, 1)
+    with pytest.raises(UsageError, match="got N = 2 and M = 10"):
+        sw.expand(cos_problem, 20.0, 2, 10)
 
 
 def test_x_positive_required(cos_problem):
