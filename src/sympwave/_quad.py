@@ -33,9 +33,6 @@ Every fit turns samples into coefficients by one DCT-II.
 A Chebyshev variant with weight (1-c^2)^(-1/2) and ordinary Bessel moments
 int T_k(c) e^(i mu c) (1-c^2)^(-1/2) dc = pi i^k J_k(mu) integrates such a
 proxy for the folded circle integrals in rank 2.
-
-Fixed three-level quadratures (spherical functions on colatitude panels)
-stop by one rule, :func:`refine`.
 """
 
 from __future__ import annotations
@@ -142,29 +139,12 @@ def integrate_panels(f, breaks, order0: int = 16, tol: float = 1e-10,
     return np.array(out) if per_row else out[0]
 
 
-def refine(values, levels, tol: float):
-    """The last of ``values(level)`` at two levels, and at the third if those
-    two differ by more than ``tol`` relative in the max norm."""
-    prev, cur = values(levels[0]), values(levels[1])
-    if np.max(np.abs(cur - prev)) > tol * (np.max(np.abs(cur)) + 1e-300):
-        cur = values(levels[2])
-    return cur
-
-
-def halfperiod_breaks(total_phase: float, a: float, b: float, invert=None) -> np.ndarray:
-    """Breakpoints splitting [a, b] so each panel spans <= pi of phase.
-
-    ``invert`` maps a phase fraction in [0, 1] to the abscissa; when omitted
-    the phase is assumed linear on [a, b].  The endpoints are pinned to a
-    and b, and the count is capped at 200000 panels.
-    """
+def halfperiod_breaks(total_phase: float, a: float, b: float) -> np.ndarray:
+    """Breakpoints splitting [a, b] into equal panels, each spanning at most pi
+    of a phase linear on [a, b] whose whole span is ``total_phase``; at most
+    200000 panels."""
     n = max(1, min(200000, int(np.ceil(abs(total_phase) / np.pi))))
-    fracs = np.linspace(0.0, 1.0, n + 1)
-    if invert is None:
-        return a + (b - a) * fracs
-    pts = np.array([invert(t) for t in fracs])
-    pts[0], pts[-1] = a, b
-    return pts
+    return a + (b - a) * np.linspace(0.0, 1.0, n + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -306,9 +286,11 @@ class FilonPanels:
 
     Build once, then evaluate int_a^b A(s) exp(i omega s) ds for whole arrays
     of frequencies; the amplitude is sampled only at construction.  The
-    ``n_panels`` equal starting panels are refined by :func:`_split`: a panel
-    is halved while its Legendre tail exceeds 2e-11 of the largest starting
-    coefficient, so only the panels that fail are refined.
+    starting panels are ``n_panels`` equal panels of [a, b], or, when ``a``
+    and ``b`` are arrays, the panels [a[i], b[i]].  They are refined by
+    :func:`_split`: a panel is halved while its Legendre tail exceeds 2e-11
+    of the largest starting coefficient, so only the panels that fail are
+    refined.
 
     ``amp`` maps a flat node array to values of shape ``lead + (nodes,)``.  If
     ``lead`` is not empty, each row is its own amplitude, judged against its
@@ -317,12 +299,12 @@ class FilonPanels:
     frequencies whose shape broadcasts against ``lead``.
     """
 
-    def __init__(self, amp, a: float, b: float, n_panels: int = 24,
-                 warn_label: str = "filon"):
+    def __init__(self, amp, a, b, n_panels: int = 24, warn_label: str = "filon"):
         self.amp = amp
-        breaks = np.linspace(float(a), float(b), max(2, n_panels) + 1)
-        lo, hi, self.coeffs = _split(self._fit, breaks[:-1], breaks[1:], _FILON_TOL,
-                                     warn_label)
+        if np.ndim(a) == 0:
+            breaks = np.linspace(float(a), float(b), max(2, n_panels) + 1)
+            a, b = breaks[:-1], breaks[1:]
+        lo, hi, self.coeffs = _split(self._fit, a, b, _FILON_TOL, warn_label)
         self.mid = 0.5 * (hi + lo)
         self.half = 0.5 * (hi - lo)
 

@@ -20,12 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UsageError
-from .model_integral import gaussian_symbol, plancherel_symbol, xi_decompose, xi_direct
+from .model_integral import (check_decomposition, gaussian_symbol, plancherel_symbol,
+                             xi_decompose, xi_direct)
 from .plancherel import CFunction
 from .profiles import parse_profile
 from .root_data import preset
-from .stationary_phase import PhaseProblem, amplitude_data, expand, oracle
-from .wave_kernel import KernelEvaluator, dispersive_bound, rank_one_geometry
+from .stationary_phase import PhaseProblem, amplitude_data, check_terms, expand, oracle
+from .wave_kernel import KernelEvaluator, bound_radius, dispersive_bound, rank_one_geometry
 
 
 @dataclass(frozen=True)
@@ -300,6 +301,7 @@ def _run_stphase(spec):
     problem = _cos_demo_problem()
     N = _number(spec.get("N", "2"), int, "N")
     M = _number(spec.get("M", "1"), int, "M")
+    check_terms(N, M)
     xs = parse_grid(_need_list(spec, "x-list"))
     # one amplitude for every x; its proxy derivatives are cached across rows
     amp = amplitude_data(problem) if xs else None
@@ -327,8 +329,9 @@ def _run_model(spec):
     if datum.rank < 2:
         raise UsageError("the model sweep needs a rank >= 2 preset")
     r = _number(_need(spec, "r"), float, "r")
-    hs = parse_grid(_need_list(spec, "h-list"))
     M = _number(spec["M"], int, "M") if spec.get("M") else None
+    check_decomposition(r, M)
+    hs = parse_grid(_need_list(spec, "h-list"))
     E = np.zeros(datum.rank)
     E[0] = 1.0
     n_eff = symbol.growth_exponent + datum.rank
@@ -374,11 +377,10 @@ def _run_dispersive(spec):
     geom = rank_one_geometry(_need(spec, "preset"))
     profile = parse_profile(_need(spec, "psi"))
     p = _number(_need(spec, "p"), float, "p")
+    bound_radius(geom, p)
     ts = parse_grid(_need_list(spec, "t-list"))
-    # one evaluator, and so one tabulated transform, for every t; with p <= 2
-    # none is built, so the bounds raise OutOfRangeError, not a DivergenceError
-    # from the evaluator
-    ev = KernelEvaluator(geom, profile) if ts and p > 2.0 else None
+    # one evaluator, and so one tabulated transform, for every t
+    ev = KernelEvaluator(geom, profile) if ts else None
 
     def row(t):
         return SweepRecord(inputs=(("t", t),),

@@ -285,6 +285,13 @@ class XiDecomposition:
         return self.R0 + self.R1 + self.R2
 
 
+def check_decomposition(r: float, M: int | None):
+    """Raise UsageError unless r > 0 and M is None or >= 0: the limits of
+    :func:`xi_decompose` that do not depend on h."""
+    if not (r > 0.0 and (M is None or M >= 0)):
+        raise UsageError(f"decomposition needs r > 0 and M >= 0, got r = {r} and M = {M}")
+
+
 def xi_decompose(symbol: Symbol, E, r: float, h: float,
                  M: int | None = None) -> XiDecomposition:
     """Decompose xi(r, h) into main term plus the three remainder pieces.
@@ -297,10 +304,9 @@ def xi_decompose(symbol: Symbol, E, r: float, h: float,
     l = symbol.dimension
     if M is None:
         M = (l + 1) // 2
-    if h <= 0.0 or r <= 0.0:
-        raise UsageError("decomposition needs h > 0 and r > 0")
-    if M < 0:
-        raise UsageError(f"the number of u = B boundary terms M must be >= 0, got {M}")
+    check_decomposition(r, M)
+    if h <= 0.0:
+        raise UsageError("decomposition needs h > 0")
     x = h * r
     fam = QFamily(symbol, E, r)
     E = np.asarray(E, dtype=float)

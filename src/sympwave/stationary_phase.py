@@ -410,7 +410,7 @@ def remainder_integrals(amps: tuple[AmplitudeData, ...], n: int, m: int, x: floa
     lo, hi = cutoff.lo ** (1.0 / p), cutoff.hi ** (1.0 / p)
     breaks = np.union1d(
         np.concatenate([np.linspace(0.0, lo, 11), np.linspace(lo, hi, 9)[1:]]),
-        halfperiod_breaks(x * hi**p / 8.0, 0.0, hi, invert=lambda f: hi * f ** (1.0 / p)))
+        hi * halfperiod_breaks(x * hi**p / 8.0, 0.0, 1.0) ** (1.0 / p))
     qs, q1s = [a.q for a in amps], [a.q1 for a in amps]
     r1 = integrate_panels(lambda us: cutoff_product_derivs(qs, n, us) * k_n(n, us, x, p),
                           breaks, order0=16, tol=1e-12, warn_label="R1 integral")
@@ -425,6 +425,12 @@ def remainder_integrals(amps: tuple[AmplitudeData, ...], n: int, m: int, x: floa
 _MAX_TERMS = 9
 
 
+def check_terms(N: int, M: int):
+    """Raise UsageError unless 1 <= N, M <= 9, the term counts :func:`expand` takes."""
+    if not (1 <= N <= _MAX_TERMS and 1 <= M <= _MAX_TERMS):
+        raise UsageError(f"need 1 <= N, M <= {_MAX_TERMS}, got N = {N} and M = {M}")
+
+
 def expand(problem: PhaseProblem, x: float, N: int, M: int,
            amplitude: AmplitudeData | None = None) -> ExpansionResult:
     """Boundary expansion of the oscillatory integral at frequency x > 0.
@@ -435,8 +441,7 @@ def expand(problem: PhaseProblem, x: float, N: int, M: int,
     """
     if x <= 0.0:
         raise UsageError("x must be positive")
-    if not (1 <= N <= _MAX_TERMS and 1 <= M <= _MAX_TERMS):
-        raise UsageError(f"need 1 <= N, M <= {_MAX_TERMS}, got N = {N} and M = {M}")
+    check_terms(N, M)
     amp = amplitude if amplitude is not None else amplitude_data(problem)
     p = problem.p
 

@@ -153,11 +153,15 @@ def test_malformed_or_out_of_range_input_exit_code(argv, capsys):
     ["stphase", "--x-list", "300", "--N", "40", "--M", "1"],
     ["stphase", "--x-list", "300", "--N", "62"],
     ["stphase", "--x-list", "300", "--N", "2", "--M", "30"],
+    ["stphase", "--x-list", "", "--N", "40"],
+    ["model", "--preset", "a2", "--r", "1", "--h-list", "", "--M", "-1"],
+    ["dispersive", "--preset", "h3", "--psi", "exp:1", "--p", "1", "--t-list", ""],
 ], ids=["direction-length", "direction-zero-rank1", "direction-zero-rank2",
         "negative-radius", "non-finite-times", "non-finite-lambda-max",
         "infinite-profile-parameter", "nan-profile-parameter", "radius-past-double-range",
         "radius-past-sinh-range", "bound-radius-past-polar-weight", "bound-radius-past-double-range",
-        "expansion-terms-N-40", "expansion-terms-N-62", "expansion-terms-M-30"])
+        "expansion-terms-N-40", "expansion-terms-N-62", "expansion-terms-M-30",
+        "expansion-terms-empty-grid", "boundary-terms-empty-grid", "bound-exponent-empty-grid"])
 def test_invalid_input_exit_code(argv, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()

@@ -6,7 +6,7 @@ from numpy.polynomial import chebyshev as npcheb
 
 import sympwave as sw
 from sympwave._quad import (_CHEB_BLOCK, _TABLE_BLOCK, AccuracyWarning, ChebTable, FilonPanels,
-                            cheb_fit, cheb_series_blocks, integrate_panels, refine)
+                            cheb_fit, cheb_series_blocks, integrate_panels)
 from sympwave.errors import ResolutionError
 
 
@@ -185,20 +185,6 @@ def test_table_reads_a_large_batch_as_single_points():
     assert np.max(np.abs(batch - f(v))) <= 1e-12
     single = np.array([table(x) for x in v])
     assert batch.tobytes() == single.tobytes()
-
-
-def test_refine_evaluates_the_third_level_only_on_disagreement():
-    seen = []
-
-    def close(level):
-        seen.append(level)
-        return np.array([1.0, 2.0 + 1e-13 * level])
-
-    assert refine(close, (1, 2, 3), 1e-12)[1] == 2.0 + 2e-13
-    assert seen == [1, 2]
-    seen.clear()
-    assert refine(close, (1, 2, 3), 1e-14)[1] == 2.0 + 3e-13
-    assert seen == [1, 2, 3]
 
 
 # -- many Chebyshev series at one node set ---------------------------------------

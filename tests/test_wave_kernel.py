@@ -22,7 +22,7 @@ def h3_closed_kernel(t, R):
 def phi_jacobi_oracle(geom, lam, R):
     a = (geom.m_alpha + geom.m_2alpha - 1) / 2.0
     v = mp.hyp2f1(0.5 * (geom.rho + 1j * lam), 0.5 * (geom.rho - 1j * lam),
-                  a + 1.0, -mp.sinh(R) ** 2)
+                  a + 1.0, -mp.sinh(R) ** 2, maxterms=10**6)
     return float(mp.re(v))
 
 
@@ -85,8 +85,8 @@ def test_phi0_decay_envelope(name):
 
 @pytest.mark.parametrize("name", ["h2", "h4", "ch2"])
 def test_even_phi_at_large_radius_against_hypergeometric_oracle(name):
-    # base = cosh R - sinh R cos t cancels near t = 0; the rule now forms it as
-    # e^{-R} + 2 sinh R sin^2(t/2), which keeps every digit out to R = 166
+    # cosh R - cosh s cancels near s = +-R; z is formed without it (in the caps
+    # from w^2 itself), which keeps every digit out to R = 166
     geom = sw.rank_one_geometry(name)
     lams = np.array([0.0, 0.5, 3.0, 20.0])
     for R in (0.05, 0.5, 2.0, 8.0, 14.0, 19.0, 19.5, 30.0, 60.0, 166.0):
@@ -124,6 +124,42 @@ def test_phi_zero_odd_dimension_with_a_nonconstant_density(m_alpha):
         own = sw.phi_rank1(geom, 0.0, float(r))
         assert abs(val - own) <= 1e-12 * own, r
         assert abs(val - phi_jacobi_oracle(geom, 0.0, r)) <= 1e-10 * val, r
+
+
+@pytest.mark.parametrize("m_alpha, m_2alpha", [(4, 1), (5, 0), (7, 0)])
+def test_phi_zero_batch_equals_alone_for_other_even_dimensions(m_alpha, m_2alpha):
+    # CH^3, H^6 and H^8: the densities are not entire, and no starting panel of
+    # these radii is halved, so a batch gives every radius its own value
+    geom = sw.rank_one_geometry(RootDatum(1, (ReducedRoot((1.0,), m_alpha, m_2alpha),)))
+    R = np.geomspace(1e-3, 100.0, 60)
+    arr = sw.phi_zero(geom, R)
+    assert all(sw.phi_zero(geom, float(r)) == val for r, val in zip(R, arr))
+
+
+def test_h2_phi_at_the_ends_of_its_radius_range():
+    # both ends of the range that _check_radii accepts for h2, where a colatitude
+    # rule's z = tanh(R) ds sin(t) / 4 underflows
+    geom = sw.rank_one_geometry("h2")
+    for R in (1e-20, 1e-16, 400.0, 700.0):
+        p0 = phi_jacobi_oracle(geom, 0.0, R)
+        assert abs(sw.phi_zero(geom, R) - p0) <= 1e-12 * p0, R
+        vals = sw.phi_rank1(geom, [0.0, 2.0], R)
+        for lam, val in zip((0.0, 2.0), vals):
+            assert abs(val - phi_jacobi_oracle(geom, lam, R)) <= 1e-12 * p0, (lam, R)
+
+
+@pytest.mark.parametrize("name", ["h2", "h4", "ch2"])
+def test_phi_at_large_lam_R(name):
+    # lam R = 1e5 and 1.2e5, where colatitude panels would need more than 60000
+    # panels, and lam gap = 2e4 and 1.5e4 at lam R = 8e4 and 3e4; the Filon
+    # interior does not resolve lam, and the caps take one panel per pi of lam gap
+    geom = sw.rank_one_geometry(name)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", AccuracyWarning)
+        for lam, R in ((1000.0, 100.0), (3000.0, 40.0), (4e4, 2.0), (3e4, 1.0)):
+            val = sw.phi_rank1(geom, lam, R)
+            err = abs(val - phi_jacobi_oracle(geom, lam, R))
+            assert err <= 1e-12 * phi_jacobi_oracle(geom, 0.0, R), (lam, R)
 
 
 def test_phi_rejects_non_finite_lambda(h3_geometry):
