@@ -1,10 +1,14 @@
 """Complex log-gamma via the Lanczos approximation.
 
-Principal-branch ``log_gamma`` is the only special function the
-Gindikin-Karpelevich product and the contour-function closed forms need.
+Principal-branch ``log_gamma`` evaluates the Gindikin-Karpelevich product
+in ``CFunction.c_function`` at complex spectral parameters; the Plancherel
+density at real ones is elementary and does not call it.
 The g = 607/128, 15-coefficient Lanczos set keeps exp(log_gamma) within
-~1e-13 relative of Gamma on the half-plane Re z >= 1/2; the reflection
-formula (with an overflow-safe log-sine) covers the rest.
+~1e-13 relative of Gamma on the half-plane Re z >= 1/2 for |z| up to about
+1e3; the reflection formula (with an overflow-safe log-sine) covers the rest.
+Past that the error grows with the size of the log itself: against mpmath,
+log_gamma is off by up to 4e-13 at |Im z| = 1e3, 2.4e-11 at 1e4 and 1.3e-9
+at 1e6 (absolute, which is the relative error of Gamma).
 """
 
 from __future__ import annotations

@@ -4,11 +4,16 @@ A flat subspace and its dual are both identified with Euclidean R^l, and
 root vectors are stored already Killing-normalized, so no metric tensor is
 carried around.  Rank-one presets place the single reduced root at alpha = 1
 on R^1; H^k then has multiplicity k-1, giving the classical rho = (k-1)/2.
+Multiplicities are integers, m_alpha >= 1 and m_2alpha >= 0, and m_2alpha > 0
+only with an even m_alpha, as on every symmetric space, and the reduced roots
+form a positive system (<rho, alpha> > 0 for each); that keeps every factor of
+the Plancherel density elementary and its normalization finite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -38,6 +43,13 @@ class RootDatum:
     def __post_init__(self):
         if self.rank < 1:
             raise UsageError("rank must be a positive integer")
+        for r in self.reduced_roots:
+            m, m2 = r.m_alpha, r.m_2alpha
+            if not (isinstance(m, Integral) and m >= 1 and isinstance(m2, Integral) and m2 >= 0):
+                raise UsageError(f"multiplicities must be integers m_alpha >= 1 and "
+                                 f"m_2alpha >= 0, got ({m!r}, {m2!r})")
+            if m2 > 0 and m % 2:
+                raise UsageError(f"m_2alpha = {m2} > 0 needs an even m_alpha, got {m}")
         vecs = [r.as_array() for r in self.reduced_roots]
         for v in vecs:
             if v.shape != (self.rank,):
@@ -50,6 +62,10 @@ class RootDatum:
                 cross_ok = np.linalg.norm(v / np.linalg.norm(v) - w / np.linalg.norm(w))
                 if cross_ok < 1e-12:
                     raise UsageError("reduced roots must be pairwise non-proportional")
+        # rho is in the open chamber of a positive system, so every gamma
+        # argument of c(-i rho) is positive and c0 is finite
+        if any(self.rho @ v <= 0.0 for v in vecs):
+            raise UsageError("reduced roots must form a positive system: <rho, alpha> > 0 for each")
 
     @property
     def d(self) -> int:

@@ -85,3 +85,21 @@ def test_degenerate_root_data_rejected():
         sw.RootDatum(1, (sw.ReducedRoot((0.0,), 1, 0),))
     with pytest.raises(UsageError):
         sw.RootDatum(1, (sw.ReducedRoot((1.0,), 1, 0), sw.ReducedRoot((2.0,), 1, 0)))
+    # not a positive system: <rho, (1, 0)> = 0, a pole of c(-i rho)
+    with pytest.raises(UsageError, match="positive system"):
+        sw.RootDatum(2, (sw.ReducedRoot((1.0, 0.0), 1, 0), sw.ReducedRoot((-1.0, 1.0), 1, 0)))
+
+
+@pytest.mark.parametrize("m_alpha, m_2alpha", [
+    (0, 0), (-1, 0), (1, -1), (2.0, 0), (2, 1.0), (1.5, 0), (1, 1), (3, 2)])
+def test_multiplicities_outside_symmetric_spaces_rejected(m_alpha, m_2alpha):
+    # integers m_alpha >= 1 and m_2alpha >= 0, and m_2alpha > 0 only with an
+    # even m_alpha: the data every Plancherel factor has a closed form for
+    with pytest.raises(UsageError, match="m_2alpha"):
+        sw.RootDatum(1, (sw.ReducedRoot((1.0,), m_alpha, m_2alpha),))
+
+
+@pytest.mark.parametrize("m_alpha, m_2alpha", [(1, 0), (2, 1), (4, 3), (8, 7), (np.int64(6), 0)])
+def test_multiplicities_of_symmetric_spaces_accepted(m_alpha, m_2alpha):
+    d = sw.RootDatum(1, (sw.ReducedRoot((1.0,), m_alpha, m_2alpha),))
+    assert d.n == 1 + m_alpha + m_2alpha

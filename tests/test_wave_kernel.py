@@ -468,12 +468,30 @@ def test_dispersive_rejects_non_finite_p(h3_geometry, exp_profile, p):
 
 
 def test_dispersive_bound_h3_values(h3_geometry, exp_profile):
-    # the bound as the one-radius-at-a-time integrand computed it
-    known = {10.0: 0.047146126479848414, 20.0: 0.0020130993059742667,
-             40.0: 0.00022356409154055824, 80.0: 2.742512604692375e-05}
+    # the bound as the program computes it with the elementary Plancherel
+    # density; test_dispersive_bound_h3_against_mpmath anchors these values
+    known = {10.0: 0.04714612647984838, 20.0: 0.0020130993059742103,
+             40.0: 0.00022356409154052805, 80.0: 2.7425126046906395e-05}
     for t, ref in known.items():
         val = sw.dispersive_bound(h3_geometry, exp_profile, t, 4.0)
         assert abs(val - ref) <= 1e-13 * ref, t
+
+
+def test_dispersive_bound_h3_against_mpmath(h3_geometry, exp_profile):
+    # an independent route to the values above: mpmath integrates criterion
+    # 8's closed-form kernel against phi_0 sinh^2 R = R sinh R over the same
+    # [0, bound_radius]; measured 7.5e-7, 7.3e-8, 7.7e-13 and 1.2e-11 relative
+    # at t = 10, 20, 40 and 80, inside the rule's certified 1e-3
+    rmax = sw.wave_kernel.bound_radius(h3_geometry, 4.0)
+    with mp.workdps(30):
+        for t in (10.0, 20.0, 40.0, 80.0):
+            def weighted(R, t=mp.mpf(t)):
+                k = ((1 - 1j * (t + R)) ** -2 - (1 - 1j * (t - R)) ** -2) / (1j * mp.sinh(R))
+                return abs(k) ** 2 * R * mp.sinh(R)
+            pts = sorted({0.0, rmax} | {x for x in (t - 4.0, t, t + 4.0) if 0.0 < x < rmax})
+            ref = float(mp.sqrt(mp.quad(weighted, pts)))
+            val = sw.dispersive_bound(h3_geometry, exp_profile, t, 4.0)
+            assert abs(val - ref) <= 1e-5 * ref, t
 
 
 def test_dispersive_bound_reads_the_table_once_per_order(h3_geometry, exp_profile,
@@ -530,7 +548,7 @@ def test_dispersive_bound_names_the_smallest_p_that_fits(h3_geometry, exp_profil
     for p in (2.2, 2.3):
         with pytest.raises(OutOfRangeError, match=r"smallest p .* is 2\.399"):
             sw.dispersive_bound(h3_geometry, exp_profile, 10.0, p)
-    assert sw.dispersive_bound(h3_geometry, exp_profile, 10.0, 2.4) == 2.99859335503009
+    assert sw.dispersive_bound(h3_geometry, exp_profile, 10.0, 2.4) == 2.9985933550300903
 
 
 def test_dispersive_zero_kernel_gives_zero(h3_geometry):
