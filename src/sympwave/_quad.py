@@ -139,11 +139,14 @@ def integrate_panels(f, breaks, order0: int = 16, tol: float = 1e-10,
     return np.array(out) if per_row else out[0]
 
 
+MAX_PANELS = 200000    # panels of one halfperiod_breaks call
+
+
 def halfperiod_breaks(total_phase: float, a: float, b: float) -> np.ndarray:
     """Breakpoints splitting [a, b] into equal panels, each spanning at most pi
     of a phase linear on [a, b] whose whole span is ``total_phase``; at most
-    200000 panels."""
-    n = max(1, min(200000, int(np.ceil(abs(total_phase) / np.pi))))
+    200000 panels (:data:`MAX_PANELS`)."""
+    n = max(1, min(MAX_PANELS, int(np.ceil(abs(total_phase) / np.pi))))
     return a + (b - a) * np.linspace(0.0, 1.0, n + 1)
 
 

@@ -26,8 +26,9 @@ class ResolutionError(SympwaveError):
 
     Raised when a Chebyshev fit does not resolve its function by degree
     4096, when a spherical function that must be real comes out
-    of its quadrature with an imaginary part above tolerance, and when a
-    profile transform would need more Filon nodes than its fixed budget.
+    of its quadrature with an imaginary part above tolerance, when a
+    profile transform would need more Filon nodes than its fixed budget,
+    and when an R1 remainder integral would need more panels than its cap.
     """
 
 

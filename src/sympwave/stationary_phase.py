@@ -40,8 +40,9 @@ from math import gamma as real_gamma
 import numpy as np
 from scipy.special import wofz
 
-from ._quad import FilonPanels, cheb_fit, gl_panels_nodes, halfperiod_breaks, integrate_panels
-from .errors import OutOfRangeError, UsageError
+from ._quad import (MAX_PANELS, FilonPanels, cheb_fit, gl_panels_nodes, halfperiod_breaks,
+                    integrate_panels)
+from .errors import OutOfRangeError, ResolutionError, UsageError
 from .profiles import CutoffProduct, SmoothCutoff, cutoff_product_derivs
 
 _GRID_CHECK = 1000
@@ -404,16 +405,33 @@ def remainder_integrals(amps: tuple[AmplitudeData, ...], n: int, m: int, x: floa
     merged with breaks at every 8 pi of the phase x u^p, so that no panel
     holds more than four periods of k_n; k_n runs once per node set for
     every amplitude.  R2 is one Filon build.
+
+    R1 refines to 1e-12 relative, with an absolute floor of
+    max(1e-14, eps p x u_hi^p) of the integrand's mass, u_hi^p being the
+    end of the live interval in v = u^p.  That floor is the integrand's own
+    conditioning, not a looser target: a rounded node u moves the phase of
+    k_n by about eps p x u^p, so two levels cannot agree more closely than
+    that.  Raises :class:`~sympwave.errors.ResolutionError`, naming the
+    largest x that fits, when the phase x u_hi^p needs more than the
+    200,000 panels of :func:`~sympwave._quad.halfperiod_breaks`.
     """
     first = amps[0]
     p, cutoff = first.p, first.q.cutoff
     lo, hi = cutoff.lo ** (1.0 / p), cutoff.hi ** (1.0 / p)
+    phase = x * hi**p
+    if phase > 8.0 * np.pi * MAX_PANELS:
+        raise ResolutionError(
+            f"R1 integral: the phase x u_hi^p = {phase:.3e} needs more than "
+            f"{MAX_PANELS} panels of 8 pi; the largest x here is "
+            f"{8.0 * np.pi * MAX_PANELS / hi**p:.6g}")
     breaks = np.union1d(
         np.concatenate([np.linspace(0.0, lo, 11), np.linspace(lo, hi, 9)[1:]]),
-        hi * halfperiod_breaks(x * hi**p / 8.0, 0.0, 1.0) ** (1.0 / p))
+        hi * halfperiod_breaks(phase / 8.0, 0.0, 1.0) ** (1.0 / p))
     qs, q1s = [a.q for a in amps], [a.q1 for a in amps]
+    floor = max(1e-14, np.finfo(float).eps * p * phase)
     r1 = integrate_panels(lambda us: cutoff_product_derivs(qs, n, us) * k_n(n, us, x, p),
-                          breaks, order0=16, tol=1e-12, warn_label="R1 integral")
+                          breaks, order0=16, tol=1e-12, warn_label="R1 integral",
+                          floor_rel=floor)
     fil = FilonPanels(lambda vs: cutoff_product_derivs(q1s, m, vs),
                       first.B**p, first.q1.hi, n_panels=12, warn_label="R2 integral")
     return r1, fil.integrate(np.full(len(amps), x))

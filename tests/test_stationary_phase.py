@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import sympwave as sw
-from sympwave.errors import OutOfRangeError, UsageError
+from sympwave.errors import OutOfRangeError, ResolutionError, UsageError
 
 
 def make_cos_problem(g):
@@ -285,6 +285,36 @@ def test_expansion_one_term_at_large_x():
     res = sw.expand(prob, x, 1, 1)
     ref = sw.oracle(prob, x)
     assert abs(res.total - ref) <= 1e-9 * abs(ref)
+
+
+@pytest.mark.filterwarnings("error::sympwave._quad.AccuracyWarning")
+@pytest.mark.parametrize("gname,g,x,N", [("sin", np.sin, 4598.63, 2),
+                                         ("poly", lambda t: 1.0 + t * t, 7718.68, 2),
+                                         ("one", lambda t: 1.0, 2357.19, 2),
+                                         ("sin", np.sin, 3e4, 1)])
+def test_r1_reaches_its_floor_before_the_order_cap(gname, g, x, N):
+    # two R1 levels cannot agree past the rounding of k_n's phase, eps p x u_hi^p
+    # of the mass, which is above 1e-14 at each of these x
+    prob = make_cos_problem(g)
+    res = sw.expand(prob, x, N, 1)
+    ref = sw.oracle(prob, x)
+    assert abs(res.total - ref) <= 1e-9 * abs(ref)
+    if gname == "sin":
+        closed = (1.0 - np.exp(-1j * x)) / (1j * x)
+        assert abs(res.total - closed) <= 1e-9 * abs(closed)
+
+
+def test_r1_phase_past_the_panel_cap_raises_before_it_integrates(monkeypatch, cos_problem):
+    # x u_hi^p = 1.75e7 needs 696,000 panels of 8 pi, past the 200,000 that
+    # halfperiod_breaks gives, and their nodes would take gigabytes
+    from sympwave import stationary_phase
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("R1 panels built past the panel cap")
+    monkeypatch.setattr(stationary_phase, "halfperiod_breaks", refuse)
+    monkeypatch.setattr(stationary_phase, "integrate_panels", refuse)
+    with pytest.raises(ResolutionError, match=r"R1 integral: .* largest x here is 2\.87231e\+06$"):
+        sw.expand(cos_problem, 1e7, 1, 1)
 
 
 def test_expansion_identity_p1():
