@@ -32,7 +32,7 @@ Every fit turns samples into coefficients by one DCT-II.
 
 A Chebyshev variant with weight (1-c^2)^(-1/2) and ordinary Bessel moments
 int T_k(c) e^(i mu c) (1-c^2)^(-1/2) dc = pi i^k J_k(mu) integrates such a
-proxy for the folded circle integrals in rank 2.
+proxy for the colatitude integrals of even rank.
 """
 
 from __future__ import annotations

@@ -19,11 +19,10 @@ main term pairs exp(+i h r) with sigma(r E) and exp(-i h r) with
 sigma(-r E).  For Weyl-even symbols (every built-in) the two terms are
 interchangeable; the exactness test below pins the convention.
 
-Each sphere pole's boundary amplitudes, q in u and q1 in v = u^2, are
-Chebyshev proxies times the fixed cutoff, held as one
-:class:`~sympwave.stationary_phase.AmplitudeData`.  The remainder integrals
-of both poles come from one call of
-:func:`~sympwave.stationary_phase.remainder_integrals`, the routine
+Each sphere pole's boundary amplitude is extended by
+:func:`~sympwave.stationary_phase.extend_amplitude`, and the remainder
+integrals of both poles come from one call of
+:func:`~sympwave.stationary_phase.remainder_integrals`: the rules that
 :func:`~sympwave.stationary_phase.expand` uses too.
 """
 
@@ -39,12 +38,8 @@ from ._quad import (FilonPanels, cheb_fit, filon_chebyshev, gl_panels_nodes, gl_
                     halfperiod_breaks, integrate_panels)
 from .errors import DivergenceError, NormalizationError, UsageError
 from .plancherel import CFunction
-from .profiles import CutoffProduct, Profile, SmoothCutoff
-from .stationary_phase import AmplitudeData, k_n_zero, remainder_integrals
-
-_U_HI = 1.36          # proxy domain end, between sqrt(7/4) and the sqrt(2) singularity
-_V_LO, _V_HI = 0.40, 1.85
-_CUT = (1.5, 1.75)    # cutoff thresholds in v = u^2
+from .profiles import Profile
+from .stationary_phase import extend_amplitude, k_n_zero, remainder_integrals
 
 
 def sphere_area(k: int) -> float:
@@ -185,36 +180,28 @@ class _DrTable:
 def xi_direct(symbol: Symbol, E, r: float, h: float) -> complex:
     """Radial density xi(r, h) by quadrature of the colatitude integral.
 
-    At l = 2 the integrand is one :func:`~sympwave._quad.cheb_fit` proxy in
-    c = cos t, integrated exactly against e^(i h r c) (1-c^2)^(-1/2) by
+    With c = cos t the integral is int_{-1}^1 e^(i h r c) (1-c^2)^((l-3)/2)
+    D_r(arccos c) dc, and A(c) = (1-c^2)^floor((l-2)/2) D_r(arccos c) is
+    smooth.  For even l, A is one :func:`~sympwave._quad.cheb_fit` proxy,
+    integrated exactly against e^(i h r c) (1-c^2)^(-1/2) by
     :func:`~sympwave._quad.filon_chebyshev`; a symbol it cannot resolve by
-    degree 4096 raises :class:`~sympwave.errors.ResolutionError`.
+    degree 4096 raises :class:`~sympwave.errors.ResolutionError`.  For odd
+    l, A is integrated by :class:`~sympwave._quad.FilonPanels`.  Both use
+    exact moments, so the cost does not grow with h r.
     """
     if r <= 0.0 or h < 0.0:
         raise UsageError("need r > 0 and h >= 0")
     l = symbol.dimension
-    J = rotate_to_axis(E)
-    dr = _DrTable(symbol, J, r)
-    mu = h * r
+    dr = _DrTable(symbol, rotate_to_axis(E), r)
 
-    if l == 2:
-        # int_0^pi e^{i mu cos t} D(t) dt = int_{-1}^{1} e^{i mu c} D(arccos c) / sqrt(1-c^2) dc
-        series = cheb_fit(lambda c: dr(np.arccos(c)), (-1.0, 1.0), "xi_direct")
-        return r ** (l - 1) * filon_chebyshev(series, mu)
+    def amp(c):
+        return (1.0 - c * c) ** ((l - 2) // 2) * dr(np.arccos(np.clip(c, -1.0, 1.0)))
 
-    if l == 3:
-        fil = FilonPanels(lambda c: dr(np.arccos(np.clip(c, -1.0, 1.0))),
-                          -1.0, 1.0, n_panels=8, warn_label="xi_direct")
-        return r ** (l - 1) * fil.integrate(mu)
-
-    # generic rank: colatitude panels at half-periods of mu cos(t)
-    n = max(8, int(np.ceil(2.0 * mu / np.pi)))
-    cvals = np.linspace(1.0, -1.0, n + 1)
-    breaks = np.arccos(cvals)
-    def f(ts):
-        return np.exp(1j * mu * np.cos(ts)) * np.sin(ts) ** (l - 2) * dr(ts)
-    return r ** (l - 1) * integrate_panels(f, breaks, order0=16, tol=1e-10,
-                                           warn_label="xi_direct")
+    if l % 2 == 0:
+        integral = filon_chebyshev(cheb_fit(amp, (-1.0, 1.0), "xi_direct"), h * r)
+    else:
+        integral = FilonPanels(amp, -1.0, 1.0, n_panels=8, warn_label="xi_direct").integrate(h * r)
+    return r ** (l - 1) * integral
 
 
 # ---------------------------------------------------------------------------
@@ -226,13 +213,11 @@ class QFamily:
 
     ``amps`` holds one :class:`~sympwave.stationary_phase.AmplitudeData` per
     pole, (q, q1) for Theta = +e1 and (q~, q~1) for its mirror, with B = 1;
-    ``proxy_u`` is the proxy of q.  The analytic parts are proxied away from
-    the sqrt(2) endpoint singularity by :func:`~sympwave._quad.cheb_fit`,
-    each at the degree it needs, which grows with r for the Plancherel
-    densities; the compact support comes from the fixed
-    smooth cutoff in v = u^2 equal to 1 below 3/2 and 0 above 7/4, applied
-    through exact Taylor jets so that derivatives of the extended functions
-    stay accurate to spectral precision.
+    ``proxy_u`` is the proxy of q.  Each pole's closed-form q(u), analytic
+    up to the sqrt(2) endpoint singularity, is extended by
+    :func:`~sympwave.stationary_phase.extend_amplitude`, the rule
+    :func:`~sympwave.stationary_phase.amplitude_data` uses too; the proxy
+    degrees grow with r for the Plancherel densities.
     """
 
     def __init__(self, symbol: Symbol, E, r: float):
@@ -249,23 +234,9 @@ class QFamily:
             base = 2.0 * us ** (l - 2) * (2.0 - us**2) ** ((l - 3) / 2.0)
             return base * (vals if mirror else np.conj(vals))
 
-        def a_v(vs, mirror):
-            vs = np.atleast_1d(vs)
-            th = np.arccos(np.clip(1.0 - vs, -1.0, 1.0))
-            th = np.pi - th if mirror else th
-            vals = dr(th)
-            pv = 2.0 * (2.0 * vs - vs**2) ** ((l - 3) / 2.0)
-            return pv * (vals if mirror else np.conj(vals))
-
-        self.proxy_u = cheb_fit(lambda u: a_u(u, False), (0.0, _U_HI), "q proxy, pole +e1")
-        proxy_ut = cheb_fit(lambda u: a_u(u, True), (0.0, _U_HI), "q proxy, pole -e1")
-        proxy_v = cheb_fit(lambda v: a_v(v, False), (_V_LO, _V_HI), "q1 proxy, pole +e1")
-        proxy_vt = cheb_fit(lambda v: a_v(v, True), (_V_LO, _V_HI), "q1 proxy, pole -e1")
-        cutoff = SmoothCutoff(*_CUT)
-        self.amps = tuple(
-            AmplitudeData(B=1.0, q=CutoffProduct(pu, cutoff, 2, 0.0, _U_HI),
-                          q1=CutoffProduct(pv, cutoff, 1, _V_LO, _V_HI), p=2)
-            for pu, pv in ((self.proxy_u, proxy_v), (proxy_ut, proxy_vt)))
+        self.amps = tuple(extend_amplitude(lambda u, m=mirror: a_u(u, m), 1.0, 2, label)
+                          for mirror, label in ((False, ", pole +e1"), (True, ", pole -e1")))
+        self.proxy_u = self.amps[0].q.proxy
 
 
 # ---------------------------------------------------------------------------

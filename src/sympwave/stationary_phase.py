@@ -15,6 +15,9 @@ fixed smooth cutoff equal to 1 below sqrt(3/2) B and 0 above sqrt(7/4) B.
 Both extended amplitudes are :class:`~sympwave.profiles.CutoffProduct`s, so
 their derivatives at the remainder-quadrature nodes are vectorized jets.
 The total is extension-independent; the individual remainder values are not.
+:func:`extend_amplitude` is the one place this rule lives, for
+:func:`amplitude_data` and for the sphere poles of
+:class:`~sympwave.model_integral.QFamily`.
 
 :func:`remainder_integrals` is the one place the two remainder integrals are
 evaluated, here and for the two sphere poles of
@@ -351,27 +354,40 @@ class AmplitudeData:
     p: int
 
 
-def amplitude_data(problem: PhaseProblem) -> AmplitudeData:
-    """Build the Chebyshev proxies of q (in u) and of q1's analytic part (in v),
-    each by :func:`~sympwave._quad.cheb_fit`."""
-    B, p = problem.B, problem.p
+def extend_amplitude(q_raw, B: float, p: int, label: str = "") -> AmplitudeData:
+    """The fixed extension of an amplitude ``q_raw(u)`` given on u in [0, B].
+
+    ``q_raw`` takes an array of u and must stay analytic up to
+    u_hi = 1.02 sqrt(7/4) B.  Its proxy is fitted on [0, u_hi] and the proxy
+    of q1(v) = v^(1/p-1) q_raw(v^(1/p)) on [(B/2)^p, u_hi^p], each by
+    :func:`~sympwave._quad.cheb_fit`, whose errors name the proxy followed
+    by ``label``; both are cut off by the fixed cutoff in v, equal to 1
+    below (3/2)^(p/2) B^p and 0 above (7/4)^(p/2) B^p.
+    """
     cut_lo = math.sqrt(1.5) * B
     cut_hi = math.sqrt(1.75) * B
     u_hi = cut_hi * 1.02
+    proxy_u = cheb_fit(q_raw, (0.0, u_hi), "q proxy" + label)
+    v_lo, v_hi = (0.5 * B) ** p, u_hi**p
+    proxy_v = cheb_fit(lambda vs: vs ** (1.0 / p - 1.0) * q_raw(vs ** (1.0 / p)),
+                       (v_lo, v_hi), "q1 proxy" + label)
+
+    cutoff_v = SmoothCutoff(cut_lo**p, cut_hi**p)
+    return AmplitudeData(B=B, q=CutoffProduct(proxy_u, cutoff_v, p, 0.0, u_hi),
+                         q1=CutoffProduct(proxy_v, cutoff_v, 1, v_lo, v_hi), p=p)
+
+
+def amplitude_data(problem: PhaseProblem) -> AmplitudeData:
+    """The extended amplitude of ``problem``: :func:`extend_amplitude` of
+    q(u) = g(t) p u^(p-1) / f'(t), t inverting the phase by bisection."""
+    p = problem.p
 
     def q_raw(u):
         # Chebyshev points are interior, so u > 0 and f'(t) > 0 at every sample
         t = _invert_extended(problem, u)
         return problem.g(t) * p * u ** (p - 1) / problem.fprime(t)
 
-    proxy_u = cheb_fit(q_raw, (0.0, u_hi), "q proxy")
-    v_lo, v_hi = (0.5 * B) ** p, u_hi**p
-    proxy_v = cheb_fit(lambda vs: vs ** (1.0 / p - 1.0) * q_raw(vs ** (1.0 / p)),
-                       (v_lo, v_hi), "q1 proxy")
-
-    cutoff_v = SmoothCutoff(cut_lo**p, cut_hi**p)
-    return AmplitudeData(B=B, q=CutoffProduct(proxy_u, cutoff_v, p, 0.0, u_hi),
-                         q1=CutoffProduct(proxy_v, cutoff_v, 1, v_lo, v_hi), p=p)
+    return extend_amplitude(q_raw, problem.B, p)
 
 
 # ---------------------------------------------------------------------------

@@ -67,3 +67,13 @@ def test_array_shape_roundtrip():
     out = log_gamma(z)
     assert out.shape == z.shape
     assert out[0, 0] == pytest.approx(0.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("im", [1e2, 1e3, 1e4, 1e6])
+def test_large_imaginary_part_at_the_conditioning_floor(im):
+    # exp(log_gamma) is Gamma to within eps |log Gamma(z)|, the floor set by
+    # rounding the log itself, on both half-planes and both sides of Re z = 0
+    for z in (complex(0.5, im), complex(3.0, im), complex(-7.25, im), complex(2.0, -im)):
+        ref = mp.loggamma(mp.mpc(z.real, z.imag))
+        err = abs(mp.exp(mp.mpc(log_gamma(z)) - ref) - 1)
+        assert err <= 1e-15 * abs(ref) + 1e-13

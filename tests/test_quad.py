@@ -213,8 +213,8 @@ def proxies():
         for i, a in enumerate(fam.amps):
             out[f"a2 r={r} pole {i} q"], out[f"a2 r={r} pole {i} q1"] = a.q.proxy, a.q1.proxy
     degrees = {k: len(s.coef) - 1 for k, s in out.items() if k.startswith("a2")}
-    assert {d for k, d in degrees.items() if k.endswith("q")} == {67, 224, 323, 515}
-    assert {d for k, d in degrees.items() if k.endswith("q1")} == {40, 135, 195, 310}
+    assert {d for k, d in degrees.items() if k.endswith("q")} == {65, 221, 321, 509}
+    assert {d for k, d in degrees.items() if k.endswith("q1")} == {43, 148, 214, 340}
     return out
 
 
