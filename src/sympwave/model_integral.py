@@ -38,7 +38,7 @@ from ._quad import (FilonPanels, cheb_fit, filon_chebyshev, gl_panels_nodes, gl_
                     halfperiod_breaks, integrate_panels)
 from .errors import DivergenceError, NormalizationError, UsageError
 from .plancherel import CFunction
-from .profiles import Profile
+from .profiles import Profile, tail_radius
 from .stationary_phase import extend_amplitude, k_n_zero, remainder_integrals
 
 
@@ -332,7 +332,8 @@ def i_psi(symbol: Symbol, profile: Profile, t_phase: float, E, h: float):
 
     J = rotate_to_axis(E)
     E = np.asarray(E, dtype=float)
-    rmax = profile.truncation_radius(1e-14)
+    # integrand tail: |psi(r)| times r^(l-1) and the symbol's growth
+    rmax = tail_radius(profile, symbol.growth_exponent + l - 1, 1e-14)
 
     # main term: two linear-phase radial integrals at frequencies t +/- h;
     # for even l the weight r^((l-1)/2) has a branch point at 0, handled by

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import Polynomial
 from numpy.polynomial.chebyshev import Chebyshev
-from scipy.integrate import quad
 
 from ._jets import (jet_compose, jet_derivatives, jet_div, jet_exp, jet_neg_recip,
                     jet_powi)
@@ -51,18 +50,6 @@ class SmoothCutoff:
         self.lo = float(lo)
         self.hi = float(hi)
         self.width = self.hi - self.lo
-
-    def value(self, x):
-        x = np.asarray(x, dtype=float)
-        s = np.clip((x.reshape(-1) - self.lo) / self.width, 0.0, 1.0)
-        out = np.where(s <= 0.0, 1.0, 0.0)
-        inner = (s > 0.0) & (s < 1.0)
-        if np.any(inner):
-            si = s[inner]
-            e1 = np.exp(-1.0 / si)
-            e2 = np.exp(-1.0 / (1.0 - si))
-            out[inner] = e2 / (e1 + e2)
-        return out.reshape(x.shape) if x.ndim else float(out[0])
 
     def jet(self, x, order: int) -> np.ndarray:
         """Taylor coefficients of the cutoff at x, in the x variable.
@@ -85,8 +72,6 @@ class SmoothCutoff:
 
     def eval(self, k: int, x):
         """k-th derivative, vectorized over x."""
-        if k == 0:
-            return self.value(x)
         out = jet_derivatives(self.jet(x, k))[k]
         return out if out.ndim else float(out)
 
@@ -210,6 +195,9 @@ class Profile:
 
     def constant_C(self, k: int, s: float) -> float:
         """Integral of |psi^(k)(r)| (r+1)^s over [0, inf), to ~1e-9 relative."""
+        # imported here: scipy.integrate would be a quarter of the package's import time
+        from scipy.integrate import quad
+
         if not 0 <= k <= MAX_ORDER:
             raise UnsupportedOrderError(f"derivative order {k} > {MAX_ORDER}")
         if not self.constant_finite(k, s):
@@ -248,6 +236,16 @@ class Profile:
         if self.family == "rational":
             return (eps ** (-2.0 / self.param) - 1.0) ** 0.5 if eps < 1.0 else 0.0
         return 2.0 * self.param
+
+
+def tail_radius(profile: Profile, power: float, eps: float) -> float:
+    """Radius where |psi(r)| (1 + r)^power stays below eps."""
+    r = max(1.0, profile.truncation_radius(eps))
+    for _ in range(200):
+        if profile.eval(0, r) * (1.0 + r) ** power < eps:
+            return r
+        r *= 1.1
+    return r
 
 
 def parse_profile(text: str) -> Profile:

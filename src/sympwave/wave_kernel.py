@@ -16,7 +16,7 @@ with a = (m + m2 - 1)/2 and b = (m2 - 1)/2 for the root multiplicities
 finite Fourier integral: Filon panels in s on [-(R - gap), R - gap], whose
 cost does not grow with lam R, plus the two endpoint caps s = +-(R - w^2),
 w in [0, sqrt(gap)], gap = min(1/2, R/4), in which the endpoint powers of z
-are smooth; the kernels below use the same caps.  When a - 1/2 is a
+are smooth.  When a - 1/2 is a
 nonnegative integer (every odd-dimensional m2 = 0 geometry) the density is
 entire in s and gap = 0.  A radius at which C(R), its factors or z would
 leave double range is a :class:`UsageError` that names the range.
@@ -27,14 +27,22 @@ xi_R(r) = 2 phi_r(R) |c(r)|^-2.  Exchanging the radial and angular integrals
 gives kernel(t, R) = 2 int F(t - s) dmu_R(s), with the same measure and the
 profile transform F(v) = int psi(r) |c|^-2 e^{i r v} dr; this keeps the R >> t
 regime (where the spherical function supplies most of the oscillation) both
-fast and accurate.  F is tabulated once per profile: Filon panels give exact
-values at any frequency, and a lazy piecewise-Chebyshev table over unit chunks
-of v, filled from those values on first use, serves every quadrature node
-after that.  ``KernelEvaluator.values`` evaluates whole arrays of (t, R)
-with one table read per refinement level (per-row stopping in
-:func:`integrate_panels` keeps each value equal to its own ``value``), and
-``phi_zero`` takes an array of radii; ``dispersive_bound`` uses both once per
-level of its outer R-integral.
+fast and accurate.  Since z(s) = z(-s), s = R sin theta folds the measure's
+two halves into one integral over theta in [0, pi/2],
+
+    kernel(t, R) = 2 C(R) int R cos theta g(z) [F(t - s) + F(t + s)] dtheta,
+
+with z formed from R + s = R (1 + sin theta) and R - s = 2 R sin^2(pi/4 - theta/2),
+so that it keeps its digits at both ends; the Jacobian R cos theta vanishes
+like w = sqrt(R - s) at theta = pi/2 and makes the density smooth there for
+every parity of n, as the caps' 2w does for phi.  F is tabulated once per
+profile: Filon panels give exact values at any frequency, and a lazy
+piecewise-Chebyshev table over unit chunks of v, filled from those values on
+first use, serves every quadrature node after that.
+``KernelEvaluator.values`` evaluates whole arrays of (t, R) with one table
+read per refinement level (per-row stopping in :func:`integrate_panels` keeps
+each value equal to its own ``value``), and ``phi_zero`` takes an array of
+radii; ``dispersive_bound`` uses both once per level of its outer R-integral.
 """
 
 from __future__ import annotations
@@ -49,7 +57,7 @@ from scipy.special import hyp2f1
 from ._quad import _FILON_NODES, ChebTable, FilonPanels, integrate_panels
 from .errors import DivergenceError, OutOfRangeError, ResolutionError, UsageError
 from .plancherel import CFunction
-from .profiles import Profile
+from .profiles import Profile, tail_radius
 from .root_data import RootDatum, preset
 
 _IM_TOL = 1e-10
@@ -158,15 +166,13 @@ def _cap_breaks(R, lam_max=0.0):
     return gap, np.linspace(0.0, np.sqrt(gap), panels + 1, axis=-1)
 
 
-def _cap_map(R, sign, w):
-    """s, z and ds/dw at the nodes w of the caps s = sign (R - w^2), sign = +-1.
+def _cap_map(R, w):
+    """s, z and ds/dw at the nodes w of the cap s = R - w^2.
 
-    R - s (sign 1) or R + s (sign -1) is w^2 itself, so z keeps every digit,
-    and the Jacobian 2w makes the density smooth for every parity of n.
+    R - s is w^2 itself, so z keeps every digit, and the Jacobian 2w makes
+    the density smooth for every parity of n.
     """
-    near, far = w**2, R + (R - w**2)
-    z = _line_z(R, np.where(sign < 0.0, near, far), np.where(sign > 0.0, near, far))
-    return sign * (R - w**2), z, 2.0 * w
+    return R - w**2, _line_z(R, R + (R - w**2), w**2), 2.0 * w
 
 
 def _phi_quadrature(geom: RankOneGeometry, lam: np.ndarray, R: np.ndarray) -> np.ndarray:
@@ -219,7 +225,7 @@ def _phi_quadrature(geom: RankOneGeometry, lam: np.ndarray, R: np.ndarray) -> np
 
     def caps(nodes):
         w, rows = nodes["x"], nodes["row"]
-        s, z, jac = _cap_map(R[rows], 1.0, w)
+        s, z, jac = _cap_map(R[rows], w)
         spread = interior[rows] / cap_breaks[rows, -1:]
         return jac * shape(z) * 2.0 * np.cos(lam[rows].T * s) + spread.T
 
@@ -283,16 +289,6 @@ def xi_density(geom: RankOneGeometry, R: float, r):
 # wave kernels
 # ---------------------------------------------------------------------------
 
-def _tail_radius(profile: Profile, power: float, eps: float) -> float:
-    """Radius where |psi(r)| (1 + r)^power stays below eps."""
-    r = max(1.0, profile.truncation_radius(eps))
-    for _ in range(200):
-        if profile.eval(0, r) * (1.0 + r) ** power < eps:
-            return r
-        r *= 1.1
-    return r
-
-
 class KernelEvaluator:
     """Kernel of exp(i t r) psi(r) against the spectral density, reusable in (t, R).
 
@@ -312,7 +308,7 @@ class KernelEvaluator:
             raise DivergenceError(
                 f"profile constant (k=0, s={geom.n - 1}) diverges for this geometry")
         # integrand tail: |psi(r)| times the polynomial density envelope
-        self.rmax = _tail_radius(profile, geom.n - 1, 1e-14)
+        self.rmax = tail_radius(profile, geom.n - 1, 1e-14)
 
         def amp(rs):
             rs = np.atleast_1d(rs)
@@ -331,19 +327,6 @@ class KernelEvaluator:
         mass = float(np.sum(2.0 * panels.half * np.abs(panels.coeffs[:, 0])))
         self.transform = ChebTable(panels.integrate, mass, warn_label="kernel transform")
 
-    def _s_breaks(self, t: float, R: float, endpoint_gap: float) -> np.ndarray:
-        lo, hi = -R + endpoint_gap, R - endpoint_gap
-        coarse = min(24, max(8, int(np.ceil((hi - lo) / 2.0))))
-        pts = set(np.linspace(lo, hi, coarse + 1))
-        if lo < t < hi:
-            # the profile transform is peaked where its argument vanishes
-            for dtv in (0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0):
-                for sgn in (-1.0, 1.0):
-                    s = t + sgn * dtv
-                    if lo < s < hi:
-                        pts.add(s)
-        return np.array(sorted(pts))
-
     def value(self, t: float, R: float) -> complex:
         """The kernel at one (t, R): :meth:`values` at a single point."""
         return complex(self.values(t, R))
@@ -353,11 +336,12 @@ class KernelEvaluator:
 
         Each pair gets the value it has alone.  At R = 0 the kernel is
         2 F(t).  Otherwise it is twice the integral of the boundary density
-        against F(t - s): an interior s-integral plus two endpoint caps in
-        w = sqrt(R -+ s), each a row of one :func:`integrate_panels` call with
-        per-row stopping, so every pair still refining at one order shares
-        one read of ``transform``.  Pairs go through in blocks of 512, which
-        bounds the nodes held at once.
+        against F(t - s), folded by s = R sin theta into one integral over
+        theta in [0, pi/2] against F(t - s) + F(t + s).  That integral is one
+        row of an :func:`integrate_panels` call with per-row stopping, so
+        every pair still refining at one order shares one read of
+        ``transform``, at t - s and t + s together.  Pairs go through in
+        blocks of 512, which bounds the nodes held at once.
         """
         t, R = np.broadcast_arrays(np.asarray(t, dtype=float), _check_radii(self.geom, R))
         if not np.all(np.isfinite(t)):
@@ -375,27 +359,36 @@ class KernelEvaluator:
 
     def _line_values(self, ts, Rs):
         gaps, caps = _cap_breaks(Rs)
-        breaks = [b for t, R, gap, cap in zip(ts, Rs, gaps, caps)
-                  for b in (self._s_breaks(float(t), float(R), float(gap)), cap, cap)]
-        # rows come in threes per pair: the interior (sign 0), then the caps at
-        # s = R - w^2 and s = -(R - w^2)
-        sign = np.tile([0.0, 1.0, -1.0], len(Rs))
-        pair = np.repeat(np.arange(len(Rs)), 3)
+        breaks = [self._theta_breaks(float(t), float(R), float(gap), cap)
+                  for t, R, gap, cap in zip(ts, Rs, gaps, caps)]
         scale, shape = _boundary_density(self.geom, Rs)
 
         def integrand(nodes):
-            x, rows = nodes["x"], nodes["row"]
-            sg, R = sign[rows], Rs[pair[rows]]
-            s, z, jac = x.copy(), _line_z(R, R + x, R - x), np.ones(x.shape)
-            cap = sg != 0.0
-            s[cap], z[cap], jac[cap] = _cap_map(R[cap], sg[cap], x[cap])
-            return jac * shape(z) * self.transform(ts[pair[rows]] - s)
+            th, rows = nodes["x"], nodes["row"]
+            R, t = Rs[rows], ts[rows]
+            sin = np.sin(th)
+            s = R * sin
+            z = _line_z(R, R * (1.0 + sin), 2.0 * R * np.sin(0.25 * np.pi - 0.5 * th) ** 2)
+            # one table read for both halves of the measure, at s and at -s
+            F = self.transform(np.concatenate([t - s, t + s])).reshape(2, -1)
+            return R * np.cos(th) * shape(z) * (F[0] + F[1])
 
-        labels = ["kernel s-integral", "kernel endpoint", "kernel endpoint"] * len(Rs)
-        parts = integrate_panels(integrand, breaks, order0=10, tol=1e-11, max_order=40,
-                                 warn_label=labels, floor_rel=3e-9).reshape(-1, 3)
-        total = parts[:, 0] + parts[:, 1] + parts[:, 2]
+        total = integrate_panels(integrand, breaks, order0=10, tol=1e-11, max_order=40,
+                                 warn_label="kernel boundary integral", floor_rel=3e-9)
         return 2.0 * scale * total
+
+    @staticmethod
+    def _theta_breaks(t: float, R: float, gap: float, cap: np.ndarray) -> np.ndarray:
+        """Breaks in theta = arcsin(s / R) on [0, pi/2]: equal s-panels on
+        [0, R - gap], the points |t -+ d| near the peaks of F(t -+ s), and the
+        endpoint cap's equal w-panels, w = sqrt(R - s)."""
+        hi = R - gap
+        # the profile transform is peaked where its argument vanishes
+        peaks = np.abs(t + np.outer((-1.0, 1.0), (0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0))).ravel()
+        s = np.r_[np.linspace(0.0, hi, min(12, max(4, math.ceil(hi / 2.0))) + 1)[:-1],
+                  peaks[(peaks > 0.0) & (peaks < hi)]]
+        return np.unique(np.r_[np.arcsin(s / R),
+                               0.5 * np.pi - 2.0 * np.arcsin(cap / math.sqrt(2.0 * R))])
 
 
 def kernel(geom: RankOneGeometry, profile: Profile, t: float, R: float) -> complex:
@@ -440,7 +433,7 @@ def _truncation_radius(geom: RankOneGeometry, p: float) -> float:
         nxt = (16.0 * math.log(10.0) + poly * math.log1p(rmax)) / decay
         if abs(nxt - rmax) < 1e-6:
             break
-        rmax = min(nxt, 2000.0)
+        rmax = nxt
     return rmax
 
 

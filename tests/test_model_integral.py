@@ -286,6 +286,21 @@ def test_i_psi_remainder_bounded():
     assert max(vals) <= 4.0 * vals[0]
 
 
+def test_i_psi_truncation_counts_the_weight_and_the_symbol(monkeypatch):
+    # the radial cut must count the weight r^(l-1) and the a2 Plancherel
+    # symbol's r^6 growth, not psi alone: then both values hold when the same
+    # integrals are taken 30 further out
+    import sympwave.model_integral as mi
+    sym = sw.plancherel_symbol(sw.CFunction(sw.preset("a2")))
+    prof = sw.Profile("exponential", 1.0)
+    d, m = sw.i_psi(sym, prof, 0.0, E2, 40.0)
+    radius = mi.tail_radius
+    monkeypatch.setattr(mi, "tail_radius", lambda *args: radius(*args) + 30.0)
+    d_far, m_far = sw.i_psi(sym, prof, 0.0, E2, 40.0)
+    assert abs(d - d_far) <= 1e-6 * abs(d_far)
+    assert abs(m - m_far) <= 1e-6 * abs(m_far)
+
+
 def test_i_psi_decay_slope():
     sym = sw.gaussian_symbol(2)
     prof = sw.Profile("exponential", 1.0)

@@ -109,9 +109,9 @@ def test_invalid_parameters():
 
 def test_smooth_cutoff_shape():
     c = sw.SmoothCutoff(1.0, 2.0)
-    assert c.value(0.5) == 1.0
-    assert c.value(2.5) == 0.0
-    mid = c.value(1.5)
+    assert c.eval(0, 0.5) == 1.0
+    assert c.eval(0, 2.5) == 0.0
+    mid = c.eval(0, 1.5)
     assert 0.0 < mid < 1.0
     # derivative consistency in the transition
     xs = np.linspace(1.05, 1.95, 19)

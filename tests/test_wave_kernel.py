@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import threading
 import warnings
@@ -230,15 +231,21 @@ def test_kernel_t0_R1_closed_value(h3_geometry, exp_profile):
 
 
 @pytest.mark.parametrize("t,R", [(0.0, 1.0), (5.0, 0.5), (50.0, 0.5), (500.0, 0.5),
-                                 (20.0, 60.0), (20.0, 200.0), (-7.0, 2.0)])
+                                 (20.0, 60.0), (20.0, 200.0), (-7.0, 2.0), (0.0, 100.0),
+                                 (0.5, 300.0)])
 def test_kernel_h3_closed_form(h3_geometry, exp_profile, t, R):
     ev = sw.KernelEvaluator(h3_geometry, exp_profile)
     ref = h3_closed_kernel(t, R)
     assert abs(ev.value(t, R) - ref) <= 1e-7 * abs(ref)
 
 
-def test_kernel_conjugation(h3_geometry, exp_profile):
-    ev = sw.KernelEvaluator(h3_geometry, exp_profile)
+@pytest.mark.parametrize("name,family,param", [("h3", "exponential", 1.0),
+                                               ("h2", "bump", 2.0),
+                                               ("h4", "rational", 8.0),
+                                               ("ch2", "exponential", 1.0)])
+def test_kernel_conjugation(name, family, param):
+    # F(-v) is the conjugate of F(v) and the boundary measure is even in s
+    ev = _evaluator(name, family, param)
     a, b = ev.value(13.0, 2.0), ev.value(-13.0, 2.0)
     assert abs(b - np.conj(a)) <= 1e-12 * abs(a)
 
@@ -316,7 +323,7 @@ def test_values_go_through_in_blocks_of_pairs(h3_geometry, exp_profile, monkeypa
     monkeypatch.setattr(wk, "integrate_panels",
                         lambda f, breaks, **kw: rows.append(len(breaks)) or integrate(f, breaks, **kw))
     assert ev.values(ts, radii).tobytes() == whole.tobytes()
-    assert rows == [3 * 4] * 7   # 28 pairs with R > 0, three rows each
+    assert rows == [4] * 7       # 28 pairs with R > 0, one row each
 
 
 @pytest.mark.parametrize("R", [0.0, 1.0])
@@ -471,7 +478,7 @@ def test_dispersive_bound_h3_values(h3_geometry, exp_profile):
     # the bound as the program computes it with the elementary Plancherel
     # density; test_dispersive_bound_h3_against_mpmath anchors these values
     known = {10.0: 0.04714612647984838, 20.0: 0.0020130993059742103,
-             40.0: 0.00022356409154052805, 80.0: 2.7425126046906395e-05}
+             40.0: 0.00022356409154052805, 80.0: 2.7425126046911863e-05}
     for t, ref in known.items():
         val = sw.dispersive_bound(h3_geometry, exp_profile, t, 4.0)
         assert abs(val - ref) <= 1e-13 * ref, t
@@ -549,6 +556,10 @@ def test_dispersive_bound_names_the_smallest_p_that_fits(h3_geometry, exp_profil
         with pytest.raises(OutOfRangeError, match=r"smallest p .* is 2\.399"):
             sw.dispersive_bound(h3_geometry, exp_profile, 10.0, p)
     assert sw.dispersive_bound(h3_geometry, exp_profile, 10.0, 2.4) == 2.9985933550300903
+    # the refusal names the true radius, 3115 at p = 2.05, not a clipped one
+    with pytest.raises(OutOfRangeError, match=r"smallest p .* is 2\.399") as err:
+        sw.dispersive_bound(h3_geometry, exp_profile, 10.0, 2.05)
+    assert float(re.search(r"R = ([0-9.e+]+),", str(err.value)).group(1)) > 2000.0
 
 
 def test_dispersive_zero_kernel_gives_zero(h3_geometry):
