@@ -217,6 +217,13 @@ def _filon_projection(nodes: int, deg: int):
     return x, proj
 
 
+@lru_cache(maxsize=None)
+def _odd_factorials(deg: int) -> np.ndarray:
+    """(2k + 1)!! for k = 0..deg-1, each a product of odd numbers from 1 up."""
+    return np.array([np.multiply.reduce(np.arange(1, 2 * k + 2, 2, dtype=float))
+                     for k in range(deg)])
+
+
 def _sph_jn_table(z: np.ndarray, deg: int) -> np.ndarray:
     """Spherical Bessel j_k(z) for k = 0..deg-1, vectorized over z >= 0.
 
@@ -233,16 +240,16 @@ def _sph_jn_table(z: np.ndarray, deg: int) -> np.ndarray:
     big = flat >= deg + 2.0
 
     if np.any(small):
+        # nine Taylor terms, every order at once: rows zs^k / (2k+1)!!
         zs = flat[small]
         half = 0.5 * zs * zs
-        for k in range(deg):
-            dfact = np.multiply.reduce(np.arange(1, 2 * k + 2, 2, dtype=float)) or 1.0
-            term = zs**k / dfact
-            acc = np.zeros_like(zs)
-            for m in range(9):
-                acc += term
-                term *= -half / ((m + 1) * (2.0 * (k + m) + 3.0))
-            out[k, small] = acc
+        term = np.array([zs**k for k in range(deg)]) / _odd_factorials(deg)[:, None]
+        k = np.arange(deg)[:, None]
+        acc = np.zeros_like(term)
+        for m in range(9):
+            acc += term
+            term *= -half / ((m + 1) * (2.0 * (k + m) + 3.0))
+        out[:, small] = acc
 
     if np.any(mid):
         zm = flat[mid]
@@ -471,7 +478,9 @@ class ChebTable:
     width emits one :class:`AccuracyWarning`.  Each piece comes from its own
     call of ``f`` on exactly 25 points, so its coefficients are the same
     whichever thread or lookup builds it; building is serialized by a lock.
-    Non-finite arguments give NaN.
+    A lookup runs the Clenshaw recurrence over blocks of 4096 points, in
+    three preallocated complex buffers per block.  Non-finite arguments give
+    NaN.
 
     ``chunks`` maps each built chunk's left end k to its pieces, a tuple of
     (left ends, midpoints, half-widths, coefficients of shape (pieces, 25)).
@@ -530,10 +539,14 @@ class ChebTable:
             # blocks bound the gathered coefficients at 25 x _TABLE_BLOCK
             for lo in range(0, xs.size, _TABLE_BLOCK):
                 blk = slice(lo, lo + _TABLE_BLOCK)
-                cj, ub = coeffs[:, j[blk]], u2[blk]
-                b1 = b2 = 0.0
-                for c in cj[:0:-1]:  # Clenshaw
-                    b1, b2 = c + ub * b1 - b2, b1
-                vals[blk] = cj[0] + 0.5 * ub * b1 - b2
+                cj, ur = coeffs[:, j[blk]], u2[blk]
+                ub = ur.astype(complex)
+                b1, b2, tmp = (np.zeros(ub.shape, dtype=complex) for _ in range(3))
+                for c in cj[:0:-1]:  # Clenshaw, b1, b2 = c + ub b1 - b2, b1, in place
+                    np.multiply(ub, b1, out=tmp)
+                    tmp += c
+                    tmp -= b2
+                    b1, b2, tmp = tmp, b1, b2
+                vals[blk] = cj[0] + 0.5 * ur * b1 - b2
             out[ok] = vals
         return out.reshape(varr.shape) if varr.ndim else complex(out[0])

@@ -5,9 +5,10 @@ mapping (assembled from a ``key = value`` config file and/or CLI flags) and
 produces an ordered list of records.  Grid points may run on a thread pool
 capped by ``SYMPWAVE_THREADS``; row order and values never depend on the
 worker count.  Kernel sweeps ignore the cap: all their t go through one
-``KernelEvaluator.values`` call.  A dispersive sweep shares one
-``KernelEvaluator`` between its t.  All randomness is banned: grids are
-explicit lists or arithmetic/geometric progressions.
+``KernelEvaluator.values`` call.  Kernel and dispersive sweeps read the
+``shared_evaluator`` of their root datum and profile, so a dispersive sweep
+tabulates one profile transform for all its t.  All randomness is banned:
+grids are explicit lists or arithmetic/geometric progressions.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .plancherel import CFunction
 from .profiles import parse_profile
 from .root_data import preset
 from .stationary_phase import PhaseProblem, amplitude_data, check_terms, expand, oracle
-from .wave_kernel import KernelEvaluator, bound_radius, dispersive_bound, rank_one_geometry
+from .wave_kernel import bound_radius, dispersive_bound, rank_one_geometry, shared_evaluator
 
 
 @dataclass(frozen=True)
@@ -361,7 +362,7 @@ def _run_kernel(spec):
     R = _number(_need(spec, "R"), float, "R")
     ts = parse_grid(_need_list(spec, "t-list"))
     # one batched call; threaded chunks of t ran slower and held more memory
-    vals = KernelEvaluator(geom, profile).values(np.array(ts, dtype=float), R)
+    vals = shared_evaluator(geom, profile).values(np.array(ts, dtype=float), R)
 
     def row(t, val):
         ratio = (abs(val) * abs(t) ** geom.nu
@@ -379,12 +380,10 @@ def _run_dispersive(spec):
     p = _number(_need(spec, "p"), float, "p")
     bound_radius(geom, p)
     ts = parse_grid(_need_list(spec, "t-list"))
-    # one evaluator, and so one tabulated transform, for every t
-    ev = KernelEvaluator(geom, profile) if ts else None
 
     def row(t):
         return SweepRecord(inputs=(("t", t),),
-                           outputs=(("bound", dispersive_bound(geom, profile, t, p, ev)),))
+                           outputs=(("bound", dispersive_bound(geom, profile, t, p)),))
     return _map_grid(row, ts)
 
 

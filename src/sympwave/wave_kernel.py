@@ -43,12 +43,17 @@ first use, serves every quadrature node after that.
 read per refinement level (per-row stopping in :func:`integrate_panels` keeps
 each value equal to its own ``value``), and ``phi_zero`` takes an array of
 radii; ``dispersive_bound`` uses both once per level of its outer R-integral.
+``kernel``, ``log_regime_ratio``, ``dispersive_bound`` and the sweeps read one
+``shared_evaluator`` per (root datum, profile), so repeated calls tabulate F
+once; ``KernelEvaluator(...)`` builds a private evaluator.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gamma as real_gamma
 
 import numpy as np
@@ -298,7 +303,9 @@ class KernelEvaluator:
     read through ``transform``, a :class:`ChebTable` filled from the panels
     one unit chunk of v at a time, on first use, to 1e-13 of int |A|.  Each
     kernel value is then a short non-oscillatory integral of the boundary
-    amplitude against F.  One evaluator may be shared between threads.
+    amplitude against F.  One evaluator may be shared between threads;
+    :func:`shared_evaluator` keeps one per (root datum, profile), and the
+    constructor builds a private one.
     """
 
     def __init__(self, geom: RankOneGeometry, profile: Profile):
@@ -391,9 +398,31 @@ class KernelEvaluator:
                                0.5 * np.pi - 2.0 * np.arcsin(cap / math.sqrt(2.0 * R))])
 
 
+_SHARED_EVALUATORS = 4     # (root datum, profile) pairs whose evaluator stays built
+_shared_lock = threading.Lock()
+
+
+@lru_cache(maxsize=_SHARED_EVALUATORS)
+def _evaluator(datum: RootDatum, profile: Profile) -> KernelEvaluator:
+    return KernelEvaluator(rank_one_geometry(datum), profile)
+
+
+def shared_evaluator(geom: RankOneGeometry, profile: Profile) -> KernelEvaluator:
+    """The one :class:`KernelEvaluator` of ``geom``'s root datum and ``profile``.
+
+    Kept for the 4 most recently used (datum, profile) pairs, so that calls
+    with the same pair, from any thread and with an equal geometry built
+    anew, read one tabulated transform.  Keyed on the datum, not on
+    ``geom``, whose c-function hashes by identity.  Lookups are serialized,
+    so concurrent first calls build one evaluator.
+    """
+    with _shared_lock:
+        return _evaluator(geom.datum, profile)
+
+
 def kernel(geom: RankOneGeometry, profile: Profile, t: float, R: float) -> complex:
-    """One-shot kernel value; sweeps should reuse a :class:`KernelEvaluator`."""
-    return KernelEvaluator(geom, profile).value(t, R)
+    """The kernel at one (t, R), read from the :func:`shared_evaluator`."""
+    return shared_evaluator(geom, profile).value(t, R)
 
 
 @dataclass(frozen=True)
@@ -464,26 +493,22 @@ def bound_radius(geom: RankOneGeometry, p: float) -> float:
     return rmax
 
 
-def dispersive_bound(geom: RankOneGeometry, profile: Profile, t: float, p: float,
-                     evaluator: KernelEvaluator | None = None) -> float:
+def dispersive_bound(geom: RankOneGeometry, profile: Profile, t: float, p: float) -> float:
     """Convolution-bound integral {int |k_t|^{p/2} phi_0 D dR}^{2/p} for p > 2.
 
     Each refinement level of the outer R-integral is one :meth:`KernelEvaluator.values`
-    call and one array :func:`phi_zero` over all of its radii.  ``evaluator``
-    is a :class:`KernelEvaluator` of this geometry and profile, shared by the
-    bounds of a sweep so that the profile transform is tabulated once; the
-    bound is the same, bit for bit, as with an evaluator of its own.  A p whose
-    truncation radius leaves the range of :func:`cartan_weight` or of the
-    kernel raises :class:`OutOfRangeError`, naming the smallest p that fits
-    (:func:`bound_radius`).
+    call on the :func:`shared_evaluator`, so the bounds of a sweep tabulate
+    the profile transform once, and one array :func:`phi_zero` over all of
+    its radii.  The bound is the same, bit for bit, as with an evaluator of
+    its own, since a table's chunks do not depend on which call built them.
+    A p whose truncation radius leaves the range of :func:`cartan_weight` or
+    of the kernel raises :class:`OutOfRangeError`, naming the smallest p that
+    fits (:func:`bound_radius`).
     """
     if not (math.isfinite(t) and math.isfinite(p)):
         raise UsageError("t and p must be finite")
     rmax = bound_radius(geom, p)
-    if evaluator is None:
-        evaluator = KernelEvaluator(geom, profile)
-    elif evaluator.geom.datum != geom.datum or evaluator.profile != profile:
-        raise UsageError("the kernel evaluator was built for another geometry or profile")
+    evaluator = shared_evaluator(geom, profile)
 
     def f(Rs):
         kv = np.abs(evaluator.values(t, Rs))

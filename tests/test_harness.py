@@ -1,5 +1,7 @@
 import hashlib
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sympwave as sw
+from sympwave import wave_kernel
 from sympwave.errors import UsageError
 from sympwave.harness import EXPERIMENTS
 
@@ -234,9 +237,8 @@ def test_worker_count_invariance(monkeypatch):
         assert one == four, spec["experiment"]
 
 
-def test_dispersive_sweep_builds_one_evaluator(monkeypatch):
-    from sympwave import wave_kernel
-
+def _counted_builds(monkeypatch):
+    """A list that records every KernelEvaluator build, after emptying the shared cache."""
     builds = []
     init = wave_kernel.KernelEvaluator.__init__
 
@@ -245,15 +247,31 @@ def test_dispersive_sweep_builds_one_evaluator(monkeypatch):
         init(self, *args)
 
     monkeypatch.setattr(wave_kernel.KernelEvaluator, "__init__", counted)
-    rows = sw.run_sweep({"experiment": "dispersive", "preset": "h3", "psi": "exp:1.0",
-                         "p": "4", "t-list": "10,20,40"})
+    wave_kernel._evaluator.cache_clear()
+    return builds
+
+
+def test_dispersive_sweep_builds_one_evaluator(monkeypatch):
+    builds = _counted_builds(monkeypatch)
+    spec = {"experiment": "dispersive", "preset": "h3", "psi": "exp:1.0",
+            "p": "4", "t-list": "10,20,40"}
+    ts = (10.0, 20.0, 40.0)
+    # four workers first, so that their first lookups race for the build
+    bounds = {}
+    for workers in ("4", "1"):
+        monkeypatch.setenv("SYMPWAVE_THREADS", workers)
+        bounds[workers] = [row.get("bound") for row in sw.run_sweep(spec)]
+    geom, prof = sw.rank_one_geometry("h3"), sw.Profile("exponential", 1.0)
+    bounds["alone"] = [sw.dispersive_bound(geom, prof, t, 4.0) for t in ts]
     assert len(builds) == 1
     # the same bits as a bound with an evaluator of its own
-    geom, prof = sw.rank_one_geometry("h3"), sw.Profile("exponential", 1.0)
-    for row in rows:
-        alone = sw.dispersive_bound(geom, prof, row.get("t"), 4.0)
-        assert np.float64(row.get("bound")).tobytes() == np.float64(alone).tobytes()
-    assert len(builds) == 1 + len(rows)
+    fresh = []
+    for t in ts:
+        wave_kernel._evaluator.cache_clear()
+        fresh.append(sw.dispersive_bound(geom, prof, t, 4.0))
+    assert len(builds) == 1 + len(ts)
+    for values in bounds.values():
+        assert np.array(values).tobytes() == np.array(fresh).tobytes()
 
 
 def test_stphase_sweep_builds_one_amplitude(monkeypatch):
@@ -283,15 +301,47 @@ def test_stphase_sweep_builds_one_amplitude(monkeypatch):
     assert sw.run_sweep({**spec, "x-list": ""}) == [] and len(builds) == 3
 
 
-def test_dispersive_bound_rejects_a_foreign_evaluator():
-    geom, prof = sw.rank_one_geometry("h3"), sw.Profile("exponential", 1.0)
-    ev = sw.KernelEvaluator(geom, prof)
-    # an equal geometry built anew is accepted; another preset or profile is not
-    assert sw.dispersive_bound(sw.rank_one_geometry("h3"), prof, 10.0, 4.0, ev) > 0.0
-    with pytest.raises(UsageError):
-        sw.dispersive_bound(sw.rank_one_geometry("h2"), prof, 10.0, 4.0, ev)
-    with pytest.raises(UsageError):
-        sw.dispersive_bound(geom, sw.Profile("exponential", 2.0), 10.0, 4.0, ev)
+def test_shared_evaluator_is_keyed_on_the_root_datum_and_profile():
+    wave_kernel._evaluator.cache_clear()
+    prof = sw.Profile("exponential", 1.0)
+    ev = sw.shared_evaluator(sw.rank_one_geometry("h3"), prof)
+    # an equal geometry built anew, with an equal profile, reaches the same evaluator
+    assert sw.shared_evaluator(sw.rank_one_geometry("h3"), sw.Profile("exponential", 1.0)) is ev
+    # and so do kernel values, the medium-regime ratio and kernel sweeps
+    sw.kernel(sw.rank_one_geometry("h3"), prof, 10.0, 0.5)
+    sw.log_regime_ratio(sw.rank_one_geometry("h3"), prof, 10.0, 0.5)
+    sw.run_sweep(kernel_spec())
+    assert wave_kernel._evaluator.cache_info().misses == 1
+    # another preset or profile gets its own
+    h2 = sw.shared_evaluator(sw.rank_one_geometry("h2"), prof)
+    exp2 = sw.shared_evaluator(sw.rank_one_geometry("h3"), sw.Profile("exponential", 2.0))
+    assert len({id(ev), id(h2), id(exp2)}) == 3
+    assert h2.geom.datum == sw.preset("h2") and exp2.profile.param == 2.0
+
+
+def test_shared_evaluator_builds_once_under_concurrent_first_calls(monkeypatch):
+    builds = _counted_builds(monkeypatch)
+    prof = sw.Profile("exponential", 1.0)
+    got, errors = [], []
+
+    def worker():
+        try:
+            got.append(sw.shared_evaluator(sw.rank_one_geometry("h3"), prof))
+        except Exception as exc:  # reported below
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads) and not errors
+    assert len(builds) == 1 and len(got) == 8 and all(ev is got[0] for ev in got)
 
 
 def test_registered_experiments():

@@ -6,7 +6,7 @@ from numpy.polynomial import chebyshev as npcheb
 
 import sympwave as sw
 from sympwave._quad import (_CHEB_BLOCK, _TABLE_BLOCK, AccuracyWarning, ChebTable, FilonPanels,
-                            cheb_fit, cheb_series_blocks, integrate_panels)
+                            _sph_jn_table, cheb_fit, cheb_series_blocks, integrate_panels)
 from sympwave.errors import ResolutionError
 
 
@@ -185,6 +185,65 @@ def test_table_reads_a_large_batch_as_single_points():
     assert np.max(np.abs(batch - f(v))) <= 1e-12
     single = np.array([table(x) for x in v])
     assert batch.tobytes() == single.tobytes()
+
+
+def _clenshaw_reference(table, v):
+    """The table at v by one complex Clenshaw recurrence over all points at once."""
+    _, lefts, mids, halves, coeffs = table._flat
+    out = np.full(v.shape, np.nan, dtype=complex)
+    ok = np.isfinite(v)
+    j = np.searchsorted(lefts, v[ok], side="right") - 1
+    u2 = 2.0 * (v[ok] - mids[j]) / halves[j]
+    cj = coeffs[:, j]
+    b1 = b2 = 0.0
+    for c in cj[:0:-1]:
+        b1, b2 = c + u2 * b1 - b2, b1
+    out[ok] = cj[0] + 0.5 * u2 * b1 - b2
+    return out
+
+
+def test_table_read_matches_the_complex_recurrence_bit_for_bit():
+    # h4/rational:8 splits the chunks next to v = 0; the batch spans three
+    # blocks, the last one short, with non-finite points among them
+    ev = sw.KernelEvaluator(sw.rank_one_geometry("h4"), sw.Profile("rational", 8.0))
+    table = ev.transform
+    v = np.linspace(-3.0, 4.0, 2 * _TABLE_BLOCK + 123)
+    v[[5, _TABLE_BLOCK + 7, 2 * _TABLE_BLOCK + 100]] = (np.nan, np.inf, -np.inf)
+    got = table(v)
+    assert any(len(pieces[0]) > 1 for pieces in table.chunks.values())
+    assert np.isnan(got[[5, _TABLE_BLOCK + 7, 2 * _TABLE_BLOCK + 100]]).all()
+    assert got.tobytes() == _clenshaw_reference(table, v).tobytes()
+
+
+# -- spherical-Bessel moments ----------------------------------------------------
+
+def _sph_jn_small_reference(zs, deg):
+    """j_k(z) for z < 1/2 by nine Taylor terms, one order at a time."""
+    out = np.zeros((deg, zs.size))
+    half = 0.5 * zs * zs
+    for k in range(deg):
+        dfact = np.multiply.reduce(np.arange(1, 2 * k + 2, 2, dtype=float)) or 1.0
+        term = zs**k / dfact
+        acc = np.zeros_like(zs)
+        for m in range(9):
+            acc += term
+            term *= -half / ((m + 1) * (2.0 * (k + m) + 3.0))
+        out[k] = acc
+    return out
+
+
+def test_small_argument_bessel_rows_match_orders_one_at_a_time_and_mpmath():
+    import mpmath as mp
+    zs = np.r_[0.0, 1e-300, 1e-8, np.linspace(1e-3, 0.5, 200, endpoint=False)]
+    got = _sph_jn_table(zs, 16)
+    assert got.tobytes() == _sph_jn_small_reference(zs, 16).tobytes()
+    assert np.array_equal(got[:, 0], np.eye(16)[0])
+    with mp.workdps(30):
+        for i, z in enumerate(zs[1:], start=1):
+            for k in range(16):
+                ref = float(mp.sqrt(mp.pi / (2 * mp.mpf(z))) * mp.besselj(k + 0.5, z))
+                # below the smallest normal double a row may underflow to 0
+                assert abs(got[k, i] - ref) <= 2e-15 * abs(ref) + np.finfo(float).tiny, (z, k)
 
 
 # -- many Chebyshev series at one node set ---------------------------------------
