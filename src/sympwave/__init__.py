@@ -22,6 +22,6 @@ from .stationary_phase import (AmplitudeData, ExpansionResult, PhaseProblem,
 from .wave_kernel import (KernelEvaluator, KernelSample, RankOneGeometry,
                           cartan_weight, dispersive_bound, distinguished,
                           kernel, log_regime_ratio, phi_rank1, phi_zero,
-                          rank_one_geometry, shared_evaluator, xi_density)
+                          rank_one_geometry, xi_density)
 
 __version__ = "0.1.0"

@@ -77,7 +77,7 @@ ROW_NODE = np.dtype([("x", float), ("row", np.intp)])
 
 
 def integrate_panels(f, breaks, order0: int = 16, tol: float = 1e-10,
-                     max_order: int = 256, warn_label="integral",
+                     max_order: int = 256, warn_label: str = "integral",
                      floor_rel: float = 1e-14):
     """Composite GL with order doubling until two levels agree.
 
@@ -91,7 +91,7 @@ def integrate_panels(f, breaks, order0: int = 16, tol: float = 1e-10,
     refining, each with its ``row`` index, and returns one value per node;
     the result has one entry per row.  Each row stops at the first order at
     which its own two levels agree and is not evaluated after that, so its
-    value is the one it has alone.  ``warn_label`` may then name each row.
+    value is the one it has alone.
 
     Relative tolerance is measured against the finer level in the max norm
     over the rows that refine together, with an absolute floor of
@@ -133,8 +133,7 @@ def integrate_panels(f, breaks, order0: int = 16, tol: float = 1e-10,
                 still.append(i)
         live = still
     for i in live:
-        label = warn_label if isinstance(warn_label, str) else warn_label[i]
-        warnings.warn(f"{label}: panel refinement hit order {max_order} "
+        warnings.warn(f"{warn_label}: panel refinement hit order {max_order} "
                       f"with residual {residual[i]:.2e}", AccuracyWarning)
     return np.array(out) if per_row else out[0]
 

@@ -5,9 +5,9 @@ mapping (assembled from a ``key = value`` config file and/or CLI flags) and
 produces an ordered list of records.  Grid points may run on a thread pool
 capped by ``SYMPWAVE_THREADS``; row order and values never depend on the
 worker count.  Kernel sweeps ignore the cap: all their t go through one
-``KernelEvaluator.values`` call.  Kernel and dispersive sweeps read the
-``shared_evaluator`` of their root datum and profile, so a dispersive sweep
-tabulates one profile transform for all its t.  All randomness is banned:
+``KernelEvaluator.values`` call.  Evaluators of one (geometry, profile)
+read one tabulated profile transform, so a dispersive sweep tabulates it once
+for all its t.  All randomness is banned:
 grids are explicit lists or arithmetic/geometric progressions.
 """
 
@@ -27,7 +27,7 @@ from .plancherel import CFunction
 from .profiles import parse_profile
 from .root_data import preset
 from .stationary_phase import PhaseProblem, amplitude_data, check_terms, expand, oracle
-from .wave_kernel import bound_radius, dispersive_bound, rank_one_geometry, shared_evaluator
+from .wave_kernel import KernelEvaluator, bound_radius, dispersive_bound, rank_one_geometry
 
 
 @dataclass(frozen=True)
@@ -198,11 +198,13 @@ def parse_grid(text: str):
             raise UsageError(f"grid {text!r} must be min:max:steps:lin|log")
         lo, hi = _number(parts[0], float, "grid start"), _number(parts[1], float, "grid end")
         steps, scale = _number(parts[2], int, "grid steps"), parts[3]
+        if steps < 0:
+            raise UsageError(f"grid {text!r} needs a step count >= 0")
         if scale == "lin":
             return list(np.linspace(lo, hi, steps))
         if scale == "log":
-            if lo <= 0:
-                raise UsageError("log grid needs positive endpoints")
+            if lo <= 0 or hi <= 0:
+                raise UsageError(f"log grid {text!r} needs positive endpoints")
             return list(np.geomspace(lo, hi, steps))
         raise UsageError(f"unknown grid scale {scale!r}")
     return [_number(tok, float, "grid point") for tok in text.split(",") if tok.strip()]
@@ -362,7 +364,7 @@ def _run_kernel(spec):
     R = _number(_need(spec, "R"), float, "R")
     ts = parse_grid(_need_list(spec, "t-list"))
     # one batched call; threaded chunks of t ran slower and held more memory
-    vals = shared_evaluator(geom, profile).values(np.array(ts, dtype=float), R)
+    vals = KernelEvaluator(geom, profile).values(np.array(ts, dtype=float), R)
 
     def row(t, val):
         ratio = (abs(val) * abs(t) ** geom.nu

@@ -43,16 +43,16 @@ first use, serves every quadrature node after that.
 read per refinement level (per-row stopping in :func:`integrate_panels` keeps
 each value equal to its own ``value``), and ``phi_zero`` takes an array of
 radii; ``dispersive_bound`` uses both once per level of its outer R-integral.
-``kernel``, ``log_regime_ratio``, ``dispersive_bound`` and the sweeps read one
-``shared_evaluator`` per (root datum, profile), so repeated calls tabulate F
-once; ``KernelEvaluator(...)`` builds a private evaluator.
+Every ``KernelEvaluator`` of equal (geometry, profile) reads one table, kept
+for the 4 most recently used pairs, so repeated evaluators, kernel values and
+bounds tabulate F once.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gamma as real_gamma
 
@@ -76,7 +76,7 @@ _TRANSFORM_NODES = 1 << 18
 @dataclass(frozen=True)
 class RankOneGeometry:
     datum: RootDatum
-    cfun: CFunction
+    cfun: CFunction = field(compare=False)     # equal data give equal geometries
     n: int
     rho: float
     d: int
@@ -294,6 +294,35 @@ def xi_density(geom: RankOneGeometry, R: float, r):
 # wave kernels
 # ---------------------------------------------------------------------------
 
+_table_lock = threading.Lock()
+
+
+@lru_cache(maxsize=4)      # (geometry, profile) pairs whose transform table stays built
+def _transform_table(geom: RankOneGeometry, profile: Profile) -> ChebTable:
+    """The tabulated profile transform of (geom, profile); see :class:`KernelEvaluator`."""
+    if not profile.constant_finite(0, geom.n - 1.0):
+        raise DivergenceError(
+            f"profile constant (k=0, s={geom.n - 1}) diverges for this geometry")
+    # integrand tail: |psi(r)| times the polynomial density envelope
+    rmax = tail_radius(profile, geom.n - 1, 1e-14)
+
+    def amp(rs):
+        rs = np.atleast_1d(rs)
+        return profile.eval(0, rs) * geom.cfun.density(rs[:, None])
+
+    n_panels = max(10, int(np.ceil(rmax / 3.0)))
+    if n_panels * _FILON_NODES > _TRANSFORM_NODES:
+        raise ResolutionError(
+            f"profile transform out to its truncation radius rmax = {rmax:.3g} "
+            f"would need {n_panels} Filon panels of {_FILON_NODES} nodes, more than "
+            f"the {_TRANSFORM_NODES // _FILON_NODES} allowed; use a faster-decaying "
+            "profile")
+    panels = FilonPanels(amp, 0.0, rmax, n_panels=n_panels, warn_label="kernel transform")
+    # tolerance scale: sum over panels of |int A|, fixed before any chunk exists
+    mass = float(np.sum(2.0 * panels.half * np.abs(panels.coeffs[:, 0])))
+    return ChebTable(panels.integrate, mass, warn_label="kernel transform")
+
+
 class KernelEvaluator:
     """Kernel of exp(i t r) psi(r) against the spectral density, reusable in (t, R).
 
@@ -303,36 +332,17 @@ class KernelEvaluator:
     read through ``transform``, a :class:`ChebTable` filled from the panels
     one unit chunk of v at a time, on first use, to 1e-13 of int |A|.  Each
     kernel value is then a short non-oscillatory integral of the boundary
-    amplitude against F.  One evaluator may be shared between threads;
-    :func:`shared_evaluator` keeps one per (root datum, profile), and the
-    constructor builds a private one.
+    amplitude against F.  Evaluators of equal (geometry, profile) read one
+    table, kept for the 4 most recently used pairs and built once even by
+    threads that construct at once; a table's chunks are the same bits
+    whichever call builds them, so sharing moves no value.
     """
 
     def __init__(self, geom: RankOneGeometry, profile: Profile):
         self.geom = geom
         self.profile = profile
-        if not profile.constant_finite(0, geom.n - 1.0):
-            raise DivergenceError(
-                f"profile constant (k=0, s={geom.n - 1}) diverges for this geometry")
-        # integrand tail: |psi(r)| times the polynomial density envelope
-        self.rmax = tail_radius(profile, geom.n - 1, 1e-14)
-
-        def amp(rs):
-            rs = np.atleast_1d(rs)
-            return profile.eval(0, rs) * geom.cfun.density(rs[:, None])
-
-        n_panels = max(10, int(np.ceil(self.rmax / 3.0)))
-        if n_panels * _FILON_NODES > _TRANSFORM_NODES:
-            raise ResolutionError(
-                f"profile transform out to its truncation radius rmax = {self.rmax:.3g} "
-                f"would need {n_panels} Filon panels of {_FILON_NODES} nodes, more than "
-                f"the {_TRANSFORM_NODES // _FILON_NODES} allowed; use a faster-decaying "
-                "profile")
-        panels = FilonPanels(amp, 0.0, self.rmax, n_panels=n_panels,
-                             warn_label="kernel transform")
-        # tolerance scale: sum over panels of |int A|, fixed before any chunk exists
-        mass = float(np.sum(2.0 * panels.half * np.abs(panels.coeffs[:, 0])))
-        self.transform = ChebTable(panels.integrate, mass, warn_label="kernel transform")
+        with _table_lock:
+            self.transform = _transform_table(geom, profile)
 
     def value(self, t: float, R: float) -> complex:
         """The kernel at one (t, R): :meth:`values` at a single point."""
@@ -348,11 +358,15 @@ class KernelEvaluator:
         row of an :func:`integrate_panels` call with per-row stopping, so
         every pair still refining at one order shares one read of
         ``transform``, at t - s and t + s together.  Pairs go through in
-        blocks of 512, which bounds the nodes held at once.
+        blocks of 512, which bounds the nodes held at once.  |t| + R past
+        2^52, near where the table's unit chunks collapse, is a UsageError.
         """
         t, R = np.broadcast_arrays(np.asarray(t, dtype=float), _check_radii(self.geom, R))
         if not np.all(np.isfinite(t)):
             raise UsageError("t must be finite")
+        if not np.all(np.abs(t) + R <= 2.0 ** 52):
+            raise UsageError("|t| + R must be at most 2^52 = 4.504e+15; past it the "
+                             "transform table's unit chunks lose their points")
         ts, Rs = t.ravel(), R.ravel()
         out = np.empty(ts.shape, dtype=complex)
         origin = Rs == 0.0
@@ -398,31 +412,9 @@ class KernelEvaluator:
                                0.5 * np.pi - 2.0 * np.arcsin(cap / math.sqrt(2.0 * R))])
 
 
-_SHARED_EVALUATORS = 4     # (root datum, profile) pairs whose evaluator stays built
-_shared_lock = threading.Lock()
-
-
-@lru_cache(maxsize=_SHARED_EVALUATORS)
-def _evaluator(datum: RootDatum, profile: Profile) -> KernelEvaluator:
-    return KernelEvaluator(rank_one_geometry(datum), profile)
-
-
-def shared_evaluator(geom: RankOneGeometry, profile: Profile) -> KernelEvaluator:
-    """The one :class:`KernelEvaluator` of ``geom``'s root datum and ``profile``.
-
-    Kept for the 4 most recently used (datum, profile) pairs, so that calls
-    with the same pair, from any thread and with an equal geometry built
-    anew, read one tabulated transform.  Keyed on the datum, not on
-    ``geom``, whose c-function hashes by identity.  Lookups are serialized,
-    so concurrent first calls build one evaluator.
-    """
-    with _shared_lock:
-        return _evaluator(geom.datum, profile)
-
-
 def kernel(geom: RankOneGeometry, profile: Profile, t: float, R: float) -> complex:
-    """The kernel at one (t, R), read from the :func:`shared_evaluator`."""
-    return shared_evaluator(geom, profile).value(t, R)
+    """The kernel at one (t, R): :meth:`KernelEvaluator.value`."""
+    return KernelEvaluator(geom, profile).value(t, R)
 
 
 @dataclass(frozen=True)
@@ -497,10 +489,10 @@ def dispersive_bound(geom: RankOneGeometry, profile: Profile, t: float, p: float
     """Convolution-bound integral {int |k_t|^{p/2} phi_0 D dR}^{2/p} for p > 2.
 
     Each refinement level of the outer R-integral is one :meth:`KernelEvaluator.values`
-    call on the :func:`shared_evaluator`, so the bounds of a sweep tabulate
-    the profile transform once, and one array :func:`phi_zero` over all of
-    its radii.  The bound is the same, bit for bit, as with an evaluator of
-    its own, since a table's chunks do not depend on which call built them.
+    call, and one array :func:`phi_zero` over all of its radii.  Its
+    evaluator reads the one table of (geom, profile), so a sweep's bounds
+    tabulate F once, with the same bits as after emptying the table cache.
+    A t that takes |t| + R past 2^52 is a :class:`UsageError` there.
     A p whose truncation radius leaves the range of :func:`cartan_weight` or
     of the kernel raises :class:`OutOfRangeError`, naming the smallest p that
     fits (:func:`bound_radius`).
@@ -508,7 +500,7 @@ def dispersive_bound(geom: RankOneGeometry, profile: Profile, t: float, p: float
     if not (math.isfinite(t) and math.isfinite(p)):
         raise UsageError("t and p must be finite")
     rmax = bound_radius(geom, p)
-    evaluator = shared_evaluator(geom, profile)
+    evaluator = KernelEvaluator(geom, profile)
 
     def f(Rs):
         kv = np.abs(evaluator.values(t, Rs))

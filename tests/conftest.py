@@ -2,6 +2,15 @@ import numpy as np
 import pytest
 
 import sympwave as sw
+from sympwave import wave_kernel
+
+
+@pytest.fixture(autouse=True)
+def fresh_transform_tables():
+    """Each test starts and ends with an empty cache of profile transform tables."""
+    wave_kernel._transform_table.cache_clear()
+    yield
+    wave_kernel._transform_table.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -156,12 +156,20 @@ def test_malformed_or_out_of_range_input_exit_code(argv, capsys):
     ["stphase", "--x-list", "", "--N", "40"],
     ["model", "--preset", "a2", "--r", "1", "--h-list", "", "--M", "-1"],
     ["dispersive", "--preset", "h3", "--psi", "exp:1", "--p", "1", "--t-list", ""],
+    ["kernel", "--preset", "h3", "--psi", "exp:1", "--t-list", "1:2:-1:lin", "--R", "0.5"],
+    ["kernel", "--preset", "h3", "--psi", "exp:1", "--t-list", "1:0:3:log", "--R", "0.5"],
+    ["stphase", "--x-list", "1:-5:3:log", "--N", "2", "--M", "1"],
+    ["kernel", "--preset", "h3", "--psi", "exp:1", "--t-list", "1e17", "--R", "0"],
+    ["kernel", "--preset", "h3", "--psi", "exp:1", "--t-list", "1e300", "--R", "0.5"],
+    ["dispersive", "--preset", "h3", "--psi", "exp:1", "--p", "4", "--t-list", "1e17"],
 ], ids=["direction-length", "direction-zero-rank1", "direction-zero-rank2",
         "negative-radius", "non-finite-times", "non-finite-lambda-max",
         "infinite-profile-parameter", "nan-profile-parameter", "radius-past-double-range",
         "radius-past-sinh-range", "bound-radius-past-polar-weight", "bound-radius-past-double-range",
         "expansion-terms-N-40", "expansion-terms-N-62", "expansion-terms-M-30",
-        "expansion-terms-empty-grid", "boundary-terms-empty-grid", "bound-exponent-empty-grid"])
+        "expansion-terms-empty-grid", "boundary-terms-empty-grid", "bound-exponent-empty-grid",
+        "negative-step-count", "log-grid-zero-end", "log-grid-negative-end",
+        "time-past-table-at-origin", "time-past-table-and-double-power", "bound-time-past-table"])
 def test_invalid_input_exit_code(argv, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()

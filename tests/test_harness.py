@@ -128,6 +128,7 @@ def test_parse_grid_progressions():
     assert np.allclose(log, [1.0, 10.0, 100.0])
     with pytest.raises(UsageError):
         sw.parse_grid("1:2:3:weird")
+    assert sw.parse_grid("1:2:0:lin") == [] and sw.parse_grid("1:2:0:log") == []
 
 
 def test_read_config(tmp_path):
@@ -237,22 +238,21 @@ def test_worker_count_invariance(monkeypatch):
         assert one == four, spec["experiment"]
 
 
-def _counted_builds(monkeypatch):
-    """A list that records every KernelEvaluator build, after emptying the shared cache."""
-    builds = []
-    init = wave_kernel.KernelEvaluator.__init__
+def _counted_tables(monkeypatch):
+    """A list that records every transform table build."""
+    tables = []
+    table = wave_kernel.ChebTable
 
-    def counted(self, *args):
-        builds.append(args)
-        init(self, *args)
+    def counted(*args, **kwargs):
+        tables.append(table(*args, **kwargs))
+        return tables[-1]
 
-    monkeypatch.setattr(wave_kernel.KernelEvaluator, "__init__", counted)
-    wave_kernel._evaluator.cache_clear()
-    return builds
+    monkeypatch.setattr(wave_kernel, "ChebTable", counted)
+    return tables
 
 
 def test_dispersive_sweep_builds_one_evaluator(monkeypatch):
-    builds = _counted_builds(monkeypatch)
+    tables = _counted_tables(monkeypatch)
     spec = {"experiment": "dispersive", "preset": "h3", "psi": "exp:1.0",
             "p": "4", "t-list": "10,20,40"}
     ts = (10.0, 20.0, 40.0)
@@ -263,13 +263,13 @@ def test_dispersive_sweep_builds_one_evaluator(monkeypatch):
         bounds[workers] = [row.get("bound") for row in sw.run_sweep(spec)]
     geom, prof = sw.rank_one_geometry("h3"), sw.Profile("exponential", 1.0)
     bounds["alone"] = [sw.dispersive_bound(geom, prof, t, 4.0) for t in ts]
-    assert len(builds) == 1
-    # the same bits as a bound with an evaluator of its own
+    assert len(tables) == 1
+    # the same bits as a bound that builds its table afresh
     fresh = []
     for t in ts:
-        wave_kernel._evaluator.cache_clear()
+        wave_kernel._transform_table.cache_clear()
         fresh.append(sw.dispersive_bound(geom, prof, t, 4.0))
-    assert len(builds) == 1 + len(ts)
+    assert len(tables) == 1 + len(ts)
     for values in bounds.values():
         assert np.array(values).tobytes() == np.array(fresh).tobytes()
 
@@ -301,32 +301,49 @@ def test_stphase_sweep_builds_one_amplitude(monkeypatch):
     assert sw.run_sweep({**spec, "x-list": ""}) == [] and len(builds) == 3
 
 
-def test_shared_evaluator_is_keyed_on_the_root_datum_and_profile():
-    wave_kernel._evaluator.cache_clear()
+def test_equal_geometry_and_profile_share_one_table(monkeypatch):
     prof = sw.Profile("exponential", 1.0)
-    ev = sw.shared_evaluator(sw.rank_one_geometry("h3"), prof)
-    # an equal geometry built anew, with an equal profile, reaches the same evaluator
-    assert sw.shared_evaluator(sw.rank_one_geometry("h3"), sw.Profile("exponential", 1.0)) is ev
-    # and so do kernel values, the medium-regime ratio and kernel sweeps
+    h3 = sw.rank_one_geometry("h3")
+    # an equal geometry built anew, with its own c-function, compares and hashes equal
+    again = sw.rank_one_geometry("h3")
+    assert again == h3 and hash(again) == hash(h3) and again.cfun is not h3.cfun
+    table = sw.KernelEvaluator(h3, prof).transform
+    # evaluators of equal geometries and profiles read one table, and so do
+    # kernel values, the medium-regime ratio, kernel sweeps and bounds
+    reads = []
+    read = wave_kernel.KernelEvaluator.values
+
+    def recorded(self, t, R):
+        reads.append(self.transform)
+        return read(self, t, R)
+
+    assert sw.KernelEvaluator(again, sw.Profile("exponential", 1.0)).transform is table
+    monkeypatch.setattr(wave_kernel.KernelEvaluator, "values", recorded)
     sw.kernel(sw.rank_one_geometry("h3"), prof, 10.0, 0.5)
     sw.log_regime_ratio(sw.rank_one_geometry("h3"), prof, 10.0, 0.5)
     sw.run_sweep(kernel_spec())
-    assert wave_kernel._evaluator.cache_info().misses == 1
+    sw.dispersive_bound(sw.rank_one_geometry("h3"), prof, 40.0, 4.0)
+    assert len(reads) >= 4 and all(read_table is table for read_table in reads)
+    assert wave_kernel._transform_table.cache_info().misses == 1
     # another preset or profile gets its own
-    h2 = sw.shared_evaluator(sw.rank_one_geometry("h2"), prof)
-    exp2 = sw.shared_evaluator(sw.rank_one_geometry("h3"), sw.Profile("exponential", 2.0))
-    assert len({id(ev), id(h2), id(exp2)}) == 3
-    assert h2.geom.datum == sw.preset("h2") and exp2.profile.param == 2.0
+    h2 = sw.KernelEvaluator(sw.rank_one_geometry("h2"), prof)
+    exp2 = sw.KernelEvaluator(h3, sw.Profile("exponential", 2.0))
+    assert len({id(table), id(h2.transform), id(exp2.transform)}) == 3
+    assert sw.rank_one_geometry("h2") != h3
+    # an instance's own transform patches that instance alone
+    ev = sw.KernelEvaluator(h3, prof)
+    ev.transform = lambda v: np.zeros(np.shape(v), dtype=complex)
+    assert sw.KernelEvaluator(h3, prof).transform is table
 
 
-def test_shared_evaluator_builds_once_under_concurrent_first_calls(monkeypatch):
-    builds = _counted_builds(monkeypatch)
+def test_concurrent_evaluators_build_one_table(monkeypatch):
+    tables = _counted_tables(monkeypatch)
     prof = sw.Profile("exponential", 1.0)
     got, errors = [], []
 
     def worker():
         try:
-            got.append(sw.shared_evaluator(sw.rank_one_geometry("h3"), prof))
+            got.append(sw.KernelEvaluator(sw.rank_one_geometry("h3"), prof).transform)
         except Exception as exc:  # reported below
             errors.append(exc)
 
@@ -341,7 +358,19 @@ def test_shared_evaluator_builds_once_under_concurrent_first_calls(monkeypatch):
     finally:
         sys.setswitchinterval(old)
     assert not any(th.is_alive() for th in threads) and not errors
-    assert len(builds) == 1 and len(got) == 8 and all(ev is got[0] for ev in got)
+    assert len(tables) == 1 and len(got) == 8 and all(table is tables[0] for table in got)
+
+
+def test_wave_setup_and_its_dispersive_op_build_four_tables(monkeypatch):
+    # the evaluators of the wave benchmark's set-up, and the bound of its
+    # dispersive op, which reads the h3/exp:1 table of the value ops
+    tables = _counted_tables(monkeypatch)
+    geoms = {name: sw.rank_one_geometry(name) for name in ("h2", "h3", "h4", "ch2")}
+    for name, family, param in (("h3", "exponential", 1.0), ("h4", "rational", 8.0),
+                                ("h2", "bump", 2.0), ("ch2", "exponential", 1.0)):
+        sw.KernelEvaluator(geoms[name], sw.Profile(family, param))
+    sw.dispersive_bound(geoms["h3"], sw.Profile("exponential", 1.0), 40.0, 4.0)
+    assert len(tables) == 4
 
 
 def test_registered_experiments():

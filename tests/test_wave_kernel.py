@@ -336,6 +336,30 @@ def test_kernel_rejects_non_finite_t(h3_geometry, exp_profile, R):
             ev.values(np.array([1.0, t]), R)
 
 
+@pytest.mark.parametrize("name,family,param", [("h3", "exponential", 1.0),
+                                               ("h4", "rational", 8.0),
+                                               ("h2", "bump", 2.0),
+                                               ("ch2", "exponential", 1.0)])
+def test_kernel_refuses_t_past_the_table(name, family, param):
+    # the table's unit chunks [k, k + 1) hold their points through |v| = 2^52
+    ev = _evaluator(name, family, param)
+    top = 2.0 ** 52
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AccuracyWarning)
+        vals = [ev.value(top, 0.0), ev.value(-top, 0.0), ev.value(top - 2.0, 2.0)]
+    assert all(np.isfinite(v) for v in vals)
+    for t, R in ((top + 1.0, 0.0), (top - 1.0, 2.0), (1e17, 0.0), (-1e300, 0.5)):
+        with pytest.raises(UsageError, match=r"2\^52"):
+            ev.value(t, R)
+        with pytest.raises(UsageError, match=r"2\^52"):
+            ev.values(np.array([1.0, t]), R)
+
+
+def test_dispersive_refuses_t_past_the_table(h3_geometry, exp_profile):
+    with pytest.raises(UsageError, match=r"2\^52"):
+        sw.dispersive_bound(h3_geometry, exp_profile, 1e17, 4.0)
+
+
 # -- tabulated profile transform -------------------------------------------------
 
 def _evaluator(name, family, param):
@@ -387,9 +411,11 @@ def test_transform_table_chunks_independent_of_build_order():
     forward = _evaluator("h4", "rational", 8.0).transform
     for v in points:
         forward(v)
+    sw.wave_kernel._transform_table.cache_clear()
     backward = _evaluator("h4", "rational", 8.0).transform
     for v in reversed(points):
         backward(np.array([v, v - 0.25]))
+    sw.wave_kernel._transform_table.cache_clear()
     threaded = _evaluator("h4", "rational", 8.0).transform
     errors = []
 
@@ -411,6 +437,7 @@ def test_transform_table_chunks_independent_of_build_order():
     finally:
         sys.setswitchinterval(old)
     assert not any(th.is_alive() for th in threads) and not errors
+    assert forward is not backward and backward is not threaded
     assert len(forward.chunks) == len(points)
     assert any(len(pieces[0]) > 1 for pieces in forward.chunks.values())
     assert _chunk_bytes(backward) == _chunk_bytes(forward)
