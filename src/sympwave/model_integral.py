@@ -24,12 +24,24 @@ Each sphere pole's boundary amplitude is extended by
 integrals of both poles come from one call of
 :func:`~sympwave.stationary_phase.remainder_integrals`: the rules that
 :func:`~sympwave.stationary_phase.expand` uses too.
+
+A sweep over h at fixed r changes only the frequency x = h r.  So the parts
+that do not depend on h are built once per (symbol, E, r) and kept in one
+process-wide cache, built under a lock: the D_r table with its refinement
+probe, the direct integrator (a Chebyshev proxy for even l, Filon panels for
+odd l), the :class:`QFamily`, and, in each pole amplitude, one R2 Filon build
+per M.  Each is built when first needed, so :func:`xi_direct` alone never
+builds the q family, and an error is not cached but raised again on every
+call.  Per h there remain the moments of the direct integral at h r, R1's
+panels against k_n, R2's moments at h r and the closed-form main and R0 terms.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gamma as real_gamma
 
 import numpy as np
@@ -174,6 +186,58 @@ class _DrTable:
 
 
 # ---------------------------------------------------------------------------
+# the parts of xi that do not depend on h
+# ---------------------------------------------------------------------------
+
+_parts_lock = threading.RLock()
+
+
+class _XiParts:
+    """The h-independent parts of xi at one (symbol, E, r), each built on first use.
+
+    ``dr`` is the one D_r table that the direct integrator and the q family
+    share; :meth:`direct` and :meth:`family` build theirs under the lock.
+    """
+
+    def __init__(self, symbol: Symbol, E: np.ndarray, r: float):
+        self.symbol, self.E, self.r = symbol, E, r
+        self.dr = _DrTable(symbol, rotate_to_axis(E), r)
+        self._direct = self._family = None
+
+    def direct(self, x: float) -> complex:
+        """int_{-1}^1 e^(i x c) (1-c^2)^((l-3)/2) D_r(arccos c) dc; see :func:`xi_direct`."""
+        l = self.symbol.dimension
+        with _parts_lock:
+            if self._direct is None:
+                def amp(c):
+                    theta = np.arccos(np.clip(c, -1.0, 1.0))
+                    return (1.0 - c * c) ** ((l - 2) // 2) * self.dr(theta)
+
+                self._direct = (cheb_fit(amp, (-1.0, 1.0), "xi_direct") if l % 2 == 0 else
+                                FilonPanels(amp, -1.0, 1.0, n_panels=8, warn_label="xi_direct"))
+        if l % 2 == 0:
+            return filon_chebyshev(self._direct, x)
+        return self._direct.integrate(x)
+
+    def family(self) -> QFamily:
+        with _parts_lock:
+            if self._family is None:
+                self._family = QFamily(self.symbol, self.E, self.r)
+            return self._family
+
+
+@lru_cache(maxsize=16)      # (symbol, E, r) triples whose parts stay built
+def _parts_table(symbol: Symbol, E_bytes: bytes, r: float) -> _XiParts:
+    return _XiParts(symbol, np.frombuffer(E_bytes), r)
+
+
+def _xi_parts(symbol: Symbol, E, r: float) -> _XiParts:
+    """The cached parts of ``symbol`` at (E, r), keyed on E's exact bits."""
+    with _parts_lock:
+        return _parts_table(symbol, np.asarray(E, dtype=float).tobytes(), float(r))
+
+
+# ---------------------------------------------------------------------------
 # xi by direct oscillatory quadrature
 # ---------------------------------------------------------------------------
 
@@ -187,21 +251,12 @@ def xi_direct(symbol: Symbol, E, r: float, h: float) -> complex:
     :func:`~sympwave._quad.filon_chebyshev`; a symbol it cannot resolve by
     degree 4096 raises :class:`~sympwave.errors.ResolutionError`.  For odd
     l, A is integrated by :class:`~sympwave._quad.FilonPanels`.  Both use
-    exact moments, so the cost does not grow with h r.
+    exact moments, so the cost does not grow with h r.  The proxy or the
+    panels are built once per (symbol, E, r) and reused at every h.
     """
     if r <= 0.0 or h < 0.0:
         raise UsageError("need r > 0 and h >= 0")
-    l = symbol.dimension
-    dr = _DrTable(symbol, rotate_to_axis(E), r)
-
-    def amp(c):
-        return (1.0 - c * c) ** ((l - 2) // 2) * dr(np.arccos(np.clip(c, -1.0, 1.0)))
-
-    if l % 2 == 0:
-        integral = filon_chebyshev(cheb_fit(amp, (-1.0, 1.0), "xi_direct"), h * r)
-    else:
-        integral = FilonPanels(amp, -1.0, 1.0, n_panels=8, warn_label="xi_direct").integrate(h * r)
-    return r ** (l - 1) * integral
+    return r ** (symbol.dimension - 1) * _xi_parts(symbol, E, r).direct(h * r)
 
 
 # ---------------------------------------------------------------------------
@@ -217,14 +272,15 @@ class QFamily:
     up to the sqrt(2) endpoint singularity, is extended by
     :func:`~sympwave.stationary_phase.extend_amplitude`, the rule
     :func:`~sympwave.stationary_phase.amplitude_data` uses too; the proxy
-    degrees grow with r for the Plancherel densities.
+    degrees grow with r for the Plancherel densities.  D_r is read from the
+    cached table of (symbol, E, r) that :func:`xi_direct` reads too.
     """
 
     def __init__(self, symbol: Symbol, E, r: float):
         l = symbol.dimension
         if l < 2:
             raise UsageError("q family needs rank >= 2")
-        dr = _DrTable(symbol, rotate_to_axis(E), r)
+        dr = _xi_parts(symbol, E, r).dr
 
         def a_u(us, mirror):
             us = np.atleast_1d(us)
@@ -256,30 +312,40 @@ class XiDecomposition:
         return self.R0 + self.R1 + self.R2
 
 
+# the most u = B terms M: R2 is exact for every M, but each further term takes
+# one more derivative of the q1 proxies, and from M = 4 on that noise breaks
+# the identity direct = main + R0 + R1 + R2.  At h r = 2 the a2 Plancherel gap
+# is at most 1.5e-9 relative for M <= 3 and r <= 16, but 3.3e-5 at r = 8 and
+# M = 4; the a2 Gaussian's at r = 1 is 15 % at M = 9
+_MAX_M = 3
+
+
 def check_decomposition(r: float, M: int | None):
-    """Raise UsageError unless r > 0 and M is None or >= 0: the limits of
-    :func:`xi_decompose` that do not depend on h."""
-    if not (r > 0.0 and (M is None or M >= 0)):
-        raise UsageError(f"decomposition needs r > 0 and M >= 0, got r = {r} and M = {M}")
+    """Raise UsageError unless r > 0 and M is None or 0 <= M <= 3: the limits
+    of :func:`xi_decompose` that do not depend on h."""
+    if not (r > 0.0 and (M is None or 0 <= M <= _MAX_M)):
+        raise UsageError(f"decomposition needs r > 0 and 0 <= M <= {_MAX_M}, "
+                         f"got r = {r} and M = {M}")
 
 
 def xi_decompose(symbol: Symbol, E, r: float, h: float,
                  M: int | None = None) -> XiDecomposition:
     """Decompose xi(r, h) into main term plus the three remainder pieces.
 
-    M defaults to floor((l+1)/2).  The pieces satisfy
-    direct = main + R0 + R1 + R2 up to quadrature accuracy for every h r > 0;
-    the u = B boundary series cancels identically between the two sphere
-    poles and is therefore absent.
+    M is at most 3 and defaults to min(floor((l+1)/2), 3).  The pieces
+    satisfy direct = main + R0 + R1 + R2 up to quadrature accuracy for every
+    h r > 0; the u = B boundary series cancels identically between the two
+    sphere poles and is therefore absent.  The q family is built once per
+    (symbol, E, r) and its R2 panels once per M; both are reused at every h.
     """
     l = symbol.dimension
     if M is None:
-        M = (l + 1) // 2
+        M = min((l + 1) // 2, _MAX_M)
     check_decomposition(r, M)
     if h <= 0.0:
         raise UsageError("decomposition needs h > 0")
     x = h * r
-    fam = QFamily(symbol, E, r)
+    fam = _xi_parts(symbol, E, r).family()
     E = np.asarray(E, dtype=float)
 
     direct = xi_direct(symbol, E, r, h)

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import threading
 from dataclasses import dataclass, field
 from math import gamma as real_gamma
 
@@ -340,18 +341,21 @@ def k_n_bound(n: int, x: float, p: int) -> float:
 # amplitude data: proxies for q and q1 plus the fixed cutoff
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class AmplitudeData:
     """The extended amplitudes: q in u = (f - f(a))^(1/p) and q1 in v = u^p.
 
     Both are Chebyshev proxies times the same fixed cutoff in v, so ``q`` is
-    cut off at u^p and ``q1(v) = v^(1/p-1) q(v^(1/p))`` at v.
+    cut off at u^p and ``q1(v) = v^(1/p-1) q(v^(1/p))`` at v.  Instances
+    compare and hash by identity: each keeps the R2 Filon builds of the
+    amplitude sets it leads, one per M (see :func:`remainder_integrals`).
     """
 
     B: float
     q: CutoffProduct
     q1: CutoffProduct
     p: int
+    _r2_memo: dict = field(default_factory=dict, init=False, repr=False)
 
 
 def extend_amplitude(q_raw, B: float, p: int, label: str = "") -> AmplitudeData:
@@ -430,6 +434,9 @@ def remainder_integrals(amps: tuple[AmplitudeData, ...], n: int, m: int, x: floa
     that.  Raises :class:`~sympwave.errors.ResolutionError`, naming the
     largest x that fits, when the phase x u_hi^p needs more than the
     200,000 panels of :func:`~sympwave._quad.halfperiod_breaks`.
+
+    R2's Filon build does not depend on x: it is made once per amplitude set
+    and m, kept by ``amps[0]``, and reused at every x.
     """
     first = amps[0]
     p, cutoff = first.p, first.q.cutoff
@@ -443,14 +450,29 @@ def remainder_integrals(amps: tuple[AmplitudeData, ...], n: int, m: int, x: floa
     breaks = np.union1d(
         np.concatenate([np.linspace(0.0, lo, 11), np.linspace(lo, hi, 9)[1:]]),
         hi * halfperiod_breaks(phase / 8.0, 0.0, 1.0) ** (1.0 / p))
-    qs, q1s = [a.q for a in amps], [a.q1 for a in amps]
+    qs = [a.q for a in amps]
     floor = max(1e-14, np.finfo(float).eps * p * phase)
     r1 = integrate_panels(lambda us: cutoff_product_derivs(qs, n, us) * k_n(n, us, x, p),
                           breaks, order0=16, tol=1e-12, warn_label="R1 integral",
                           floor_rel=floor)
-    fil = FilonPanels(lambda vs: cutoff_product_derivs(q1s, m, vs),
-                      first.B**p, first.q1.hi, n_panels=12, warn_label="R2 integral")
-    return r1, fil.integrate(np.full(len(amps), x))
+    return r1, _r2_panels(amps, m).integrate(np.full(len(amps), x))
+
+
+_r2_lock = threading.Lock()
+
+
+def _r2_panels(amps: tuple[AmplitudeData, ...], m: int) -> FilonPanels:
+    """The Filon build of q1^(m) for every amplitude in ``amps``, made once per m."""
+    first = amps[0]
+    key = (m, amps[1:])
+    with _r2_lock:
+        fil = first._r2_memo.get(key)
+        if fil is None:
+            q1s = [a.q1 for a in amps]
+            fil = first._r2_memo[key] = FilonPanels(
+                lambda vs: cutoff_product_derivs(q1s, m, vs),
+                first.B**first.p, first.q1.hi, n_panels=12, warn_label="R2 integral")
+    return fil
 
 
 # the most boundary terms N and M: the N-th term and the remainders take up to

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import sympwave as sw
-from sympwave import wave_kernel
+from sympwave import model_integral, stationary_phase, wave_kernel
 
 
 @pytest.fixture(autouse=True)
@@ -11,6 +11,14 @@ def fresh_transform_tables():
     wave_kernel._transform_table.cache_clear()
     yield
     wave_kernel._transform_table.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def fresh_xi_parts():
+    """Each test starts and ends with an empty cache of xi's h-independent parts."""
+    model_integral._parts_table.cache_clear()
+    yield
+    model_integral._parts_table.cache_clear()
 
 
 @pytest.fixture(scope="session")
@@ -38,3 +46,27 @@ def j0_series(z):
         term *= -(z * z / 4.0) / (k * k)
         acc += term
     return acc
+
+
+def counted_xi_builds(monkeypatch):
+    """Lists that record every D_r table, q family and R2 Filon build."""
+    builds = {"dr": [], "family": [], "r2": []}
+    dr_table, family_init = model_integral._DrTable, model_integral.QFamily.__init__
+    filon = stationary_phase.FilonPanels
+
+    def counted_dr(*args):
+        builds["dr"].append(dr_table(*args))
+        return builds["dr"][-1]
+
+    def counted_family(self, *args):
+        family_init(self, *args)
+        builds["family"].append(self)
+
+    def counted_r2(*args, **kwargs):
+        builds["r2"].append(filon(*args, **kwargs))
+        return builds["r2"][-1]
+
+    monkeypatch.setattr(model_integral, "_DrTable", counted_dr)
+    monkeypatch.setattr(model_integral.QFamily, "__init__", counted_family)
+    monkeypatch.setattr(stationary_phase, "FilonPanels", counted_r2)
+    return builds

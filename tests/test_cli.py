@@ -155,6 +155,8 @@ def test_malformed_or_out_of_range_input_exit_code(argv, capsys):
     ["stphase", "--x-list", "300", "--N", "2", "--M", "30"],
     ["stphase", "--x-list", "", "--N", "40"],
     ["model", "--preset", "a2", "--r", "1", "--h-list", "", "--M", "-1"],
+    ["model", "--preset", "a2", "--r", "1", "--h-list", "10", "--M", "4"],
+    ["model", "--preset", "a2", "--r", "1", "--h-list", "10", "--M", "9"],
     ["dispersive", "--preset", "h3", "--psi", "exp:1", "--p", "1", "--t-list", ""],
     ["kernel", "--preset", "h3", "--psi", "exp:1", "--t-list", "1:2:-1:lin", "--R", "0.5"],
     ["kernel", "--preset", "h3", "--psi", "exp:1", "--t-list", "1:0:3:log", "--R", "0.5"],
@@ -167,7 +169,8 @@ def test_malformed_or_out_of_range_input_exit_code(argv, capsys):
         "infinite-profile-parameter", "nan-profile-parameter", "radius-past-double-range",
         "radius-past-sinh-range", "bound-radius-past-polar-weight", "bound-radius-past-double-range",
         "expansion-terms-N-40", "expansion-terms-N-62", "expansion-terms-M-30",
-        "expansion-terms-empty-grid", "boundary-terms-empty-grid", "bound-exponent-empty-grid",
+        "expansion-terms-empty-grid", "boundary-terms-empty-grid", "boundary-terms-M-4",
+        "boundary-terms-M-9", "bound-exponent-empty-grid",
         "negative-step-count", "log-grid-zero-end", "log-grid-negative-end",
         "time-past-table-at-origin", "time-past-table-and-double-power", "bound-time-past-table"])
 def test_invalid_input_exit_code(argv, capsys):
@@ -196,7 +199,7 @@ _POOLS = {
               "symbol": (["gauss", "plancherel", None], ["bogus", ""]),
               "r": (["0.5", "1", "2"], ["0", *_BAD]),
               "h-list": (["5", "1,40", "0", "", "2:8:2:lin"], ["-3", "nan", None]),
-              "M": (["0", "1", "2", None], ["-1", "x"])},
+              "M": (["0", "1", "2", "3", None], ["-1", "4", "30", "x"])},
     "kernel": {"preset": (["h2", "h3", "h4", "ch2"], ["a2", "bogus", "", None]),
                "psi": (["exp:1.0", "rational:8", "bump:2", "exp:1e-6"],
                        ["rational:2.0", "exp:nan", "exp:-1", "exp:0", "foo:1", "exp", "", None]),

@@ -9,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sympwave as sw
-from sympwave import wave_kernel
+from sympwave import model_integral, wave_kernel
 from sympwave.errors import UsageError
 from sympwave.harness import EXPERIMENTS
+
+from conftest import counted_xi_builds
 
 
 def make_records(xs, ys):
@@ -359,6 +361,63 @@ def test_concurrent_evaluators_build_one_table(monkeypatch):
         sys.setswitchinterval(old)
     assert not any(th.is_alive() for th in threads) and not errors
     assert len(tables) == 1 and len(got) == 8 and all(table is tables[0] for table in got)
+
+
+def _output_bytes(rows):
+    return np.array([[v for _, v in row.outputs] for row in rows], dtype=complex).tobytes()
+
+
+def test_model_sweep_builds_its_parts_once(monkeypatch):
+    builds = counted_xi_builds(monkeypatch)
+    spec = {"experiment": "model", "preset": "a2", "symbol": "plancherel", "r": "2",
+            "h-list": "5,10,20,40,80"}
+    # each sweep makes its own symbol; on four workers, the first lookups race
+    rows = {}
+    for count, workers in enumerate(("4", "1"), start=1):
+        monkeypatch.setenv("SYMPWAVE_THREADS", workers)
+        rows[workers] = sw.run_sweep(spec)
+        assert [len(b) for b in builds.values()] == [count] * 3
+    # the same bits as each row computed with every part built afresh
+    fresh = []
+    for h in spec["h-list"].split(","):
+        model_integral._parts_table.cache_clear()
+        fresh += sw.run_sweep({**spec, "h-list": h})
+    assert [len(b) for b in builds.values()] == [7, 7, 7]
+    for got in rows.values():
+        assert _output_bytes(got) == _output_bytes(fresh)
+
+
+def test_concurrent_decompositions_build_one_set_of_parts(monkeypatch):
+    builds = counted_xi_builds(monkeypatch)
+    sym = sw.plancherel_symbol(sw.CFunction(sw.preset("a2")))
+    E = np.array([1.0, 0.0])
+    got, errors = [], []
+
+    def worker(h):
+        try:
+            got.append(sw.xi_decompose(sym, E, 2.0, h))
+        except Exception as exc:  # reported below
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(5.0 + k,)) for k in range(8)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads) and not errors and len(got) == 8
+    assert [len(b) for b in builds.values()] == [1, 1, 1]
+
+
+def test_stphase_sweep_builds_one_r2_panel_set(monkeypatch):
+    builds = counted_xi_builds(monkeypatch)
+    spec = {"experiment": "stphase", "x-list": "20,50,300", "N": "2", "M": "1"}
+    sw.run_sweep(spec)
+    assert len(builds["r2"]) == 1
 
 
 def test_wave_setup_and_its_dispersive_op_build_four_tables(monkeypatch):

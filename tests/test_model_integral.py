@@ -9,7 +9,7 @@ from scipy.special import jv
 import sympwave as sw
 from sympwave.errors import DivergenceError, NormalizationError, ResolutionError, UsageError
 
-from conftest import j0_series
+from conftest import counted_xi_builds, j0_series
 
 E2 = np.array([1.0, 0.0])
 E3 = np.array([1.0, 0.0, 0.0])
@@ -232,6 +232,19 @@ def test_default_M_choice():
     assert abs(s1 - s2) <= 1e-8 * abs(s1)
 
 
+def test_decomposition_refuses_M_past_3():
+    # from M = 4 on, the q1 proxies' derivative noise breaks the identity
+    from sympwave.model_integral import check_decomposition
+    sym = sw.gaussian_symbol(2)
+    for M in (4, 9):
+        with pytest.raises(UsageError, match=r"0 <= M <= 3, got r = 1.0 and M = "):
+            check_decomposition(1.0, M)
+        with pytest.raises(UsageError, match=r"0 <= M <= 3"):
+            sw.xi_decompose(sym, E2, 1.0, 10.0, M=M)
+    dec = sw.xi_decompose(sym, E2, 1.0, 10.0, M=3)
+    assert decomposition_gap(dec) <= 1e-6 * abs(dec.direct) + 1e-9
+
+
 def test_main_term_constant_values():
     assert sw.main_term_constant(2) == pytest.approx(math.sqrt(2 * math.pi))
     assert sw.main_term_constant(3) == pytest.approx(2 * math.pi)
@@ -429,3 +442,28 @@ def test_xi_direct_l2_non_smooth_symbol_exits_3(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert code == 3 and captured.out == ""
     assert captured.err.startswith("numeric error: xi_direct: Chebyshev tail")
+
+
+# -- the h-independent parts, built once per (symbol, E, r) ----------------------
+
+def test_xi_direct_alone_builds_no_q_family(monkeypatch):
+    builds = counted_xi_builds(monkeypatch)
+    sym = sw.gaussian_symbol(3)
+    vals = [sw.xi_direct(sym, E3, 1.0, h) for h in (5.0, 20.0, 40.0)]
+    assert [len(b) for b in builds.values()] == [1, 0, 0]
+    for h, val in zip((5.0, 20.0, 40.0), vals):
+        assert abs(val - radial_closed_l3(1.0, h, math.exp(-1.0))) <= 1e-8
+    # a decomposition at the same (symbol, E, r) reads the same D_r table
+    sw.xi_decompose(sym, E3, 1.0, 10.0)
+    assert [len(b) for b in builds.values()] == [1, 1, 1]
+
+
+def test_unresolved_parts_raise_on_every_call():
+    # at r = 128 the a2 Plancherel proxies outgrow degree 4096; errors are not cached
+    sym = sw.plancherel_symbol(sw.CFunction(sw.preset("a2")))
+    for _ in range(2):
+        with pytest.raises(ResolutionError, match=r"^q proxy, pole \+e1: .* at degree 4096$"):
+            sw.xi_decompose(sym, E2, 128.0, 5.0)
+    for _ in range(2):
+        with pytest.raises(ResolutionError, match=r"^xi_direct: .* at degree 4096$"):
+            sw.xi_direct(sym, E2, 128.0, 5.0)
