@@ -61,13 +61,17 @@ def gl_rule(order: int):
     return x, w
 
 
+def _panel_rules(lo: np.ndarray, hi: np.ndarray, order: int):
+    """Gauss-Legendre nodes and weights of order ``order`` on the panels
+    [lo[i], hi[i]], shape (panels, order)."""
+    x, w = gl_rule(order)
+    half = 0.5 * (hi - lo)[:, None]
+    return half * (x[None, :] + 1.0) + lo[:, None], half * w[None, :]
+
+
 def gl_panels_nodes(breaks: np.ndarray, order: int):
     """Nodes and weights for composite Gauss-Legendre on given breakpoints."""
-    x, w = gl_rule(order)
-    a = breaks[:-1, None]
-    b = breaks[1:, None]
-    nodes = 0.5 * (b - a) * (x[None, :] + 1.0) + a
-    weights = 0.5 * (b - a) * w[None, :]
+    nodes, weights = _panel_rules(breaks[:-1], breaks[1:], order)
     return nodes.ravel(), weights.ravel()
 
 
@@ -89,9 +93,12 @@ def integrate_panels(f, breaks, order0: int = 16, tol: float = 1e-10,
     With a sequence of break arrays, one per row, ``f`` gets one flat
     structured array (:data:`ROW_NODE`) of the nodes ``x`` of every row still
     refining, each with its ``row`` index, and returns one value per node;
-    the result has one entry per row.  Each row stops at the first order at
-    which its own two levels agree and is not evaluated after that, so its
-    value is the one it has alone.
+    the result has one entry per row.  Every row's panels are joined into
+    one flat panel array once per call, and each order forms the nodes and
+    weights of all live panels at once, rows in order.  Each row stops at
+    the first order at which its own two levels agree and is not evaluated
+    after that; its sum is taken over its own contiguous slice of nodes, so
+    its value is the one it has alone.
 
     Relative tolerance is measured against the finer level in the max norm
     over the rows that refine together, with an absolute floor of
@@ -101,16 +108,26 @@ def integrate_panels(f, breaks, order0: int = 16, tol: float = 1e-10,
     per_row = len(breaks) > 0 and np.ndim(breaks[0]) > 0
     grids = ([np.asarray(b, dtype=float) for b in breaks] if per_row
              else [np.asarray(breaks, dtype=float)])
+    # every row's panels, rows in order
+    counts = np.array([len(g) - 1 for g in grids])
+    lo, hi = np.concatenate([g[:-1] for g in grids]), np.concatenate([g[1:] for g in grids])
+    panel_row = np.repeat(np.arange(len(grids)), counts)
 
     def level(order, live, masses=False):
         """Integral (and total integrand mass) of each live grid at one order."""
-        rules = [gl_panels_nodes(grids[i], order) for i in live]
-        sizes = [len(x) for x, _ in rules]
-        nodes, weights = rules[0] if len(rules) == 1 else map(np.concatenate, zip(*rules))
+        keep = slice(None)
+        if len(live) < len(grids):
+            alive = np.zeros(len(grids), dtype=bool)
+            alive[live] = True
+            keep = alive[panel_row]
+        nodes, weights = (v.ravel() for v in _panel_rules(lo[keep], hi[keep], order))
+        sizes = counts[live] * order
         if per_row:
-            nodes = np.rec.fromarrays([nodes, np.repeat(live, sizes)], dtype=ROW_NODE)
+            rows = np.empty(nodes.size, dtype=ROW_NODE)
+            rows["x"], rows["row"] = nodes, np.repeat(live, sizes)
+            nodes = rows
         fv = f(nodes)
-        cuts = [0, *accumulate(sizes)]
+        cuts = [0, *accumulate(sizes.tolist())]
         spans = list(zip(cuts[:-1], cuts[1:]))
         prod = fv * weights
         sums = [prod[..., a:b].sum(axis=-1) for a, b in spans]

@@ -322,10 +322,12 @@ _MAX_M = 3
 
 def check_decomposition(r: float, M: int | None):
     """Raise UsageError unless r > 0 and M is None or 0 <= M <= 3: the limits
-    of :func:`xi_decompose` that do not depend on h."""
-    if not (r > 0.0 and (M is None or 0 <= M <= _MAX_M)):
-        raise UsageError(f"decomposition needs r > 0 and 0 <= M <= {_MAX_M}, "
-                         f"got r = {r} and M = {M}")
+    of :func:`xi_decompose` that do not depend on h.  The error names the
+    limit that failed, r's first."""
+    if not r > 0.0:
+        raise UsageError(f"decomposition needs r > 0, got r = {r}")
+    if not (M is None or 0 <= M <= _MAX_M):
+        raise UsageError(f"decomposition needs 0 <= M <= {_MAX_M}, got M = {M}")
 
 
 def xi_decompose(symbol: Symbol, E, r: float, h: float,

@@ -41,11 +41,14 @@ piecewise-Chebyshev table over unit chunks of v, filled from those values on
 first use, serves every quadrature node after that.
 ``KernelEvaluator.values`` evaluates whole arrays of (t, R) with one table
 read per refinement level (per-row stopping in :func:`integrate_panels` keeps
-each value equal to its own ``value``), and ``phi_zero`` takes an array of
-radii; ``dispersive_bound`` uses both once per level of its outer R-integral.
-Every ``KernelEvaluator`` of equal (geometry, profile) reads one table, kept
-for the 4 most recently used pairs, so repeated evaluators, kernel values and
-bounds tabulate F once.
+each value equal to its own ``value``); the theta breaks of a block of pairs
+are built at once, one padded row per pair.  ``phi_zero`` takes an array of
+radii.  ``dispersive_bound`` makes one ``values`` call per level of its outer
+R-integral, and reads phi_0 and the polar weight at that level's radii from a
+cache kept per (geometry, p), so a sweep over t forms them once.  Every
+``KernelEvaluator`` of equal (geometry, profile) reads one table, kept for the
+4 most recently used pairs, so repeated evaluators, kernel values and bounds
+tabulate F once.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ from math import gamma as real_gamma
 import numpy as np
 from scipy.special import hyp2f1
 
-from ._quad import _FILON_NODES, ChebTable, FilonPanels, integrate_panels
+from ._quad import _FILON_NODES, ChebTable, FilonPanels, gl_panels_nodes, integrate_panels
 from .errors import DivergenceError, OutOfRangeError, ResolutionError, UsageError
 from .plancherel import CFunction
 from .profiles import Profile, tail_radius
@@ -379,9 +382,6 @@ class KernelEvaluator:
         return out.reshape(t.shape)
 
     def _line_values(self, ts, Rs):
-        gaps, caps = _cap_breaks(Rs)
-        breaks = [self._theta_breaks(float(t), float(R), float(gap), cap)
-                  for t, R, gap, cap in zip(ts, Rs, gaps, caps)]
         scale, shape = _boundary_density(self.geom, Rs)
 
         def integrand(nodes):
@@ -394,22 +394,43 @@ class KernelEvaluator:
             F = self.transform(np.concatenate([t - s, t + s])).reshape(2, -1)
             return R * np.cos(th) * shape(z) * (F[0] + F[1])
 
-        total = integrate_panels(integrand, breaks, order0=10, tol=1e-11, max_order=40,
-                                 warn_label="kernel boundary integral", floor_rel=3e-9)
+        total = integrate_panels(integrand, _line_breaks(ts, Rs), order0=10, tol=1e-11,
+                                 max_order=40, warn_label="kernel boundary integral",
+                                 floor_rel=3e-9)
         return 2.0 * scale * total
 
-    @staticmethod
-    def _theta_breaks(t: float, R: float, gap: float, cap: np.ndarray) -> np.ndarray:
-        """Breaks in theta = arcsin(s / R) on [0, pi/2]: equal s-panels on
-        [0, R - gap], the points |t -+ d| near the peaks of F(t -+ s), and the
-        endpoint cap's equal w-panels, w = sqrt(R - s)."""
-        hi = R - gap
-        # the profile transform is peaked where its argument vanishes
-        peaks = np.abs(t + np.outer((-1.0, 1.0), (0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0))).ravel()
-        s = np.r_[np.linspace(0.0, hi, min(12, max(4, math.ceil(hi / 2.0))) + 1)[:-1],
-                  peaks[(peaks > 0.0) & (peaks < hi)]]
-        return np.unique(np.r_[np.arcsin(s / R),
-                               0.5 * np.pi - 2.0 * np.arcsin(cap / math.sqrt(2.0 * R))])
+
+# the profile transform is peaked where its argument vanishes: the offsets -d, then +d
+_PEAK_OFFSETS = np.outer((-1.0, 1.0), (0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0)).ravel()
+_EQUAL_PANELS = 12      # most equal s-panels of one pair
+
+
+def _line_breaks(ts: np.ndarray, Rs: np.ndarray) -> list[np.ndarray]:
+    """Breaks in theta = arcsin(s / R) on [0, pi/2], one sorted array per pair
+    (t, R > 0): equal s-panels on [0, R - gap], the points |t -+ d| in
+    (0, R - gap) near the peaks of F(t -+ s), and the endpoint cap's equal
+    w-panels, w = sqrt(R - s).
+
+    Each pair is one row of a padded array: its n = min(12, max(4,
+    ceil((R - gap) / 2))) equal panels start at j (R - gap) / n, as
+    ``linspace(0, R - gap, n + 1)[:-1]`` forms them; pads and the peaks
+    outside (0, R - gap) are NaN.  One arcsin serves every row, which is then
+    sorted and keeps its finite entries without exact repeats.
+    """
+    gap, cap = _cap_breaks(Rs)
+    R = Rs[:, None]
+    hi = R - gap[:, None]
+    n = np.minimum(_EQUAL_PANELS, np.maximum(4, np.ceil(hi / 2.0)))
+    j = np.arange(float(_EQUAL_PANELS))
+    equal = np.where(j < n, j * (hi / n), np.nan)
+    peaks = np.abs(ts[:, None] + _PEAK_OFFSETS)
+    peaks[~((peaks > 0.0) & (peaks < hi))] = np.nan
+    theta = np.arcsin(np.hstack([equal / R, peaks / R, cap / np.sqrt(2.0 * R)]))
+    theta[:, -cap.shape[1]:] = 0.5 * np.pi - 2.0 * theta[:, -cap.shape[1]:]
+    theta.sort(axis=1)
+    keep = ~np.isnan(theta)
+    keep[:, 1:] &= theta[:, 1:] != theta[:, :-1]
+    return np.split(theta[keep], np.cumsum(keep.sum(axis=1))[:-1])
 
 
 def kernel(geom: RankOneGeometry, profile: Profile, t: float, R: float) -> complex:
@@ -485,13 +506,37 @@ def bound_radius(geom: RankOneGeometry, p: float) -> float:
     return rmax
 
 
+_weight_lock = threading.Lock()
+
+
+def _bound_breaks(geom: RankOneGeometry, p: float) -> np.ndarray:
+    """The breaks of the outer R-panels of :func:`dispersive_bound`: equal
+    panels about 3 wide on [0, bound_radius(geom, p)], at least 12."""
+    rmax = bound_radius(geom, p)
+    return np.linspace(0.0, rmax, max(13, int(rmax / 3.0) + 1))
+
+
+@lru_cache(maxsize=12)     # the 3 outer orders of the 4 most recently used (geometry, p)
+def _radial_weight(geom: RankOneGeometry, p: float, order: int):
+    """phi_0 and the polar weight D, read-only, at the order-``order``
+    Gauss-Legendre nodes of the outer R-panels at exponent p."""
+    Rs, _ = gl_panels_nodes(_bound_breaks(geom, p), order)
+    parts = phi_zero(geom, Rs), cartan_weight(geom, Rs)
+    for part in parts:
+        part.setflags(write=False)
+    return parts
+
+
 def dispersive_bound(geom: RankOneGeometry, profile: Profile, t: float, p: float) -> float:
     """Convolution-bound integral {int |k_t|^{p/2} phi_0 D dR}^{2/p} for p > 2.
 
     Each refinement level of the outer R-integral is one :meth:`KernelEvaluator.values`
-    call, and one array :func:`phi_zero` over all of its radii.  Its
-    evaluator reads the one table of (geom, profile), so a sweep's bounds
-    tabulate F once, with the same bits as after emptying the table cache.
+    call over all of its radii.  Its evaluator reads the one table of
+    (geom, profile), and phi_0 and the polar weight D at a level's radii
+    depend only on (geom, p): they are formed once, by one array
+    :func:`phi_zero`, and kept for the 3 levels of the 4 most recently used
+    (geom, p).  So a sweep over t tabulates F once and builds each level's
+    phi_0 once, with the same bits as after emptying both caches.
     A t that takes |t| + R past 2^52 is a :class:`UsageError` there.
     A p whose truncation radius leaves the range of :func:`cartan_weight` or
     of the kernel raises :class:`OutOfRangeError`, naming the smallest p that
@@ -499,16 +544,18 @@ def dispersive_bound(geom: RankOneGeometry, profile: Profile, t: float, p: float
     """
     if not (math.isfinite(t) and math.isfinite(p)):
         raise UsageError("t and p must be finite")
-    rmax = bound_radius(geom, p)
+    breaks = _bound_breaks(geom, p)
     evaluator = KernelEvaluator(geom, profile)
 
     def f(Rs):
+        order = Rs.size // (breaks.size - 1)      # the level's nodes per panel
+        with _weight_lock:
+            phi0, weight = _radial_weight(geom, p, order)
         kv = np.abs(evaluator.values(t, Rs))
-        return kv ** (p / 2.0) * phi_zero(geom, Rs) * cartan_weight(geom, Rs)
+        return kv ** (p / 2.0) * phi0 * weight
 
     # |kernel| has root-type kinks at its zeros, so the composite rule is kept
     # coarse and the bound is certified to ~0.1 percent, ample for slope fits
-    breaks = np.linspace(0.0, rmax, max(13, int(rmax / 3.0) + 1))
     val = integrate_panels(f, breaks, order0=6, tol=2e-3, max_order=24,
                            warn_label="dispersive bound", floor_rel=1e-9)
     return float(abs(val) ** (2.0 / p))

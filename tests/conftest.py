@@ -5,20 +5,19 @@ import sympwave as sw
 from sympwave import model_integral, stationary_phase, wave_kernel
 
 
-@pytest.fixture(autouse=True)
-def fresh_transform_tables():
-    """Each test starts and ends with an empty cache of profile transform tables."""
-    wave_kernel._transform_table.cache_clear()
-    yield
-    wave_kernel._transform_table.cache_clear()
+_CACHES = (wave_kernel._transform_table, wave_kernel._radial_weight, model_integral._parts_table)
 
 
 @pytest.fixture(autouse=True)
-def fresh_xi_parts():
-    """Each test starts and ends with an empty cache of xi's h-independent parts."""
-    model_integral._parts_table.cache_clear()
+def fresh_caches():
+    """Each test starts and ends with empty process-wide caches: the profile
+    transform tables, the dispersive bound's radial weights and xi's
+    h-independent parts."""
+    for cache in _CACHES:
+        cache.cache_clear()
     yield
-    model_integral._parts_table.cache_clear()
+    for cache in _CACHES:
+        cache.cache_clear()
 
 
 @pytest.fixture(scope="session")

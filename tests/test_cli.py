@@ -137,6 +137,19 @@ def test_malformed_or_out_of_range_input_exit_code(argv, capsys):
     assert "usage error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["model", "--preset", "a2", "--r", "0", "--h-list", "10"], "needs r > 0, got r = 0.0\n"),
+    (["model", "--preset", "a2", "--r", "0", "--h-list", "10", "--M", "9"],
+     "needs r > 0, got r = 0.0\n"),
+    (["model", "--preset", "a2", "--r", "1", "--h-list", "10", "--M", "9"],
+     "needs 0 <= M <= 3, got M = 9\n"),
+])
+def test_model_usage_error_names_the_limit_that_failed(argv, message, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.endswith(message) and err.count(" = ") == 1, err
+
+
 @pytest.mark.parametrize("argv", [
     ["cfun", "--preset", "h3", "--lambda-max", "2", "--steps", "2", "--direction", "1,2"],
     ["cfun", "--preset", "h3", "--lambda-max", "2", "--steps", "2", "--direction", "0"],

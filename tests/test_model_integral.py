@@ -237,7 +237,7 @@ def test_decomposition_refuses_M_past_3():
     from sympwave.model_integral import check_decomposition
     sym = sw.gaussian_symbol(2)
     for M in (4, 9):
-        with pytest.raises(UsageError, match=r"0 <= M <= 3, got r = 1.0 and M = "):
+        with pytest.raises(UsageError, match=r"needs 0 <= M <= 3, got M = \d+$"):
             check_decomposition(1.0, M)
         with pytest.raises(UsageError, match=r"0 <= M <= 3"):
             sw.xi_decompose(sym, E2, 1.0, 10.0, M=M)

@@ -7,8 +7,11 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import sympwave as sw
+from sympwave import wave_kernel as wk
 from sympwave._quad import AccuracyWarning
 from sympwave.errors import DivergenceError, OutOfRangeError, ResolutionError, UsageError
 from sympwave.root_data import ReducedRoot, RootDatum
@@ -326,6 +329,48 @@ def test_values_go_through_in_blocks_of_pairs(h3_geometry, exp_profile, monkeypa
     assert rows == [4] * 7       # 28 pairs with R > 0, one row each
 
 
+_PEAK_OFFSETS = (0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
+
+
+def theta_breaks_oracle(t, R, gap, cap):
+    """The boundary integral's breaks for one pair, built on their own: the
+    rule that ``_line_breaks`` applies to a whole block of pairs at once."""
+    hi = R - gap
+    peaks = np.abs(t + np.outer((-1.0, 1.0), _PEAK_OFFSETS)).ravel()
+    s = np.r_[np.linspace(0.0, hi, min(12, max(4, math.ceil(hi / 2.0))) + 1)[:-1],
+              peaks[(peaks > 0.0) & (peaks < hi)]]
+    return np.unique(np.r_[np.arcsin(s / R),
+                           0.5 * np.pi - 2.0 * np.arcsin(cap / math.sqrt(2.0 * R))])
+
+
+@st.composite
+def line_pairs(draw):
+    """(t, R) with R from 1e-6 to 700, log-uniform, and t anywhere in
+    [-1e3, 1e3], at a peak offset t = +-d, or where a peak |t -+ d| lands on
+    the end R - gap of the equal panels."""
+    R = min(700.0, 10.0 ** draw(st.floats(-6.0, math.log10(700.0))))
+    hi = R - min(0.5, 0.25 * R)
+    d = draw(st.sampled_from(_PEAK_OFFSETS)) * draw(st.sampled_from((-1.0, 1.0)))
+    t = draw(st.one_of(st.floats(-1e3, 1e3), st.just(d), st.just(hi - d), st.just(-hi - d)))
+    return t, R
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(line_pairs(), min_size=1, max_size=12))
+@example([(0.25, 1.0), (-0.5, 1.0), (0.5, 1.0), (7.0, 8.0), (-7.0, 8.0), (15.5, 8.0),
+          (0.0, 1e-6), (-1e3, 700.0), (1e3, 2.0), (8.0, 30.0)])
+def test_line_breaks_equal_the_per_pair_rule(pairs):
+    # every row of the block is the per-pair rule's array, bit for bit: the
+    # peaks dropped at 0 and at R - gap, its duplicates and the pads all go
+    ts, Rs = (np.array(v) for v in zip(*pairs))
+    gaps, caps = wk._cap_breaks(Rs)
+    rows = wk._line_breaks(ts, Rs)
+    assert len(rows) == len(pairs)
+    for row, t, R, gap, cap in zip(rows, ts, Rs, gaps, caps):
+        alone = theta_breaks_oracle(float(t), float(R), float(gap), cap)
+        assert row.tobytes() == alone.tobytes(), (t, R)
+
+
 @pytest.mark.parametrize("R", [0.0, 1.0])
 def test_kernel_rejects_non_finite_t(h3_geometry, exp_profile, R):
     ev = sw.KernelEvaluator(h3_geometry, exp_profile)
@@ -542,6 +587,79 @@ def test_dispersive_bound_reads_the_table_once_per_order(h3_geometry, exp_profil
     sw.dispersive_bound(h3_geometry, exp_profile, 40.0, 4.0)
     assert 1 <= len(levels) <= 3 and min(levels) > 1
     assert 1 <= len(reads) <= 3 * len(levels)
+
+
+def counted_phi_zero(monkeypatch):
+    """The number of radii of every phi_zero call."""
+    calls, phi_zero = [], wk.phi_zero
+    monkeypatch.setattr(wk, "phi_zero",
+                        lambda geom, R: calls.append(np.size(R)) or phi_zero(geom, R))
+    return calls
+
+
+def test_dispersive_sweep_forms_phi0_once_per_order(h3_geometry, exp_profile, monkeypatch):
+    # phi_0 and D at the outer radii depend on (geometry, p) alone, so a
+    # sweep over t forms them once per outer order, not once per t
+    calls, levels, values = counted_phi_zero(monkeypatch), [], wk.KernelEvaluator.values
+    monkeypatch.setattr(wk.KernelEvaluator, "values",
+                        lambda self, t, R: levels.append(np.size(R)) or values(self, t, R))
+    for t in (10.0, 20.0, 40.0):
+        sw.dispersive_bound(h3_geometry, exp_profile, t, 4.0)
+    assert len(levels) >= 6           # each bound refines at least once
+    assert sorted(calls) == sorted(set(levels))
+
+
+def test_dispersive_bound_equal_on_cold_and_warm_radial_weights(h3_geometry, exp_profile):
+    sw.dispersive_bound(h3_geometry, exp_profile, 20.0, 4.0)
+    ts = (10.0, 40.0, 80.0)
+    warm = [sw.dispersive_bound(h3_geometry, exp_profile, t, 4.0) for t in ts]
+    cold = []
+    for t in ts:
+        wk._radial_weight.cache_clear()
+        cold.append(sw.dispersive_bound(h3_geometry, exp_profile, t, 4.0))
+    assert np.array(warm).tobytes() == np.array(cold).tobytes()
+
+
+def test_radial_weights_are_kept_per_exponent(h3_geometry, exp_profile, monkeypatch):
+    # p = 6 ends the outer integral at a smaller radius, so it cannot reuse p = 4's nodes
+    assert wk.bound_radius(h3_geometry, 6.0) < wk.bound_radius(h3_geometry, 4.0)
+    calls = counted_phi_zero(monkeypatch)
+    four = sw.dispersive_bound(h3_geometry, exp_profile, 20.0, 4.0)
+    seen = len(calls)
+    six = sw.dispersive_bound(h3_geometry, exp_profile, 20.0, 6.0)
+    assert seen >= 1 and len(calls) > seen
+    assert wk._radial_weight.cache_info().currsize == len(calls)
+    wk._radial_weight.cache_clear()
+    assert sw.dispersive_bound(h3_geometry, exp_profile, 20.0, 6.0) == six
+    assert sw.dispersive_bound(h3_geometry, exp_profile, 20.0, 4.0) == four
+
+
+def test_concurrent_bounds_form_each_radial_weight_once(h3_geometry, exp_profile,
+                                                         monkeypatch):
+    ts = (10.0, 20.0, 40.0) * 2
+    alone = [sw.dispersive_bound(h3_geometry, exp_profile, t, 4.0) for t in ts[:3]]
+    wk._radial_weight.cache_clear()
+    calls, got, errors = counted_phi_zero(monkeypatch), {}, []
+
+    def worker(i):
+        try:
+            got[i] = sw.dispersive_bound(h3_geometry, exp_profile, ts[i], 4.0)
+        except Exception as exc:  # reported below
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(ts))]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads) and not errors
+    assert 1 <= len(calls) <= 3 and len(set(calls)) == len(calls)
+    assert [got[i] for i in range(len(ts))] == alone * 2
 
 
 def test_dispersive_even_dimension_at_large_radius():
