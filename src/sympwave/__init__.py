@@ -1,6 +1,7 @@
 """Numerics for spherical Plancherel densities, endpoint stationary phase
 with exact remainders, and rank-one wave-kernel decay laws."""
 
+from ._quad import clear_caches
 from .errors import (DivergenceError, GammaPoleError, NormalizationError,
                      OutOfRangeError, ResolutionError, SympwaveError,
                      UnsupportedOrderError, UsageError)

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import threading
 import warnings
-from functools import lru_cache
+from functools import lru_cache, update_wrapper
 from itertools import accumulate
 
 import numpy as np
@@ -53,6 +53,43 @@ from .errors import ResolutionError
 
 class AccuracyWarning(UserWarning):
     """Raised when panel or piece refinement stops before reaching the target."""
+
+
+# ---------------------------------------------------------------------------
+# one build-once rule for every cache of built values
+# ---------------------------------------------------------------------------
+
+_CACHES = []           # every shared build_once cache, for clear_caches
+
+
+def build_once(maxsize: int | None, shared: bool = True):
+    """``lru_cache(maxsize)`` behind one lock per cache, held across each call.
+
+    Threads that ask at once therefore build a key's value once.  A build
+    may read another cache but never its own.  As with ``lru_cache``, a
+    build that raises caches nothing, and the wrapper has ``cache_clear()``
+    and ``cache_info()``.  A ``shared`` cache is process-wide and emptied by
+    :func:`clear_caches`; one made per object with ``shared=False`` goes
+    with its object.
+    """
+    def decorate(build):
+        cached, lock = lru_cache(maxsize)(build), threading.Lock()
+
+        def once(*key):
+            with lock:
+                return cached(*key)
+
+        once.cache_clear, once.cache_info = cached.cache_clear, cached.cache_info
+        if shared:
+            _CACHES.append(once)
+        return update_wrapper(once, build)
+    return decorate
+
+
+def clear_caches():
+    """Empty every process-wide cache of the package: each :func:`build_once`."""
+    for cache in _CACHES:
+        cache.cache_clear()
 
 
 @lru_cache(maxsize=None)
@@ -522,17 +559,21 @@ class ChebTable:
                                 scale=self.scale)
         return lo, 0.5 * (lo + hi), 0.5 * (hi - lo), coeffs
 
-    def _pieces(self, keys: np.ndarray):
-        """The flat piece arrays, after building every chunk named in ``keys``."""
+    def _pieces(self, xs: np.ndarray):
+        """The flat piece arrays, after building every chunk that ``xs`` falls in."""
         flat = self._flat
-        need = np.unique(keys)
-        pos = np.searchsorted(flat[0], need)
-        if pos[-1] < len(flat[0]) and np.array_equal(flat[0][pos], need):
+        built = flat[0]
+        # warm path: the chunks from floor(min) to floor(max) form one built run
+        lo, hi = np.floor(xs.min()), np.floor(xs.max())
+        i, j = np.searchsorted(built, (lo, hi))
+        if j < len(built) and built[i] == lo and built[j] == hi and j - i == hi - lo:
             return flat
         with self._lock:
+            need = [float(k) for k in np.unique(np.floor(xs)) if float(k) not in self.chunks]
+            if not need:
+                return self._flat
             for k in need:
-                if float(k) not in self.chunks:
-                    self.chunks[float(k)] = self._build_chunk(float(k))
+                self.chunks[k] = self._build_chunk(k)
             order = sorted(self.chunks)
             parts = [self.chunks[k] for k in order]
             self._flat = (np.array(order),
@@ -548,7 +589,7 @@ class ChebTable:
         ok = np.isfinite(x)
         xs = x[ok]
         if xs.size:
-            _, lefts, mids, halves, coeffs = self._pieces(np.floor(xs))
+            _, lefts, mids, halves, coeffs = self._pieces(xs)
             j = np.searchsorted(lefts, xs, side="right") - 1
             u2 = 2.0 * (xs - mids[j]) / halves[j]
             vals = np.empty(xs.shape, dtype=complex)

@@ -26,28 +26,27 @@ integrals of both poles come from one call of
 :func:`~sympwave.stationary_phase.expand` uses too.
 
 A sweep over h at fixed r changes only the frequency x = h r.  So the parts
-that do not depend on h are built once per (symbol, E, r) and kept in one
-process-wide cache, built under a lock: the D_r table with its refinement
-probe, the direct integrator (a Chebyshev proxy for even l, Filon panels for
-odd l), the :class:`QFamily`, and, in each pole amplitude, one R2 Filon build
-per M.  Each is built when first needed, so :func:`xi_direct` alone never
-builds the q family, and an error is not cached but raised again on every
-call.  Per h there remain the moments of the direct integral at h r, R1's
-panels against k_n, R2's moments at h r and the closed-form main and R0 terms.
+that do not depend on h are built once per (symbol, E, r), each kept by
+:func:`~sympwave._quad.build_once` for the 16 latest keys: the D_r table with
+its refinement probe, the direct integrator (a Chebyshev proxy for even l,
+Filon panels for odd l) and the :class:`QFamily`, whose pole amplitudes get
+one R2 Filon build per M.  Each is built when first needed, so
+:func:`xi_direct` alone never builds the q family, and an error is raised
+again on every call.  Per h there remain the moments of the direct integral
+at h r, R1's panels against k_n, R2's moments at h r and the closed-form
+main and R0 terms.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
-from functools import lru_cache
 from math import gamma as real_gamma
 
 import numpy as np
 
-from ._quad import (FilonPanels, cheb_fit, filon_chebyshev, gl_panels_nodes, gl_rule,
-                    halfperiod_breaks, integrate_panels)
+from ._quad import (FilonPanels, build_once, cheb_fit, filon_chebyshev, gl_panels_nodes,
+                    gl_rule, halfperiod_breaks, integrate_panels)
 from .errors import DivergenceError, NormalizationError, UsageError
 from .plancherel import CFunction
 from .profiles import Profile, tail_radius
@@ -186,55 +185,39 @@ class _DrTable:
 
 
 # ---------------------------------------------------------------------------
-# the parts of xi that do not depend on h
+# the parts of xi that do not depend on h, kept per (symbol, E's bits, r)
 # ---------------------------------------------------------------------------
 
-_parts_lock = threading.RLock()
+def _parts_key(symbol: Symbol, E, r: float):
+    return symbol, np.asarray(E, dtype=float).tobytes(), float(r)
 
 
-class _XiParts:
-    """The h-independent parts of xi at one (symbol, E, r), each built on first use.
-
-    ``dr`` is the one D_r table that the direct integrator and the q family
-    share; :meth:`direct` and :meth:`family` build theirs under the lock.
-    """
-
-    def __init__(self, symbol: Symbol, E: np.ndarray, r: float):
-        self.symbol, self.E, self.r = symbol, E, r
-        self.dr = _DrTable(symbol, rotate_to_axis(E), r)
-        self._direct = self._family = None
-
-    def direct(self, x: float) -> complex:
-        """int_{-1}^1 e^(i x c) (1-c^2)^((l-3)/2) D_r(arccos c) dc; see :func:`xi_direct`."""
-        l = self.symbol.dimension
-        with _parts_lock:
-            if self._direct is None:
-                def amp(c):
-                    theta = np.arccos(np.clip(c, -1.0, 1.0))
-                    return (1.0 - c * c) ** ((l - 2) // 2) * self.dr(theta)
-
-                self._direct = (cheb_fit(amp, (-1.0, 1.0), "xi_direct") if l % 2 == 0 else
-                                FilonPanels(amp, -1.0, 1.0, n_panels=8, warn_label="xi_direct"))
-        if l % 2 == 0:
-            return filon_chebyshev(self._direct, x)
-        return self._direct.integrate(x)
-
-    def family(self) -> QFamily:
-        with _parts_lock:
-            if self._family is None:
-                self._family = QFamily(self.symbol, self.E, self.r)
-            return self._family
+@build_once(maxsize=16)
+def _dr_table(symbol: Symbol, E_bytes: bytes, r: float) -> _DrTable:
+    """The D_r table that the direct integrator and the q family share."""
+    return _DrTable(symbol, rotate_to_axis(np.frombuffer(E_bytes)), r)
 
 
-@lru_cache(maxsize=16)      # (symbol, E, r) triples whose parts stay built
-def _parts_table(symbol: Symbol, E_bytes: bytes, r: float) -> _XiParts:
-    return _XiParts(symbol, np.frombuffer(E_bytes), r)
+@build_once(maxsize=16)
+def _direct_integral(symbol: Symbol, E_bytes: bytes, r: float):
+    """x -> the integral of :func:`xi_direct` at h r = x, from a proxy (even l)
+    or Filon panels (odd l) of its amplitude."""
+    l, dr = symbol.dimension, _dr_table(symbol, E_bytes, r)
+
+    def amp(c):
+        theta = np.arccos(np.clip(c, -1.0, 1.0))
+        return (1.0 - c * c) ** ((l - 2) // 2) * dr(theta)
+
+    if l % 2 == 0:
+        proxy = cheb_fit(amp, (-1.0, 1.0), "xi_direct")
+        return lambda x: filon_chebyshev(proxy, x)
+    panels = FilonPanels(amp, -1.0, 1.0, n_panels=8, warn_label="xi_direct")
+    return lambda x: panels.integrate(x)
 
 
-def _xi_parts(symbol: Symbol, E, r: float) -> _XiParts:
-    """The cached parts of ``symbol`` at (E, r), keyed on E's exact bits."""
-    with _parts_lock:
-        return _parts_table(symbol, np.asarray(E, dtype=float).tobytes(), float(r))
+@build_once(maxsize=16)
+def _q_family(symbol: Symbol, E_bytes: bytes, r: float) -> QFamily:
+    return QFamily(symbol, np.frombuffer(E_bytes), r)
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +239,7 @@ def xi_direct(symbol: Symbol, E, r: float, h: float) -> complex:
     """
     if r <= 0.0 or h < 0.0:
         raise UsageError("need r > 0 and h >= 0")
-    return r ** (symbol.dimension - 1) * _xi_parts(symbol, E, r).direct(h * r)
+    return r ** (symbol.dimension - 1) * _direct_integral(*_parts_key(symbol, E, r))(h * r)
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +263,7 @@ class QFamily:
         l = symbol.dimension
         if l < 2:
             raise UsageError("q family needs rank >= 2")
-        dr = _xi_parts(symbol, E, r).dr
+        dr = _dr_table(*_parts_key(symbol, E, r))
 
         def a_u(us, mirror):
             us = np.atleast_1d(us)
@@ -347,7 +330,7 @@ def xi_decompose(symbol: Symbol, E, r: float, h: float,
     if h <= 0.0:
         raise UsageError("decomposition needs h > 0")
     x = h * r
-    fam = _xi_parts(symbol, E, r).family()
+    fam = _q_family(*_parts_key(symbol, E, r))
     E = np.asarray(E, dtype=float)
 
     direct = xi_direct(symbol, E, r, h)

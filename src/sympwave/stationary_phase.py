@@ -37,15 +37,15 @@ from __future__ import annotations
 
 import math
 import numbers
-import threading
 from dataclasses import dataclass, field
+from functools import partial
 from math import gamma as real_gamma
 
 import numpy as np
 from scipy.special import wofz
 
-from ._quad import (MAX_PANELS, FilonPanels, cheb_fit, gl_panels_nodes, halfperiod_breaks,
-                    integrate_panels)
+from ._quad import (MAX_PANELS, FilonPanels, build_once, cheb_fit, gl_panels_nodes,
+                    halfperiod_breaks, integrate_panels)
 from .errors import OutOfRangeError, ResolutionError, UsageError
 from .profiles import CutoffProduct, SmoothCutoff, cutoff_product_derivs
 
@@ -347,15 +347,20 @@ class AmplitudeData:
 
     Both are Chebyshev proxies times the same fixed cutoff in v, so ``q`` is
     cut off at u^p and ``q1(v) = v^(1/p-1) q(v^(1/p))`` at v.  Instances
-    compare and hash by identity: each keeps the R2 Filon builds of the
-    amplitude sets it leads, one per M (see :func:`remainder_integrals`).
+    compare and hash by identity.  Each keeps the R2 Filon builds of the
+    amplitude sets it leads, one per (other amplitudes, M), in a
+    :func:`~sympwave._quad.build_once` cache of its own that goes with it
+    (see :func:`remainder_integrals`).
     """
 
     B: float
     q: CutoffProduct
     q1: CutoffProduct
     p: int
-    _r2_memo: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        self._r2_panels = build_once(maxsize=None, shared=False)(
+            partial(_r2_build, self.q1, self.B**self.p))
 
 
 def extend_amplitude(q_raw, B: float, p: int, label: str = "") -> AmplitudeData:
@@ -455,24 +460,14 @@ def remainder_integrals(amps: tuple[AmplitudeData, ...], n: int, m: int, x: floa
     r1 = integrate_panels(lambda us: cutoff_product_derivs(qs, n, us) * k_n(n, us, x, p),
                           breaks, order0=16, tol=1e-12, warn_label="R1 integral",
                           floor_rel=floor)
-    return r1, _r2_panels(amps, m).integrate(np.full(len(amps), x))
+    return r1, first._r2_panels(amps[1:], m).integrate(np.full(len(amps), x))
 
 
-_r2_lock = threading.Lock()
-
-
-def _r2_panels(amps: tuple[AmplitudeData, ...], m: int) -> FilonPanels:
-    """The Filon build of q1^(m) for every amplitude in ``amps``, made once per m."""
-    first = amps[0]
-    key = (m, amps[1:])
-    with _r2_lock:
-        fil = first._r2_memo.get(key)
-        if fil is None:
-            q1s = [a.q1 for a in amps]
-            fil = first._r2_memo[key] = FilonPanels(
-                lambda vs: cutoff_product_derivs(q1s, m, vs),
-                first.B**first.p, first.q1.hi, n_panels=12, warn_label="R2 integral")
-    return fil
+def _r2_build(q1, start: float, rest: tuple[AmplitudeData, ...], m: int) -> FilonPanels:
+    """The Filon build of q1^(m) on [start, q1.hi] for ``q1`` and each amplitude of ``rest``."""
+    q1s = [q1] + [a.q1 for a in rest]
+    return FilonPanels(lambda vs: cutoff_product_derivs(q1s, m, vs),
+                       start, q1.hi, n_panels=12, warn_label="R2 integral")
 
 
 # the most boundary terms N and M: the N-th term and the remainders take up to

@@ -45,24 +45,22 @@ each value equal to its own ``value``); the theta breaks of a block of pairs
 are built at once, one padded row per pair.  ``phi_zero`` takes an array of
 radii.  ``dispersive_bound`` makes one ``values`` call per level of its outer
 R-integral, and reads phi_0 and the polar weight at that level's radii from a
-cache kept per (geometry, p), so a sweep over t forms them once.  Every
-``KernelEvaluator`` of equal (geometry, profile) reads one table, kept for the
-4 most recently used pairs, so repeated evaluators, kernel values and bounds
-tabulate F once.
+cache per (geometry, p).  Every ``KernelEvaluator`` of equal (geometry,
+profile) reads one cached table, so evaluators, values and bounds tabulate F
+once.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
-from functools import lru_cache
 from math import gamma as real_gamma
 
 import numpy as np
 from scipy.special import hyp2f1
 
-from ._quad import _FILON_NODES, ChebTable, FilonPanels, gl_panels_nodes, integrate_panels
+from ._quad import (_FILON_NODES, ChebTable, FilonPanels, build_once, gl_panels_nodes,
+                    integrate_panels)
 from .errors import DivergenceError, OutOfRangeError, ResolutionError, UsageError
 from .plancherel import CFunction
 from .profiles import Profile, tail_radius
@@ -297,10 +295,7 @@ def xi_density(geom: RankOneGeometry, R: float, r):
 # wave kernels
 # ---------------------------------------------------------------------------
 
-_table_lock = threading.Lock()
-
-
-@lru_cache(maxsize=4)      # (geometry, profile) pairs whose transform table stays built
+@build_once(maxsize=4)     # (geometry, profile) pairs whose transform table stays built
 def _transform_table(geom: RankOneGeometry, profile: Profile) -> ChebTable:
     """The tabulated profile transform of (geom, profile); see :class:`KernelEvaluator`."""
     if not profile.constant_finite(0, geom.n - 1.0):
@@ -336,16 +331,15 @@ class KernelEvaluator:
     one unit chunk of v at a time, on first use, to 1e-13 of int |A|.  Each
     kernel value is then a short non-oscillatory integral of the boundary
     amplitude against F.  Evaluators of equal (geometry, profile) read one
-    table, kept for the 4 most recently used pairs and built once even by
-    threads that construct at once; a table's chunks are the same bits
-    whichever call builds them, so sharing moves no value.
+    table, a :func:`~sympwave._quad.build_once` cache of the 4 latest pairs;
+    a table's chunks are the same bits whichever call builds them, so
+    sharing moves no value.
     """
 
     def __init__(self, geom: RankOneGeometry, profile: Profile):
         self.geom = geom
         self.profile = profile
-        with _table_lock:
-            self.transform = _transform_table(geom, profile)
+        self.transform = _transform_table(geom, profile)
 
     def value(self, t: float, R: float) -> complex:
         """The kernel at one (t, R): :meth:`values` at a single point."""
@@ -506,9 +500,6 @@ def bound_radius(geom: RankOneGeometry, p: float) -> float:
     return rmax
 
 
-_weight_lock = threading.Lock()
-
-
 def _bound_breaks(geom: RankOneGeometry, p: float) -> np.ndarray:
     """The breaks of the outer R-panels of :func:`dispersive_bound`: equal
     panels about 3 wide on [0, bound_radius(geom, p)], at least 12."""
@@ -516,7 +507,7 @@ def _bound_breaks(geom: RankOneGeometry, p: float) -> np.ndarray:
     return np.linspace(0.0, rmax, max(13, int(rmax / 3.0) + 1))
 
 
-@lru_cache(maxsize=12)     # the 3 outer orders of the 4 most recently used (geometry, p)
+@build_once(maxsize=12)    # the 3 outer orders of the 4 most recently used (geometry, p)
 def _radial_weight(geom: RankOneGeometry, p: float, order: int):
     """phi_0 and the polar weight D, read-only, at the order-``order``
     Gauss-Legendre nodes of the outer R-panels at exponent p."""
@@ -534,9 +525,9 @@ def dispersive_bound(geom: RankOneGeometry, profile: Profile, t: float, p: float
     call over all of its radii.  Its evaluator reads the one table of
     (geom, profile), and phi_0 and the polar weight D at a level's radii
     depend only on (geom, p): they are formed once, by one array
-    :func:`phi_zero`, and kept for the 3 levels of the 4 most recently used
-    (geom, p).  So a sweep over t tabulates F once and builds each level's
-    phi_0 once, with the same bits as after emptying both caches.
+    :func:`phi_zero`, and kept by :func:`~sympwave._quad.build_once` for the
+    3 levels of the 4 latest (geom, p).  So a sweep over t tabulates F once
+    and builds each level's phi_0 once, with the bits of a cold start.
     A t that takes |t| + R past 2^52 is a :class:`UsageError` there.
     A p whose truncation radius leaves the range of :func:`cartan_weight` or
     of the kernel raises :class:`OutOfRangeError`, naming the smallest p that
@@ -549,8 +540,7 @@ def dispersive_bound(geom: RankOneGeometry, profile: Profile, t: float, p: float
 
     def f(Rs):
         order = Rs.size // (breaks.size - 1)      # the level's nodes per panel
-        with _weight_lock:
-            phi0, weight = _radial_weight(geom, p, order)
+        phi0, weight = _radial_weight(geom, p, order)
         kv = np.abs(evaluator.values(t, Rs))
         return kv ** (p / 2.0) * phi0 * weight
 

@@ -2,22 +2,15 @@ import numpy as np
 import pytest
 
 import sympwave as sw
-from sympwave import model_integral, stationary_phase, wave_kernel
-
-
-_CACHES = (wave_kernel._transform_table, wave_kernel._radial_weight, model_integral._parts_table)
+from sympwave import model_integral, stationary_phase
 
 
 @pytest.fixture(autouse=True)
 def fresh_caches():
-    """Each test starts and ends with empty process-wide caches: the profile
-    transform tables, the dispersive bound's radial weights and xi's
-    h-independent parts."""
-    for cache in _CACHES:
-        cache.cache_clear()
+    """Each test starts and ends with every process-wide cache empty."""
+    sw.clear_caches()
     yield
-    for cache in _CACHES:
-        cache.cache_clear()
+    sw.clear_caches()
 
 
 @pytest.fixture(scope="session")

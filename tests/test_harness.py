@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sympwave as sw
-from sympwave import model_integral, wave_kernel
+from sympwave import wave_kernel
 from sympwave.errors import UsageError
 from sympwave.harness import EXPERIMENTS
 
@@ -380,7 +380,7 @@ def test_model_sweep_builds_its_parts_once(monkeypatch):
     # the same bits as each row computed with every part built afresh
     fresh = []
     for h in spec["h-list"].split(","):
-        model_integral._parts_table.cache_clear()
+        sw.clear_caches()
         fresh += sw.run_sweep({**spec, "h-list": h})
     assert [len(b) for b in builds.values()] == [7, 7, 7]
     for got in rows.values():

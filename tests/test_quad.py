@@ -1,3 +1,6 @@
+import sys
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -5,8 +8,10 @@ import pytest
 from numpy.polynomial import chebyshev as npcheb
 
 import sympwave as sw
+from sympwave import _quad, model_integral, wave_kernel
 from sympwave._quad import (_CHEB_BLOCK, _TABLE_BLOCK, AccuracyWarning, ChebTable, FilonPanels,
-                            _sph_jn_table, cheb_fit, cheb_series_blocks, integrate_panels)
+                            _sph_jn_table, build_once, cheb_fit, cheb_series_blocks,
+                            integrate_panels)
 from sympwave.errors import ResolutionError
 
 
@@ -358,3 +363,89 @@ def test_cutoff_products_evaluated_together_must_match():
         with pytest.raises(sw.UsageError):
             sw.cutoff_product_derivs([sw.CutoffProduct(q, cutoff, 2, 0.0, 1.36), other],
                                      1, np.array([0.5]))
+
+
+# -- build_once ----------------------------------------------------------------
+
+@pytest.fixture
+def own_caches(monkeypatch):
+    """build_once caches made by a test register in a list of their own."""
+    monkeypatch.setattr(_quad, "_CACHES", [])
+
+
+def test_build_once_builds_one_value_for_threads_at_once(own_caches):
+    builds, got, start = [], [], threading.Barrier(8)
+
+    @build_once(maxsize=4)
+    def slow(key):
+        builds.append(key)
+        time.sleep(0.05)
+        return object()
+
+    def worker():
+        start.wait()
+        got.append(slow("k"))
+
+    threads = [threading.Thread(target=worker, daemon=True) for _ in range(8)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=10.0)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    assert builds == ["k"] and len(got) == 8 and all(value is got[0] for value in got)
+    assert slow.cache_info().misses == 1 and slow.cache_info().hits == 7
+
+
+def test_build_once_caches_no_error(own_caches):
+    calls = []
+
+    @build_once(maxsize=2)
+    def flaky(key):
+        calls.append(key)
+        if len(calls) == 1:
+            raise ValueError("first build fails")
+        return key
+
+    with pytest.raises(ValueError, match="first build fails"):
+        flaky(1)
+    assert flaky.cache_info().currsize == 0
+    assert flaky(1) == 1 and calls == [1, 1]
+    assert flaky(1) == 1 and calls == [1, 1]
+
+
+def test_build_once_evicts_the_least_recently_used_and_counts(own_caches):
+    built = []
+
+    @build_once(maxsize=2)
+    def square(x):
+        built.append(x)
+        return x * x
+
+    assert [square(1), square(2), square(1)] == [1, 4, 1]
+    assert square(3) == 9                        # evicts 2, the least recently used
+    info = square.cache_info()
+    assert (info.hits, info.misses, info.maxsize, info.currsize) == (1, 3, 2, 2)
+    assert [square(1), square(2)] == [1, 4]      # 1 was kept, 2 is built again
+    assert built == [1, 2, 3, 2]
+    assert square.cache_info().hits == 2 and square.cache_info().misses == 4
+    square.cache_clear()
+    assert tuple(square.cache_info()) == (0, 0, 2, 0)
+    assert square.__name__ == "square" and square.__wrapped__(5) == 25
+
+
+def test_clear_caches_empties_every_package_cache(h3_geometry, exp_profile):
+    caches = [wave_kernel._transform_table, wave_kernel._radial_weight,
+              model_integral._dr_table, model_integral._direct_integral,
+              model_integral._q_family]
+    sw.dispersive_bound(h3_geometry, exp_profile, 10.0, 4.0)
+    sw.xi_decompose(sw.gaussian_symbol(2), np.array([1.0, 0.0]), 1.0, 10.0)
+    # the amplitudes' own R2 caches are not process-wide: none registered
+    assert sorted(map(id, caches)) == sorted(map(id, _quad._CACHES))
+    assert all(cache.cache_info().currsize > 0 for cache in caches)
+    sw.clear_caches()
+    assert all(cache.cache_info().currsize == 0 for cache in caches)

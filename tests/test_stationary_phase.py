@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -351,6 +352,25 @@ def test_zero_amplitude_expansion():
     assert res.total == 0.0
     assert all(v == 0.0 for v in res.main_terms)
     assert res.R1 == 0.0 and res.R2 == 0.0
+
+
+def test_expand_without_amplitude_keeps_the_live_r2_panels(cos_problem):
+    # R2's panels are kept by the amplitude that leads the set: each expand
+    # without amplitude= fits and builds its own, which go with it and push
+    # no other amplitude's panels out
+    amp = sw.amplitude_data(cos_problem)
+    first = sw.expand(cos_problem, 20.0, 2, 1, amplitude=amp)
+    for x in np.linspace(20.0, 60.0, 17):
+        sw.expand(cos_problem, float(x), 2, 1)
+    again = sw.expand(cos_problem, 20.0, 2, 1, amplitude=amp)
+    info = amp._r2_panels.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    assert again.R2 == first.R2
+    fresh = sw.amplitude_data(cos_problem)
+    sw.expand(cos_problem, 30.0, 2, 1, amplitude=fresh)
+    gone = weakref.ref(fresh)
+    del fresh
+    assert gone() is None
 
 
 def test_total_assembled_from_fields(cos_problem):
