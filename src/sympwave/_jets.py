@@ -27,10 +27,11 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Each point's two coefficient vectors are made contiguous and go through
     matmul's dot kernel, the one ``np.dot`` uses on a single jet, so a batch
-    rounds exactly as the same jets would one at a time.
+    rounds exactly as the same jets would one at a time.  Axis 0 moves last
+    by one transpose, ``.T`` for a 2-D batch.
     """
-    a = np.ascontiguousarray(np.moveaxis(a, 0, -1)[..., None, :])
-    b = np.ascontiguousarray(np.moveaxis(b, 0, -1)[..., :, None])
+    a = np.ascontiguousarray(a.transpose(*range(1, a.ndim), 0)[..., None, :])
+    b = np.ascontiguousarray(b.transpose(*range(1, b.ndim), 0)[..., :, None])
     return (a @ b)[..., 0, 0]
 
 

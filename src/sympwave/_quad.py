@@ -5,7 +5,8 @@ Three engines cover everything in the package:
 * half-period panel subdivision with fixed-order Gauss-Legendre inside each
   panel, the order doubled until self-consistent (for phases resolved by the
   panel grid); an integrand may return rows, which refine together, or take
-  one break array per row, each row then stopping on its own;
+  one break array per row, each row then stopping on its own; the first two
+  orders are one call of the integrand when they hold at most 2^14 nodes;
 * Filon panels for linear phases of arbitrary frequency: the amplitude is
   Legendre-projected per panel and the moments int P_k(x) e^(i mu x) dx
   = 2 i^k j_k(mu) are exact spherical-Bessel values, so the panels only
@@ -115,6 +116,10 @@ def gl_panels_nodes(breaks: np.ndarray, order: int):
 # a node of one row of a per-row :func:`integrate_panels` call; nodes carry
 # their rows, so the integrand takes one argument in both modes
 ROW_NODE = np.dtype([("x", float), ("row", np.intp)])
+# the most nodes of a first call of :func:`integrate_panels` that takes its
+# first two orders at once; a larger one takes one order a call, so that its
+# peak memory stays that of one order
+FUSED_NODES = 1 << 14
 
 
 def integrate_panels(f, breaks, order0: int = 16, tol: float = 1e-10,
@@ -137,6 +142,15 @@ def integrate_panels(f, breaks, order0: int = 16, tol: float = 1e-10,
     after that; its sum is taken over its own contiguous slice of nodes, so
     its value is the one it has alone.
 
+    Order ``order0`` is always followed by order ``2 order0``, so when both
+    together have at most 2^14 nodes (:data:`FUSED_NODES`) the first call of
+    ``f`` takes both: the nodes of order ``order0`` first, then those of
+    ``2 order0``, each in the layout a call of its own would have.  Each
+    order is then summed over its own slice of the values, so an integrand
+    whose value at a node does not depend on the other nodes gives the
+    result of one call per order, bit for bit.  Every later order, and both
+    orders of a larger call, is one call of ``f``.
+
     Relative tolerance is measured against the finer level in the max norm
     over the rows that refine together, with an absolute floor of
     ``floor_rel`` times their largest total integrand mass for results that
@@ -150,37 +164,52 @@ def integrate_panels(f, breaks, order0: int = 16, tol: float = 1e-10,
     lo, hi = np.concatenate([g[:-1] for g in grids]), np.concatenate([g[1:] for g in grids])
     panel_row = np.repeat(np.arange(len(grids)), counts)
 
-    def level(order, live, masses=False):
-        """Integral (and total integrand mass) of each live grid at one order."""
+    def layout(order, live):
+        """Nodes, weights and per-grid node counts of the live grids at one order."""
         keep = slice(None)
         if len(live) < len(grids):
             alive = np.zeros(len(grids), dtype=bool)
             alive[live] = True
             keep = alive[panel_row]
         nodes, weights = (v.ravel() for v in _panel_rules(lo[keep], hi[keep], order))
-        sizes = counts[live] * order
+        return nodes, weights, counts[live] * order
+
+    def call(live, orders):
+        """``f`` once on the nodes of every order in ``orders``, one order after
+        the other; each order's values and its layout."""
+        parts = [layout(order, live) for order in orders]
+        nodes = np.concatenate([part[0] for part in parts])
         if per_row:
             rows = np.empty(nodes.size, dtype=ROW_NODE)
-            rows["x"], rows["row"] = nodes, np.repeat(live, sizes)
+            rows["x"] = nodes
+            rows["row"] = np.concatenate([np.repeat(live, sizes) for _, _, sizes in parts])
             nodes = rows
         fv = f(nodes)
+        cuts = [0, *accumulate(w.size for _, w, _ in parts)]
+        return [(fv[..., a:b], w, sizes)
+                for (a, b), (_, w, sizes) in zip(zip(cuts[:-1], cuts[1:]), parts)]
+
+    def sums(fv, weights, sizes, masses=False):
+        """Integral (and total integrand mass) of each live grid at one order."""
         cuts = [0, *accumulate(sizes.tolist())]
         spans = list(zip(cuts[:-1], cuts[1:]))
         prod = fv * weights
-        sums = [prod[..., a:b].sum(axis=-1) for a, b in spans]
+        out = [prod[..., a:b].sum(axis=-1) for a, b in spans]
         if not masses:
-            return sums
+            return out
         mass = np.abs(fv) * np.abs(weights)
-        return sums, [mass[..., a:b].sum(axis=-1).max() for a, b in spans]
+        return out, [mass[..., a:b].sum(axis=-1).max() for a, b in spans]
 
     order = order0
     live = list(range(len(grids)))
-    out, scale = level(order, live, masses=True)   # scale: cancellation-aware floor
+    fuse = order0 < max_order and 3 * order0 * counts.sum() <= FUSED_NODES
+    first = call(live, [order0, 2 * order0] if fuse else [order0])
+    out, scale = sums(*first.pop(0), masses=True)   # scale: cancellation-aware floor
     prev, residual = list(out), [0.0] * len(grids)
     while order < max_order and live:
         order *= 2
         still = []
-        for i, c in zip(live, level(order, live)):
+        for i, c in zip(live, sums(*(first.pop() if first else call(live, [order])[0]))):
             out[i], residual[i] = c, abs(c - prev[i]).max()
             if residual[i] > tol * abs(c).max() + floor_rel * scale[i] + 1e-300:
                 prev[i] = c
@@ -533,7 +562,7 @@ class ChebTable:
     whichever thread or lookup builds it; building is serialized by a lock.
     A lookup runs the Clenshaw recurrence over blocks of 4096 points, in
     three preallocated complex buffers per block.  Non-finite arguments give
-    NaN.
+    NaN; a lookup whose least and largest arguments are finite needs no mask.
 
     ``chunks`` maps each built chunk's left end k to its pieces, a tuple of
     (left ends, midpoints, half-widths, coefficients of shape (pieces, 25)).
@@ -559,12 +588,13 @@ class ChebTable:
                                 scale=self.scale)
         return lo, 0.5 * (lo + hi), 0.5 * (hi - lo), coeffs
 
-    def _pieces(self, xs: np.ndarray):
-        """The flat piece arrays, after building every chunk that ``xs`` falls in."""
+    def _pieces(self, xs: np.ndarray, lo: float, hi: float):
+        """The flat piece arrays, after building every chunk that ``xs`` falls
+        in; ``lo`` and ``hi`` are the least and the largest of ``xs``."""
         flat = self._flat
         built = flat[0]
         # warm path: the chunks from floor(min) to floor(max) form one built run
-        lo, hi = np.floor(xs.min()), np.floor(xs.max())
+        lo, hi = np.floor(lo), np.floor(hi)
         i, j = np.searchsorted(built, (lo, hi))
         if j < len(built) and built[i] == lo and built[j] == hi and j - i == hi - lo:
             return flat
@@ -585,25 +615,33 @@ class ChebTable:
         """Table value at ``v`` (scalar or array, same shape out)."""
         varr = np.asarray(v, dtype=float)
         x = varr.ravel()
-        out = np.full(x.shape, np.nan, dtype=complex)
-        ok = np.isfinite(x)
-        xs = x[ok]
-        if xs.size:
-            _, lefts, mids, halves, coeffs = self._pieces(xs)
-            j = np.searchsorted(lefts, xs, side="right") - 1
-            u2 = 2.0 * (xs - mids[j]) / halves[j]
-            vals = np.empty(xs.shape, dtype=complex)
-            # blocks bound the gathered coefficients at 25 x _TABLE_BLOCK
-            for lo in range(0, xs.size, _TABLE_BLOCK):
-                blk = slice(lo, lo + _TABLE_BLOCK)
-                cj, ur = coeffs[:, j[blk]], u2[blk]
-                ub = ur.astype(complex)
-                b1, b2, tmp = (np.zeros(ub.shape, dtype=complex) for _ in range(3))
-                for c in cj[:0:-1]:  # Clenshaw, b1, b2 = c + ub b1 - b2, b1, in place
-                    np.multiply(ub, b1, out=tmp)
-                    tmp += c
-                    tmp -= b2
-                    b1, b2, tmp = tmp, b1, b2
-                vals[blk] = cj[0] + 0.5 * ur * b1 - b2
-            out[ok] = vals
+        lo, hi = (x.min(), x.max()) if x.size else (np.nan, np.nan)
+        if np.isfinite(lo) and np.isfinite(hi):     # every argument finite
+            out = self._values(x, lo, hi)
+        else:
+            out = np.full(x.shape, np.nan, dtype=complex)
+            ok = np.isfinite(x)
+            xs = x[ok]
+            if xs.size:
+                out[ok] = self._values(xs, xs.min(), xs.max())
         return out.reshape(varr.shape) if varr.ndim else complex(out[0])
+
+    def _values(self, xs, lo, hi):
+        """The table at the finite points ``xs``, whose least and largest are lo and hi."""
+        _, lefts, mids, halves, coeffs = self._pieces(xs, lo, hi)
+        j = np.searchsorted(lefts, xs, side="right") - 1
+        u2 = 2.0 * (xs - mids[j]) / halves[j]
+        vals = np.empty(xs.shape, dtype=complex)
+        # blocks bound the gathered coefficients at 25 x _TABLE_BLOCK
+        for start in range(0, xs.size, _TABLE_BLOCK):
+            blk = slice(start, start + _TABLE_BLOCK)
+            cj, ur = coeffs[:, j[blk]], u2[blk]
+            ub = ur.astype(complex)
+            b1, b2, tmp = (np.zeros(ub.shape, dtype=complex) for _ in range(3))
+            for c in cj[:0:-1]:  # Clenshaw, b1, b2 = c + ub b1 - b2, b1, in place
+                np.multiply(ub, b1, out=tmp)
+                tmp += c
+                tmp -= b2
+                b1, b2, tmp = tmp, b1, b2
+            vals[blk] = cj[0] + 0.5 * ur * b1 - b2
+        return vals

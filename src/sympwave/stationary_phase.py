@@ -246,6 +246,12 @@ def _scaled_ierfc(k: int, z: np.ndarray) -> np.ndarray:
     point from |z| and k alone.  On arg z = -pi/4, where u > 0 puts z, it
     gives r_1..r_k to 3e-16 relative against 160-digit values, for k <= 14
     and |z| from 2 to 1e4.
+
+    The points are sorted by descending start, so the points still
+    recurring at step j are a prefix, and one ``searchsorted`` gives every
+    step's prefix length.  Each step runs in place on that prefix, in two
+    reused buffers, with the ufuncs of ``1 / (2z + 2(j+1) r)`` in that
+    order; every point therefore gets the bits it has alone.
     """
     e0 = wofz(1j * z)
     if k == 0:
@@ -265,11 +271,16 @@ def _scaled_ierfc(k: int, z: np.ndarray) -> np.ndarray:
         order = np.argsort(-start, kind="stable")
         bwd, neg_start = bwd[order], -start[order]
         two_z = 2.0 * z[bwd]
-        r = np.zeros(two_z.shape, dtype=complex)
+        r, tmp = np.zeros(two_z.shape, dtype=complex), np.empty(two_z.shape, dtype=complex)
         prod = np.ones(two_z.shape, dtype=complex)
-        for j in range(-int(neg_start[0]), 0, -1):
-            live = np.searchsorted(neg_start, -j, side="right")
-            r[:live] = 1.0 / (two_z[:live] + (2 * (j + 1)) * r[:live])
+        steps = np.arange(start.max(), 0, -1)
+        lives = np.searchsorted(neg_start, -steps, side="right").tolist()
+        for j, live in zip(steps.tolist(), lives):
+            # r = 1 / (2 z + 2 (j + 1) r) on the live prefix, in place
+            rl, tl = r[:live], tmp[:live]
+            np.multiply(2 * (j + 1), rl, out=tl)
+            np.add(two_z[:live], tl, out=tl)
+            np.divide(1.0, tl, out=rl)
             if j <= k:
                 # not in place: numpy's in-place complex *= rounds long and
                 # length-1 arrays differently
@@ -528,8 +539,10 @@ def oracle(problem: PhaseProblem, x: float) -> complex:
     one array phase inversion; fixed-order Gauss-Legendre inside, order
     doubled until two levels agree to 1e-10 relative (see
     :func:`~sympwave._quad.integrate_panels`); a warning is attached when the
-    order cap of 128 is reached first.  ``g`` and ``f`` are called once per
-    level, on all nodes.
+    order cap of 128 is reached first.  ``g`` and ``f`` are called on all
+    nodes at once, one call for the first two orders together when they
+    hold at most 2^14 nodes and one call for each later order, so each node
+    is evaluated once per order.
     """
     if x <= 0.0:
         raise UsageError("x must be positive")

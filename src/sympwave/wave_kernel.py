@@ -40,14 +40,14 @@ profile: Filon panels give exact values at any frequency, and a lazy
 piecewise-Chebyshev table over unit chunks of v, filled from those values on
 first use, serves every quadrature node after that.
 ``KernelEvaluator.values`` evaluates whole arrays of (t, R) with one table
-read per refinement level (per-row stopping in :func:`integrate_panels` keeps
+read per integrand call of :func:`integrate_panels` (per-row stopping keeps
 each value equal to its own ``value``); the theta breaks of a block of pairs
 are built at once, one padded row per pair.  ``phi_zero`` takes an array of
-radii.  ``dispersive_bound`` makes one ``values`` call per level of its outer
-R-integral, and reads phi_0 and the polar weight at that level's radii from a
-cache per (geometry, p).  Every ``KernelEvaluator`` of equal (geometry,
-profile) reads one cached table, so evaluators, values and bounds tabulate F
-once.
+radii.  ``dispersive_bound`` makes one ``values`` call per integrand call of
+its outer R-integral, and reads phi_0 and the polar weight at that call's
+radii from a cache keyed by the radii.  Every ``KernelEvaluator`` of equal
+(geometry, profile) reads one cached table, so evaluators, values and bounds
+tabulate F once.
 """
 
 from __future__ import annotations
@@ -59,15 +59,14 @@ from math import gamma as real_gamma
 import numpy as np
 from scipy.special import hyp2f1
 
-from ._quad import (_FILON_NODES, ChebTable, FilonPanels, build_once, gl_panels_nodes,
-                    integrate_panels)
+from ._quad import _FILON_NODES, ChebTable, FilonPanels, build_once, integrate_panels
 from .errors import DivergenceError, OutOfRangeError, ResolutionError, UsageError
 from .plancherel import CFunction
 from .profiles import Profile, tail_radius
 from .root_data import RootDatum, preset
 
 _IM_TOL = 1e-10
-_PAIR_BLOCK = 512    # (t, R) pairs per integrate_panels call of KernelEvaluator.values
+_PAIR_BLOCK = 256    # (t, R) pairs per integrate_panels call of KernelEvaluator.values
 # Filon nodes of the largest starting grid a transform may ask for (halving
 # the panels that fail can multiply it by at most 64): an h3 evaluator of
 # this size peaks at about 225 MB of RSS after its first value
@@ -353,9 +352,9 @@ class KernelEvaluator:
         against F(t - s), folded by s = R sin theta into one integral over
         theta in [0, pi/2] against F(t - s) + F(t + s).  That integral is one
         row of an :func:`integrate_panels` call with per-row stopping, so
-        every pair still refining at one order shares one read of
-        ``transform``, at t - s and t + s together.  Pairs go through in
-        blocks of 512, which bounds the nodes held at once.  |t| + R past
+        every pair still refining shares one read of ``transform`` per
+        integrand call, at t - s and t + s together.  Pairs go through in
+        blocks of 256, which bounds the nodes held at once.  |t| + R past
         2^52, near where the table's unit chunks collapse, is a UsageError.
         """
         t, R = np.broadcast_arrays(np.asarray(t, dtype=float), _check_radii(self.geom, R))
@@ -507,11 +506,11 @@ def _bound_breaks(geom: RankOneGeometry, p: float) -> np.ndarray:
     return np.linspace(0.0, rmax, max(13, int(rmax / 3.0) + 1))
 
 
-@build_once(maxsize=12)    # the 3 outer orders of the 4 most recently used (geometry, p)
-def _radial_weight(geom: RankOneGeometry, p: float, order: int):
-    """phi_0 and the polar weight D, read-only, at the order-``order``
-    Gauss-Legendre nodes of the outer R-panels at exponent p."""
-    Rs, _ = gl_panels_nodes(_bound_breaks(geom, p), order)
+@build_once(maxsize=12)    # the node sets of the outer calls of the 4 latest (geometry, p)
+def _radial_weight(geom: RankOneGeometry, radii: bytes):
+    """phi_0 and the polar weight D, read-only, at the radii whose float64
+    bytes are ``radii``: the nodes of one call of the outer R-integral."""
+    Rs = np.frombuffer(radii)
     parts = phi_zero(geom, Rs), cartan_weight(geom, Rs)
     for part in parts:
         part.setflags(write=False)
@@ -521,13 +520,16 @@ def _radial_weight(geom: RankOneGeometry, p: float, order: int):
 def dispersive_bound(geom: RankOneGeometry, profile: Profile, t: float, p: float) -> float:
     """Convolution-bound integral {int |k_t|^{p/2} phi_0 D dR}^{2/p} for p > 2.
 
-    Each refinement level of the outer R-integral is one :meth:`KernelEvaluator.values`
-    call over all of its radii.  Its evaluator reads the one table of
-    (geom, profile), and phi_0 and the polar weight D at a level's radii
-    depend only on (geom, p): they are formed once, by one array
-    :func:`phi_zero`, and kept by :func:`~sympwave._quad.build_once` for the
-    3 levels of the 4 latest (geom, p).  So a sweep over t tabulates F once
-    and builds each level's phi_0 once, with the bits of a cold start.
+    Each call of the outer R-integral's integrand, which holds the first
+    two refinement levels together and each later level alone (see
+    :func:`~sympwave._quad.integrate_panels`), is one
+    :meth:`KernelEvaluator.values` call over all of its radii.  Its
+    evaluator reads the one table of (geom, profile), and phi_0 and the
+    polar weight D at a call's radii depend only on those radii: they are
+    formed once, by one array :func:`phi_zero`, and kept by
+    :func:`~sympwave._quad.build_once`, keyed by the radii, for the node sets
+    of the 4 latest (geom, p).  So a sweep over t tabulates F once and
+    builds phi_0 once per node set, with the bits of a cold start.
     A t that takes |t| + R past 2^52 is a :class:`UsageError` there.
     A p whose truncation radius leaves the range of :func:`cartan_weight` or
     of the kernel raises :class:`OutOfRangeError`, naming the smallest p that
@@ -539,8 +541,7 @@ def dispersive_bound(geom: RankOneGeometry, profile: Profile, t: float, p: float
     evaluator = KernelEvaluator(geom, profile)
 
     def f(Rs):
-        order = Rs.size // (breaks.size - 1)      # the level's nodes per panel
-        phi0, weight = _radial_weight(geom, p, order)
+        phi0, weight = _radial_weight(geom, Rs.tobytes())
         kv = np.abs(evaluator.values(t, Rs))
         return kv ** (p / 2.0) * phi0 * weight
 

@@ -11,7 +11,7 @@ import sympwave as sw
 from sympwave import _quad, model_integral, wave_kernel
 from sympwave._quad import (_CHEB_BLOCK, _TABLE_BLOCK, AccuracyWarning, ChebTable, FilonPanels,
                             _sph_jn_table, build_once, cheb_fit, cheb_series_blocks,
-                            integrate_panels)
+                            gl_panels_nodes, integrate_panels)
 from sympwave.errors import ResolutionError
 
 
@@ -181,6 +181,84 @@ def test_per_row_breaks_stop_each_row_on_its_own():
     assert len({sum(1 for n in seen if n[j]) for j in range(len(rates))}) > 1
 
 
+def one_call_per_order(f, breaks, order0, tol, max_order=256, floor_rel=1e-14):
+    """integrate_panels on one break array as a plain loop, one call of f per
+    order: the reference for its first call, which takes two orders at once."""
+    def level(order):
+        nodes, weights = gl_panels_nodes(breaks, order)
+        fv = f(nodes)
+        return (fv * weights).sum(axis=-1), (np.abs(fv) * np.abs(weights)).sum(axis=-1).max()
+
+    order = order0
+    prev, scale = level(order)
+    out = prev
+    while order < max_order:
+        order *= 2
+        out, _ = level(order)
+        if abs(out - prev).max() <= tol * abs(out).max() + floor_rel * scale + 1e-300:
+            break
+        prev = out
+    return out
+
+
+def oscillating(rate, w, s):
+    return np.exp(-rate * s) * (1.0 + 1j * np.sin(w * s))
+
+
+# 3 x 16 x 341 = 16,368 nodes fit the budget of the fused first call, 342 panels do not
+@pytest.mark.parametrize("panels", [4, 341, 342, 700])
+def test_fused_first_call_gives_the_bits_of_one_call_per_order(panels):
+    # two rows sharing the nodes, about five periods a panel, so that the
+    # order doubles past the fused pair at least once
+    rates, w = np.array([0.3, 4.0]), 15.0 * panels
+    breaks = np.linspace(0.0, 2.0, panels + 1)
+    sizes = []
+
+    def rows(s):
+        sizes.append(s.size)
+        return oscillating(rates[:, None], w, s)
+
+    got = integrate_panels(rows, breaks, order0=16, tol=1e-12)
+    ref = one_call_per_order(lambda s: oscillating(rates[:, None], w, s), breaks, 16, 1e-12)
+    assert got.tobytes() == ref.tobytes()
+    fused = 3 * 16 * panels <= 1 << 14
+    assert sizes[0] == (3 if fused else 1) * 16 * panels and len(sizes) >= 2
+    assert sizes[1:] == [16 * panels * 2 ** (i + (2 if fused else 1))
+                         for i in range(len(sizes) - 1)]
+
+
+@pytest.mark.parametrize("panels", [(3, 5, 2), (150, 100, 92), (150, 100, 91)])
+def test_fused_first_call_gives_each_row_its_bits(panels):
+    # per-row breaks: under the budget (3 x 16 x 341 nodes at most) the first
+    # call carries every row's nodes of orders 16 and 32, and each row still
+    # gets the value and the stopping order it has alone, in one call per order
+    rates = np.array([0.3, 4.0, 40.0])
+    grids = [np.linspace(0.0, 2.0 / (j + 1), n + 1) for j, n in enumerate(panels)]
+    ws = [15.0 * n * (j + 1) for j, n in enumerate(panels)]
+    seen = []
+
+    def rows_f(nodes):
+        seen.append(np.bincount(nodes["row"], minlength=len(rates)))
+        j = nodes["row"]
+        return oscillating(rates[j], np.array(ws)[j], nodes["x"])
+
+    got = integrate_panels(rows_f, grids, order0=16, tol=1e-12)
+    fused = 3 * 16 * sum(panels) <= 1 << 14
+    assert list(seen[0]) == [(3 if fused else 1) * 16 * n for n in panels]
+    for j, breaks in enumerate(grids):
+        ref = one_call_per_order(lambda s, j=j: oscillating(rates[j], ws[j], s), breaks, 16,
+                                 1e-12)
+        assert got[j].tobytes() == np.complex128(ref).tobytes(), j
+
+
+def test_no_fused_call_when_the_first_order_is_the_last():
+    sizes = []
+    with pytest.warns(AccuracyWarning, match="hit order 16"):
+        integrate_panels(lambda s: sizes.append(s.size) or np.exp(s), np.linspace(0.0, 1.0, 5),
+                         order0=16, max_order=16)
+    assert sizes == [4 * 16]
+
+
 def test_table_reads_a_large_batch_as_single_points():
     def f(v):
         return np.exp(1j * v) / (1.0 + 0.1 * v * v)
@@ -218,6 +296,10 @@ def test_table_read_matches_the_complex_recurrence_bit_for_bit():
     assert any(len(pieces[0]) > 1 for pieces in table.chunks.values())
     assert np.isnan(got[[5, _TABLE_BLOCK + 7, 2 * _TABLE_BLOCK + 100]]).all()
     assert got.tobytes() == _clenshaw_reference(table, v).tobytes()
+    # a lookup of finite points alone skips the mask and gives the same bits
+    finite = np.isfinite(v)
+    assert table(v[finite]).tobytes() == got[finite].tobytes()
+    assert np.isnan(table(np.array([np.nan, np.inf]))).all() and table(np.empty(0)).shape == (0,)
 
 
 # -- spherical-Bessel moments ----------------------------------------------------

@@ -147,6 +147,23 @@ def test_k_n_value_independent_of_node_set(p):
             assert np.array_equal(sw.k_n(n, us[::7], x, p), whole[::7]), (n, x)
 
 
+def test_k_n_miller_points_equal_their_single_point_calls():
+    # |z0| = sqrt(x) u in [2, 3] has the longest Miller starts, up to 300 steps
+    # at n = 14, beside points out to |z0| = 1e4 that stop after n + 7 steps and
+    # forward points below 2: the backward loop runs in place on a shrinking
+    # prefix, and each entry must still be the one it has alone
+    x = 400.0
+    rng = np.random.default_rng(23)
+    z0 = np.concatenate([rng.uniform(2.0, 3.0, 24), np.geomspace(3.0, 1e4, 24),
+                         rng.uniform(0.0, 2.0, 6)])
+    rng.shuffle(z0)
+    us = z0 / math.sqrt(x)
+    for n in range(1, 15):
+        whole = sw.k_n(n, us, x, 2)
+        alone = np.array([sw.k_n(n, float(u), x, 2) for u in us])
+        assert whole.tobytes() == alone.tobytes(), n
+
+
 def test_expand_and_xi_decompose_never_enter_ray_quadrature(monkeypatch, cos_problem):
     from sympwave import stationary_phase as sp
     real_ray, calls = sp._k_n_ray, []
@@ -233,8 +250,10 @@ def test_oracle_evaluates_g_and_f_once_per_level():
     sizes["f"].clear()        # the construction's own grid calls
     sizes["g"].clear()
     sw.oracle(prob, 300.0)
-    # 96 half-period panels; the order doubles from 16 up to at most 128
-    assert 2 <= len(sizes["g"]) <= 4 and min(sizes["g"]) >= 96 * 16
+    # 96 half-period panels; the order doubles from 16 up to at most 128, and
+    # orders 16 and 32 are one call: each node is evaluated once per order
+    assert 1 <= len(sizes["g"]) <= 3
+    assert sizes["g"] == [96 * (16 + 32), 96 * 64, 96 * 128][:len(sizes["g"])]
     assert [n for n in sizes["f"] if n > 97] == sizes["g"]
     # the 96 breaks past t = a come from one bisection of about 50 array calls
     assert len(sizes["f"]) - len(sizes["g"]) <= 64
