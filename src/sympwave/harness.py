@@ -1,20 +1,22 @@
 """Sweeps, slope fits, and CSV/SVG emission.
 
-Experiments are registered by name; a sweep spec is a flat string-to-string
-mapping (assembled from a ``key = value`` config file and/or CLI flags) and
-produces an ordered list of records.  Grid points may run on a thread pool
-capped by ``SYMPWAVE_THREADS``; row order and values never depend on the
-worker count.  Kernel sweeps ignore the cap: all their t go through one
-``KernelEvaluator.values`` call.  Evaluators of one (geometry, profile)
-read one tabulated profile transform, so a dispersive sweep tabulates it once
-for all its t.  All randomness is banned:
-grids are explicit lists or arithmetic/geometric progressions.
+Experiments are registered by name in ``EXPERIMENTS``, which also declares
+each one's spec keys and their defaults, the CLI's flags among them; a sweep
+spec is a flat string-to-string mapping (assembled from a ``key = value``
+config file and/or CLI flags) and produces an ordered list of records.  Grid
+points may run on a thread pool capped by ``SYMPWAVE_THREADS``; row order and
+values never depend on the worker count.  Kernel sweeps ignore the cap: all
+their t go through one ``KernelEvaluator.values`` call.  Evaluators of one
+(geometry, profile) read one tabulated profile transform, so a dispersive
+sweep tabulates it once for all its t.  All randomness is banned: grids are
+explicit lists or arithmetic/geometric progressions.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -187,6 +189,11 @@ def _emit_svg(records, path: str):
 # sweep specs and experiments
 # ---------------------------------------------------------------------------
 
+# the most points of a grid or a cfun sweep, checked before anything is
+# allocated; an h3 cfun sweep of this many rows takes about 3 s and 0.6 GB
+_MAX_POINTS = 10**6
+
+
 def parse_grid(text: str):
     """Parse '1,2,4' or 'min:max:steps:lin|log' into a list of floats."""
     text = text.strip()
@@ -198,8 +205,8 @@ def parse_grid(text: str):
             raise UsageError(f"grid {text!r} must be min:max:steps:lin|log")
         lo, hi = _number(parts[0], float, "grid start"), _number(parts[1], float, "grid end")
         steps, scale = _number(parts[2], int, "grid steps"), parts[3]
-        if steps < 0:
-            raise UsageError(f"grid {text!r} needs a step count >= 0")
+        if not 0 <= steps <= _MAX_POINTS:
+            raise UsageError(f"grid {text!r} needs a step count from 0 to {_MAX_POINTS}")
         if scale == "lin":
             return list(np.linspace(lo, hi, steps))
         if scale == "log":
@@ -223,31 +230,27 @@ def _number(text: str, kind, what: str):
 
 
 def read_config(path: str):
-    """Plain 'key = value' lines; '#' starts a comment."""
+    """Plain UTF-8 'key = value' lines; '#' starts a comment.  A key must be
+    ``experiment`` or a key of some experiment, not necessarily the one run,
+    so one file can serve several."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"config file {path} is not UTF-8 text: {exc}") from None
+    known = {"experiment"}.union(*(exp.keys for exp in EXPERIMENTS.values()))
     spec = {}
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise UsageError(f"malformed config line {raw.rstrip()!r}")
-            key, value = line.split("=", 1)
-            spec[key.strip()] = value.strip()
+    for raw in lines:
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise UsageError(f"malformed config line {raw.rstrip()!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in known:
+            raise UsageError(f"config file {path}: no experiment has a key {key!r}")
+        spec[key] = value
     return spec
-
-
-def _need(spec, key):
-    if key not in spec or spec[key] == "":
-        raise UsageError(f"missing required key {key!r}")
-    return spec[key]
-
-
-def _need_list(spec, key):
-    # present but empty is allowed: an empty grid is a no-op sweep
-    if key not in spec:
-        raise UsageError(f"missing required key {key!r}")
-    return spec[key]
 
 
 def _worker_count(npoints: int) -> int:
@@ -268,13 +271,13 @@ def _map_grid(fn, grid):
 
 
 def _run_cfun(spec):
-    datum = preset(_need(spec, "preset"))
+    datum = preset(spec["preset"])
     cf = CFunction(datum)
-    lam_max = _number(_need(spec, "lambda-max"), float, "lambda-max")
-    steps = _number(_need(spec, "steps"), int, "steps")
-    if steps < 0:
-        raise UsageError("steps must be nonnegative")
-    direction = spec.get("direction", "")
+    lam_max = _number(spec["lambda-max"], float, "lambda-max")
+    steps = _number(spec["steps"], int, "steps")
+    if not 0 <= steps <= _MAX_POINTS:
+        raise UsageError(f"steps must be from 0 to {_MAX_POINTS}, got {steps}")
+    direction = spec["direction"]
     if direction:
         e = np.array([_number(t, float, "direction") for t in direction.split(",")])
         if len(e) != datum.rank:
@@ -286,9 +289,25 @@ def _run_cfun(spec):
     e = e / np.linalg.norm(e)
     grid = [(i + 1) / steps * lam_max for i in range(steps)]
     lams = np.outer(grid, e)
+    with np.errstate(over="ignore"):
+        densities = cf.density(lams)
+    if not np.isfinite(densities).all():
+        raise UsageError(f"the {datum.name} density overflows past |lambda| = "
+                         f"{_overflow_radius(cf, e, abs(lam_max)):.4g} along this direction, "
+                         f"which lambda-max = {lam_max:g} passes")
     return [SweepRecord(inputs=tuple((f"lambda_{i+1}", lam[i]) for i in range(datum.rank)),
                         outputs=(("density", float(dens)),))
-            for lam, dens in zip(lams, cf.density(lams))]
+            for lam, dens in zip(lams, densities)]
+
+
+def _overflow_radius(cf, e, lam):
+    """The radius, to 4 digits, past which cf's density overflows along the
+    unit vector e, given that it does at lam * e; it grows with the radius."""
+    with np.errstate(over="ignore"):
+        s = lam * 0.5 ** np.arange(1100.0)      # down past the smallest double
+        s = s[np.isfinite(cf.density(np.outer(s, e)))][0]
+        s = np.linspace(s, 2.0 * s, 10001)
+        return s[np.isfinite(cf.density(np.outer(s, e)))][-1]
 
 
 def _cos_demo_problem():
@@ -298,14 +317,14 @@ def _cos_demo_problem():
 
 
 def _run_stphase(spec):
-    demo = spec.get("demo", "cos")
+    demo = spec["demo"]
     if demo != "cos":
         raise UsageError(f"unknown stphase demo {demo!r}")
     problem = _cos_demo_problem()
-    N = _number(spec.get("N", "2"), int, "N")
-    M = _number(spec.get("M", "1"), int, "M")
+    N = _number(spec["N"], int, "N")
+    M = _number(spec["M"], int, "M")
     check_terms(N, M)
-    xs = parse_grid(_need_list(spec, "x-list"))
+    xs = parse_grid(spec["x-list"])
     # one amplitude for every x; its proxy derivatives are cached across rows
     amp = amplitude_data(problem) if xs else None
 
@@ -320,9 +339,8 @@ def _run_stphase(spec):
 
 
 def _run_model(spec):
-    name = _need(spec, "preset")
-    datum = preset(name)
-    sym_name = spec.get("symbol", "gauss")
+    datum = preset(spec["preset"])
+    sym_name = spec["symbol"]
     if sym_name == "plancherel":
         symbol = plancherel_symbol(CFunction(datum))
     elif sym_name == "gauss":
@@ -331,10 +349,10 @@ def _run_model(spec):
         raise UsageError(f"unknown symbol {sym_name!r}")
     if datum.rank < 2:
         raise UsageError("the model sweep needs a rank >= 2 preset")
-    r = _number(_need(spec, "r"), float, "r")
-    M = _number(spec["M"], int, "M") if spec.get("M") else None
+    r = _number(spec["r"], float, "r")
+    M = _number(spec["M"], int, "M") if spec["M"] else None
     check_decomposition(r, M)
-    hs = parse_grid(_need_list(spec, "h-list"))
+    hs = parse_grid(spec["h-list"])
     E = np.zeros(datum.rank)
     E[0] = 1.0
     n_eff = symbol.growth_exponent + datum.rank
@@ -359,10 +377,10 @@ def _run_model(spec):
 
 
 def _run_kernel(spec):
-    geom = rank_one_geometry(_need(spec, "preset"))
-    profile = parse_profile(_need(spec, "psi"))
-    R = _number(_need(spec, "R"), float, "R")
-    ts = parse_grid(_need_list(spec, "t-list"))
+    geom = rank_one_geometry(spec["preset"])
+    profile = parse_profile(spec["psi"])
+    R = _number(spec["R"], float, "R")
+    ts = parse_grid(spec["t-list"])
     # one batched call; threaded chunks of t ran slower and held more memory
     vals = KernelEvaluator(geom, profile).values(np.array(ts, dtype=float), R)
 
@@ -377,11 +395,11 @@ def _run_kernel(spec):
 
 
 def _run_dispersive(spec):
-    geom = rank_one_geometry(_need(spec, "preset"))
-    profile = parse_profile(_need(spec, "psi"))
-    p = _number(_need(spec, "p"), float, "p")
+    geom = rank_one_geometry(spec["preset"])
+    profile = parse_profile(spec["psi"])
+    p = _number(spec["p"], float, "p")
     bound_radius(geom, p)
-    ts = parse_grid(_need_list(spec, "t-list"))
+    ts = parse_grid(spec["t-list"])
 
     def row(t):
         return SweepRecord(inputs=(("t", t),),
@@ -389,19 +407,37 @@ def _run_dispersive(spec):
     return _map_grid(row, ts)
 
 
+# a sweep: its runner, its one-line CLI help, and its spec keys in CLI flag
+# order, each with its default; a default of None marks a required key
+Experiment = namedtuple("Experiment", "run help keys")
 EXPERIMENTS = {
-    "cfun": _run_cfun,
-    "stphase": _run_stphase,
-    "model": _run_model,
-    "kernel": _run_kernel,
-    "dispersive": _run_dispersive,
+    "cfun": Experiment(_run_cfun, "Plancherel density along a ray",
+                       {"preset": None, "lambda-max": None, "steps": None, "direction": ""}),
+    "stphase": Experiment(_run_stphase, "boundary expansion vs direct quadrature",
+                          {"demo": "cos", "x-list": None, "N": "2", "M": "1"}),
+    "model": Experiment(_run_model, "radial-density decomposition sweep",
+                        {"preset": None, "symbol": "gauss", "r": None, "h-list": None, "M": ""}),
+    "kernel": Experiment(_run_kernel, "wave-kernel values on a time grid",
+                         {"preset": None, "psi": None, "t-list": None, "R": None}),
+    "dispersive": Experiment(_run_dispersive, "convolution-bound integral on a time grid",
+                             {"preset": None, "psi": None, "p": None, "t-list": None}),
 }
 
 
 def run_sweep(spec) -> list:
-    """Run the experiment named by spec['experiment']; deterministic rows."""
-    name = _need(spec, "experiment")
+    """Run the experiment named by spec['experiment'] on its keys, with their
+    defaults filled in; deterministic rows.  A required key may not be empty,
+    except a grid (``*-list``): an empty grid is a no-op sweep."""
+    name = spec.get("experiment", "")
+    if not name:
+        raise UsageError("missing required key 'experiment'")
     if name not in EXPERIMENTS:
         raise UsageError(f"unknown experiment {name!r}; "
                          f"registered: {', '.join(sorted(EXPERIMENTS))}")
-    return EXPERIMENTS[name](dict(spec))
+    experiment = EXPERIMENTS[name]
+    spec = {key: spec.get(key, default) for key, default in experiment.keys.items()}
+    for key, value in spec.items():
+        if value is None or (value == "" and experiment.keys[key] is None
+                             and not key.endswith("-list")):
+            raise UsageError(f"missing required key {key!r}")
+    return experiment.run(spec)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import sympwave as sw
 from sympwave.cli import main
+from sympwave.harness import EXPERIMENTS
 
 
 def test_kernel_subcommand(tmp_path):
@@ -88,8 +89,9 @@ def test_io_error_exit_code(capsys):
 
 def test_config_file_with_cli_override(tmp_path):
     cfg = tmp_path / "run.cfg"
+    # p is a dispersive key: a config file may serve both experiments
     cfg.write_text("experiment = kernel\npreset = h3\npsi = exp:1.0\n"
-                   "t-list = 10\nR = 0.5\n")
+                   "t-list = 10\nR = 0.5\np = 4\n")
     out = tmp_path / "k.csv"
     code = main(["kernel", "--config", str(cfg), "--t-list", "10,20,30",
                  "--out", str(out)])
@@ -124,6 +126,106 @@ def test_model_subcommand_plancherel(tmp_path):
               - complex(row.get("R2_re"), row.get("R2_im")))
     assert gap <= 1e-6 * abs(complex(row.get("direct_re"), row.get("direct_im"))) + 1e-9
     assert row.get("bound_ratio") > 0.0
+
+
+# -- the CLI is built from harness.EXPERIMENTS --------------------------------------
+
+# `sympwave [experiment] --help` at 80 columns, pinned: each flag, its order and
+# its metavar are part of the CLI that scripts and config files rely on
+_HELP = {
+    "": """\
+usage: sympwave [-h] {cfun,stphase,model,kernel,dispersive} ...
+
+spectral-density, stationary-phase and wave-kernel sweeps
+
+positional arguments:
+  {cfun,stphase,model,kernel,dispersive}
+    cfun                Plancherel density along a ray
+    stphase             boundary expansion vs direct quadrature
+    model               radial-density decomposition sweep
+    kernel              wave-kernel values on a time grid
+    dispersive          convolution-bound integral on a time grid
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "cfun": """\
+usage: sympwave cfun [-h] [--preset PRESET] [--lambda-max LAMBDA_MAX]
+                     [--steps STEPS] [--direction DIRECTION] [--config CONFIG]
+                     [--out OUT]
+
+options:
+  -h, --help            show this help message and exit
+  --preset PRESET
+  --lambda-max LAMBDA_MAX
+  --steps STEPS
+  --direction DIRECTION
+  --config CONFIG       key = value file with defaults
+  --out OUT             output path (.csv or .svg)
+""",
+    "stphase": """\
+usage: sympwave stphase [-h] [--demo DEMO] [--x-list X_LIST] [--N N] [--M M]
+                        [--config CONFIG] [--out OUT]
+
+options:
+  -h, --help       show this help message and exit
+  --demo DEMO
+  --x-list X_LIST
+  --N N
+  --M M
+  --config CONFIG  key = value file with defaults
+  --out OUT        output path (.csv or .svg)
+""",
+    "model": """\
+usage: sympwave model [-h] [--preset PRESET] [--symbol SYMBOL] [--r R]
+                      [--h-list H_LIST] [--M M] [--config CONFIG] [--out OUT]
+
+options:
+  -h, --help       show this help message and exit
+  --preset PRESET
+  --symbol SYMBOL
+  --r R
+  --h-list H_LIST
+  --M M
+  --config CONFIG  key = value file with defaults
+  --out OUT        output path (.csv or .svg)
+""",
+    "kernel": """\
+usage: sympwave kernel [-h] [--preset PRESET] [--psi PSI] [--t-list T_LIST]
+                       [--R R] [--config CONFIG] [--out OUT]
+
+options:
+  -h, --help       show this help message and exit
+  --preset PRESET
+  --psi PSI
+  --t-list T_LIST
+  --R R
+  --config CONFIG  key = value file with defaults
+  --out OUT        output path (.csv or .svg)
+""",
+    "dispersive": """\
+usage: sympwave dispersive [-h] [--preset PRESET] [--psi PSI] [--p P]
+                           [--t-list T_LIST] [--config CONFIG] [--out OUT]
+
+options:
+  -h, --help       show this help message and exit
+  --preset PRESET
+  --psi PSI
+  --p P
+  --t-list T_LIST
+  --config CONFIG  key = value file with defaults
+  --out OUT        output path (.csv or .svg)
+""",
+}
+
+
+@pytest.mark.parametrize("experiment", list(_HELP), ids=[e or "sympwave" for e in _HELP])
+def test_help_text_is_unchanged(experiment, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([experiment, "--help"] if experiment else ["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == _HELP[experiment]
 
 
 @pytest.mark.parametrize("argv", [
@@ -177,6 +279,13 @@ def test_model_usage_error_names_the_limit_that_failed(argv, message, capsys):
     ["kernel", "--preset", "h3", "--psi", "exp:1", "--t-list", "1e17", "--R", "0"],
     ["kernel", "--preset", "h3", "--psi", "exp:1", "--t-list", "1e300", "--R", "0.5"],
     ["dispersive", "--preset", "h3", "--psi", "exp:1", "--p", "4", "--t-list", "1e17"],
+    ["cfun", "--config", b"\xff\xfepreset = h3\n", "--lambda-max", "2", "--steps", "2"],
+    ["cfun", "--preset", "h3", "--lambda-max", "2", "--steps", "100000000000"],
+    ["kernel", "--preset", "h3", "--psi", "exp:1", "--t-list", "0:1:100000000000:lin", "--R", "1"],
+    ["cfun", "--preset", "h3", "--lambda-max", "1e160", "--steps", "3"],
+    ["cfun", "--preset", "a2", "--lambda-max", "1e160", "--steps", "3"],
+    ["cfun", "--preset", "ch2", "--lambda-max=-1e160", "--steps", "3"],
+    ["cfun", "--config", b"preset = h3\ndirecion = 1,2\n", "--lambda-max", "2", "--steps", "2"],
 ], ids=["direction-length", "direction-zero-rank1", "direction-zero-rank2",
         "negative-radius", "non-finite-times", "non-finite-lambda-max",
         "infinite-profile-parameter", "nan-profile-parameter", "radius-past-double-range",
@@ -185,11 +294,40 @@ def test_model_usage_error_names_the_limit_that_failed(argv, message, capsys):
         "expansion-terms-empty-grid", "boundary-terms-empty-grid", "boundary-terms-M-4",
         "boundary-terms-M-9", "bound-exponent-empty-grid",
         "negative-step-count", "log-grid-zero-end", "log-grid-negative-end",
-        "time-past-table-at-origin", "time-past-table-and-double-power", "bound-time-past-table"])
-def test_invalid_input_exit_code(argv, capsys):
-    assert main(argv) == 2
+        "time-past-table-at-origin", "time-past-table-and-double-power", "bound-time-past-table",
+        "config-not-utf8", "steps-past-cap", "grid-steps-past-cap", "density-overflow-h3",
+        "density-overflow-a2", "density-overflow-ch2", "config-key-of-no-experiment"])
+def test_invalid_input_exit_code(argv, tmp_path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(_write_config(argv, tmp_path)) == 2
     captured = capsys.readouterr()
     assert "usage error" in captured.err and captured.out == ""
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["cfun", "--config", b"\xff\xfepreset = h3\n"], "run.cfg is not UTF-8 text"),
+    (["cfun", "--preset", "h3", "--lambda-max", "2", "--steps", "1000001"],
+     "steps must be from 0 to 1000000, got 1000001"),
+    (["kernel", "--preset", "h3", "--psi", "exp:1", "--t-list", "0:1:1000001:lin", "--R", "1"],
+     "needs a step count from 0 to 1000000"),
+    (["cfun", "--preset", "h3", "--lambda-max", "1e160", "--steps", "3"],
+     "the h3 density overflows past |lambda| = 1.341e+154 along this direction"),
+    (["cfun", "--config", b"preset = h3\ndirecion = 1,2\n"], "no experiment has a key 'direcion'"),
+])
+def test_usage_error_names_what_failed(argv, message, tmp_path, capsys):
+    assert main(_write_config(argv, tmp_path)) == 2
+    assert message in capsys.readouterr().err
+
+
+def _write_config(argv, tmp_path):
+    """argv with a bytes item written to run.cfg and replaced by its path."""
+    path = tmp_path / "run.cfg"
+    for item in argv:
+        if isinstance(item, bytes):
+            path.write_bytes(item)
+    return [str(path) if isinstance(item, bytes) else item for item in argv]
 
 
 # -- every spec gets rows or a documented exit code ---------------------------------
@@ -224,6 +362,11 @@ _POOLS = {
                    "t-list": (["10", "-10", ""], ["nan", "x", None]),
                    "p": (["4"], ["2", "1.5", *_BAD])},
 }
+
+
+def test_pools_cover_every_key_of_every_experiment():
+    assert {name: set(pools) for name, pools in _POOLS.items()} == \
+        {name: set(experiment.keys) for name, experiment in EXPERIMENTS.items()}
 
 
 @st.composite
