@@ -49,8 +49,7 @@ def main(argv=None) -> int:
             fmt = "svg" if args.out.endswith(".svg") else "csv"
             emit(records, fmt, args.out)
         else:
-            for line in csv_lines(records):
-                print(line)
+            sys.stdout.write("\n".join(csv_lines(records) + [""]))
         return 0
     except (UsageError, OutOfRangeError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)

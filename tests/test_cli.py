@@ -99,11 +99,30 @@ def test_config_file_with_cli_override(tmp_path):
     assert len(sw.read_csv(str(out))) == 3  # CLI list overrode the config
 
 
-def test_empty_list_is_success(tmp_path):
+def test_empty_list_is_success(tmp_path, capsys):
+    argv = ["kernel", "--preset", "h3", "--psi", "exp:1.0", "--t-list", "", "--R", "0.5"]
     out = tmp_path / "k.csv"
-    code = main(["kernel", "--preset", "h3", "--psi", "exp:1.0",
-                 "--t-list", "", "--R", "0.5", "--out", str(out)])
-    assert code == 0
+    assert main(argv + ["--out", str(out)]) == 0
+    assert out.read_bytes() == b"\n"
+    assert main(argv) == 0
+    assert capsys.readouterr().out == ""
+
+
+def test_stdout_is_the_out_file(tmp_path, capsys):
+    argv = ["cfun", "--preset", "a2", "--lambda-max", "10", "--steps", "200"]
+    out = tmp_path / "c.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode() == out.read_bytes()
+
+
+def test_ragged_rows_exit_code(monkeypatch, capsys):
+    rows = [sw.SweepRecord(inputs=(("x", 1.0),), outputs=(("y", 2.0),)),
+            sw.SweepRecord(inputs=(("x", 1.0),), outputs=(("y", 2.0j),))]
+    monkeypatch.setitem(EXPERIMENTS, "cfun", EXPERIMENTS["cfun"]._replace(run=lambda spec: rows))
+    assert main(["cfun", "--preset", "h3", "--lambda-max", "1", "--steps", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "row 1 has columns x,y_re,y_im" in captured.err
 
 
 def test_stdout_rendering(capsys):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import sympwave as sw
 from sympwave import wave_kernel
 from sympwave.errors import UsageError
-from sympwave.harness import EXPERIMENTS
+from sympwave.harness import EXPERIMENTS, csv_lines
 
 from conftest import counted_xi_builds
 
@@ -109,6 +109,96 @@ def test_emit_svg(tmp_path):
     sw.emit(make_records(xs, xs**-2), "svg", str(path))
     text = path.read_text()
     assert text.startswith("<svg") and "polyline" in text
+
+
+def _svg_records():
+    ts = np.geomspace(1.0, 100.0, 9)
+    return [sw.SweepRecord(inputs=(("t", float(t)),),
+                           outputs=(("a", t ** -2), ("b", complex(t ** -1, -t)), ("n", i),
+                                    ("c", np.float32(t ** 0.5)), ("d", np.complex128(1j * t)),
+                                    ("e", 3.0 + np.sin(t)), ("f", float(i % 2))))
+            for i, t in enumerate(ts)]
+
+
+def test_emit_svg_bytes_are_pinned(tmp_path):
+    # eight series of every value type, some dropped or cut by the log scale;
+    # the digest is the output of the writer that flattened each series apart
+    path = tmp_path / "plot.svg"
+    sw.emit(_svg_records(), "svg", str(path))
+    assert (hashlib.sha256(path.read_bytes()).hexdigest()
+            == "0e43aee454e87fd50628b34a9d7819420d198f99865114e663151f1c0991ca8f")
+
+
+def _ragged(second):
+    return [sw.SweepRecord(inputs=(("x", 1.0),), outputs=(("y", 2.0),)), second]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "svg"])
+@pytest.mark.parametrize("second", [
+    sw.SweepRecord(inputs=(("x", 1.0),), outputs=(("y", 2.0 + 1.0j),)),   # wider
+    sw.SweepRecord(inputs=(("t", 1.0),), outputs=(("z", 3.0),)),          # renamed
+], ids=["width", "names"])
+def test_ragged_rows_rejected_naming_the_row(second, fmt, tmp_path):
+    with pytest.raises(UsageError, match="row 1 has columns"):
+        sw.emit(_ragged(second), fmt, str(tmp_path / f"r.{fmt}"))
+
+
+# every value type a row may hold, with the values that format unlike the rest
+_SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.5e-310, 1e308, -1e308]
+_SPECIAL32 = [math.nan, math.inf, -math.inf, -0.0, 1e-45, 3.4e38]
+_doubles = st.one_of(st.sampled_from(_SPECIAL), st.floats())
+_singles = st.one_of(st.sampled_from(_SPECIAL32), st.floats(width=32))
+_VALUES = {
+    "float": _doubles,
+    "int": st.integers(-2**70, 2**70),
+    "bool": st.booleans(),
+    "complex": st.builds(complex, _doubles, _doubles),
+    "float64": _doubles.map(np.float64),
+    "float32": _singles.map(np.float32),
+    "int64": st.integers(-2**63, 2**63 - 1).map(np.int64),
+    "complex128": st.builds(complex, _doubles, _doubles).map(np.complex128),
+    "complex64": st.builds(complex, _singles, _singles).map(np.complex64),
+}
+
+
+@st.composite
+def _tables(draw):
+    kinds = draw(st.lists(st.sampled_from(sorted(_VALUES)), min_size=1, max_size=6))
+    rows = draw(st.lists(st.tuples(*(_VALUES[k] for k in kinds)), min_size=1, max_size=4))
+    return [sw.SweepRecord(inputs=(("c0", row[0]),),
+                           outputs=tuple((f"c{j}", v) for j, v in enumerate(row) if j))
+            for row in rows]
+
+
+def _reference_columns(rec):
+    """The flat columns by the plain rule: complex if Python or numpy says so."""
+    cols = []
+    for name, value in rec.inputs + rec.outputs:
+        if isinstance(value, complex) or np.iscomplexobj(value):
+            cols += [(f"{name}_re", float(np.real(value))), (f"{name}_im", float(np.imag(value)))]
+        else:
+            cols.append((name, float(value)))
+    return cols
+
+
+def _same_float(a, b):
+    return (math.isnan(a) and math.isnan(b)) or (a == b and math.copysign(1, a) == math.copysign(1, b))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tables())
+def test_csv_lines_match_the_plain_rule(tmp_path_factory, records):
+    ref = [_reference_columns(rec) for rec in records]
+    lines = csv_lines(records)
+    assert lines[0] == ",".join(name for name, _ in ref[0])
+    assert lines[1:] == [",".join("%.17g" % v for _, v in cols) for cols in ref]
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    sw.emit(records, "csv", str(path))
+    back = sw.read_csv(str(path))
+    assert len(back) == len(records)
+    for rec, cols in zip(back, ref):
+        assert rec.column_names() == [name for name, _ in cols]
+        assert all(_same_float(rec.get(name), v) for name, v in cols)
 
 
 def test_emit_unwritable_path():
