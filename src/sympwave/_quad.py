@@ -6,7 +6,8 @@ Three engines cover everything in the package:
   panel, the order doubled until self-consistent (for phases resolved by the
   panel grid); an integrand may return rows, which refine together, or take
   one break array per row, each row then stopping on its own; the first two
-  orders are one call of the integrand when they hold at most 2^14 nodes;
+  orders (or more, if the caller asks) are one call of the integrand when
+  they hold at most 2^14 nodes;
 * Filon panels for linear phases of arbitrary frequency: the amplitude is
   Legendre-projected per panel and the moments int P_k(x) e^(i mu x) dx
   = 2 i^k j_k(mu) are exact spherical-Bessel values, so the panels only
@@ -116,15 +117,15 @@ def gl_panels_nodes(breaks: np.ndarray, order: int):
 # a node of one row of a per-row :func:`integrate_panels` call; nodes carry
 # their rows, so the integrand takes one argument in both modes
 ROW_NODE = np.dtype([("x", float), ("row", np.intp)])
-# the most nodes of a first call of :func:`integrate_panels` that takes its
-# first two orders at once; a larger one takes one order a call, so that its
-# peak memory stays that of one order
+# the most nodes of a first call of :func:`integrate_panels` that takes more
+# than one order at once; a larger one takes fewer orders, down to one, so
+# that its peak memory stays that of one order
 FUSED_NODES = 1 << 14
 
 
 def integrate_panels(f, breaks, order0: int = 16, tol: float = 1e-10,
                      max_order: int = 256, warn_label: str = "integral",
-                     floor_rel: float = 1e-14):
+                     floor_rel: float = 1e-14, first_orders: int = 2):
     """Composite GL with order doubling until two levels agree.
 
     With one break array, ``f`` must accept a flat array of nodes and return
@@ -142,14 +143,18 @@ def integrate_panels(f, breaks, order0: int = 16, tol: float = 1e-10,
     after that; its sum is taken over its own contiguous slice of nodes, so
     its value is the one it has alone.
 
-    Order ``order0`` is always followed by order ``2 order0``, so when both
-    together have at most 2^14 nodes (:data:`FUSED_NODES`) the first call of
-    ``f`` takes both: the nodes of order ``order0`` first, then those of
-    ``2 order0``, each in the layout a call of its own would have.  Each
-    order is then summed over its own slice of the values, so an integrand
-    whose value at a node does not depend on the other nodes gives the
-    result of one call per order, bit for bit.  Every later order, and both
-    orders of a larger call, is one call of ``f``.
+    Order ``order0`` is always followed by order ``2 order0``, so the first
+    call of ``f`` takes the first ``first_orders`` orders ``order0``,
+    ``2 order0``, ``4 order0``, ... at once (two by default, none past
+    ``max_order``), as many of them as have at most 2^14 nodes together
+    (:data:`FUSED_NODES`): the nodes of each order in turn, each in the
+    layout a call of its own would have.  Each order is then summed over
+    its own slice of the values, so an integrand whose value at a node does
+    not depend on the other nodes gives the result of one call per order,
+    bit for bit.  Every later order, and every order of a call too large to
+    take two, is one call of ``f``.  A caller whose integrals seldom stop
+    at order ``2 order0`` passes ``first_orders=3``: the stopping decisions
+    are the same, with one call fewer.
 
     Relative tolerance is measured against the finer level in the max norm
     over the rows that refine together, with an absolute floor of
@@ -202,14 +207,21 @@ def integrate_panels(f, breaks, order0: int = 16, tol: float = 1e-10,
 
     order = order0
     live = list(range(len(grids)))
-    fuse = order0 < max_order and 3 * order0 * counts.sum() <= FUSED_NODES
-    first = call(live, [order0, 2 * order0] if fuse else [order0])
+    orders = [order0]    # the orders of the first call
+    while (len(orders) < first_orders and orders[-1] < max_order
+           and (sum(orders) + 2 * orders[-1]) * counts.sum() <= FUSED_NODES):
+        orders.append(2 * orders[-1])
+    first = call(live, orders)
     out, scale = sums(*first.pop(0), masses=True)   # scale: cancellation-aware floor
     prev, residual = list(out), [0.0] * len(grids)
     while order < max_order and live:
         order *= 2
+        # an order of the first call has the sums of every row, stopped or not
+        level = dict(zip(range(len(grids)), sums(*first.pop(0))) if first
+                     else zip(live, sums(*call(live, [order])[0])))
         still = []
-        for i, c in zip(live, sums(*(first.pop() if first else call(live, [order])[0]))):
+        for i in live:
+            c = level[i]
             out[i], residual[i] = c, abs(c - prev[i]).max()
             if residual[i] > tol * abs(c).max() + floor_rel * scale[i] + 1e-300:
                 prev[i] = c

@@ -197,7 +197,7 @@ def _emit_svg(records, path: str):
         if series:
             all_x = np.concatenate([s[1] for s in series])
             all_y = np.concatenate([s[2] for s in series])
-            x0, x1 = all_x.min(), all_x.max() or 1.0
+            x0, x1 = all_x.min(), all_x.max()
             y0, y1 = all_y.min(), all_y.max()
             x1 = x1 if x1 > x0 else x0 + 1.0
             y1 = y1 if y1 > y0 else y0 + 1.0

@@ -50,6 +50,14 @@ from .errors import OutOfRangeError, ResolutionError, UsageError
 from .profiles import CutoffProduct, SmoothCutoff, cutoff_product_derivs
 
 _GRID_CHECK = 1000
+# the orders R1's first integrand call takes, 16, 32 and 64: most R1 integrals
+# stop at order 64 (45 of the 48 in seed-3 passes of the xi and stphase
+# benchmarks, the rest at 128), so a first call of orders 16 and 32 alone was
+# one call more.  Order 32 does stop some (a q^(N+1) that is proxy noise,
+# N = 9 at x >= 1e4, p = 3 and 4 at x = 1e3), and order 16's mass sets the
+# floor of every later level, so starting at order 32 instead would move the
+# bits of those and of some N >= 7 results
+_R1_FIRST_ORDERS = 3
 
 
 @dataclass
@@ -442,6 +450,10 @@ def remainder_integrals(amps: tuple[AmplitudeData, ...], n: int, m: int, x: floa
     holds more than four periods of k_n; k_n runs once per node set for
     every amplitude.  R2 is one Filon build.
 
+    R1 starts at order 16, the first order that can stop it, and its first
+    integrand call takes orders 16, 32 and 64 when they hold at most 2^14
+    nodes (146 panels): most R1 integrals stop at order 64, so that is one
+    k_n call each, with the stopping decisions of one call per order.
     R1 refines to 1e-12 relative, with an absolute floor of
     max(1e-14, eps p x u_hi^p) of the integrand's mass, u_hi^p being the
     end of the live interval in v = u^p.  That floor is the integrand's own
@@ -470,7 +482,7 @@ def remainder_integrals(amps: tuple[AmplitudeData, ...], n: int, m: int, x: floa
     floor = max(1e-14, np.finfo(float).eps * p * phase)
     r1 = integrate_panels(lambda us: cutoff_product_derivs(qs, n, us) * k_n(n, us, x, p),
                           breaks, order0=16, tol=1e-12, warn_label="R1 integral",
-                          floor_rel=floor)
+                          floor_rel=floor, first_orders=_R1_FIRST_ORDERS)
     return r1, first._r2_panels(amps[1:], m).integrate(np.full(len(amps), x))
 
 
@@ -493,6 +505,20 @@ def check_terms(N: int, M: int):
         raise UsageError(f"need 1 <= N, M <= {_MAX_TERMS}, got N = {N} and M = {M}")
 
 
+def _check_x_fits(x: float, N: int, M: int, p: int):
+    """Raise OutOfRangeError, naming the smallest x that fits, unless every
+    power of 1/x that :func:`expand` forms is a finite double: the largest
+    are x^-((N+1)/p), in k_{N+1}(0), and x^-M, in R2."""
+    power = max((N + 1) / p, M)
+    # x^-power < 2^1024 above 2^(-1024/power); the margin covers the rounding
+    # of (i/x)^M, which overflows up to about 1e-14 past that
+    smallest = 2.0 ** (-1024.0 / power) * (1.0 + 1e-12)
+    if x < smallest:
+        raise OutOfRangeError(
+            f"x = {x:g} is too small for N = {N}, M = {M} and p = {p}: x^-{power:g} "
+            f"overflows; the smallest x that fits is {smallest * (1.0 + 1e-5):.6g}")
+
+
 def expand(problem: PhaseProblem, x: float, N: int, M: int,
            amplitude: AmplitudeData | None = None) -> ExpansionResult:
     """Boundary expansion of the oscillatory integral at frequency x > 0.
@@ -500,12 +526,16 @@ def expand(problem: PhaseProblem, x: float, N: int, M: int,
     N and M are the number of boundary terms kept at u = 0 and u = B, each
     from 1 to 9; the remainders are evaluated from their integral formulas,
     so ``result.total`` reproduces the integral itself up to quadrature error.
+    Raises :class:`~sympwave.errors.OutOfRangeError` for an x so small that
+    x^-((N+1)/p) or x^-M overflows, naming the smallest x that fits, and for
+    one whose terms overflow to a total that is not finite.
     """
     if x <= 0.0:
         raise UsageError("x must be positive")
     check_terms(N, M)
-    amp = amplitude if amplitude is not None else amplitude_data(problem)
     p = problem.p
+    _check_x_fits(x, N, M, p)
+    amp = amplitude if amplitude is not None else amplitude_data(problem)
 
     main_terms = []
     for n in range(N):
@@ -527,9 +557,13 @@ def expand(problem: PhaseProblem, x: float, N: int, M: int,
     R1 = (-1.0) ** (N + 1) * (amp.q.proxy_deriv(N)(0.0) * k_n_zero(N + 1, x, p) + r1_int)
     R2 = (1.0 / p) * (1j / x) ** M * r2_int
 
-    return ExpansionResult(main_terms=main_terms, i2_terms=i2_terms,
-                           R1=complex(R1), R2=complex(R2), x=x,
-                           phase_prefactor=complex(np.exp(1j * x * problem.fa)))
+    res = ExpansionResult(main_terms=main_terms, i2_terms=i2_terms,
+                          R1=complex(R1), R2=complex(R2), x=x,
+                          phase_prefactor=complex(np.exp(1j * x * problem.fa)))
+    if not np.isfinite(res.total):
+        raise OutOfRangeError(f"the expansion at x = {x:g} with N = {N} and M = {M} "
+                              f"overflows: its total is {res.total}")
+    return res
 
 
 def oracle(problem: PhaseProblem, x: float) -> complex:

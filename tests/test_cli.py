@@ -334,6 +334,12 @@ def test_invalid_input_exit_code(argv, tmp_path, capsys):
     (["cfun", "--preset", "h3", "--lambda-max", "1e160", "--steps", "3"],
      "the h3 density overflows past |lambda| = 1.341e+154 along this direction"),
     (["cfun", "--config", b"preset = h3\ndirecion = 1,2\n"], "no experiment has a key 'direcion'"),
+    (["stphase", "--x-list", "1e-80", "--N", "9", "--M", "1"],
+     "x = 1e-80 is too small for N = 9, M = 1 and p = 2: x^-5 overflows; "
+     "the smallest x that fits is 2.23389e-62"),
+    (["stphase", "--x-list", "1e-40", "--N", "2", "--M", "9"],
+     "x = 1e-40 is too small for N = 2, M = 9 and p = 2: x^-9 overflows; "
+     "the smallest x that fits is 5.61669e-35"),
 ])
 def test_usage_error_names_what_failed(argv, message, tmp_path, capsys):
     assert main(_write_config(argv, tmp_path)) == 2
@@ -361,8 +367,8 @@ _POOLS = {
              "steps": (["0", "1", "40"], ["2.5", *_BAD]),
              "direction": (["1", "1,0", "1,2", None], ["0,0", "1,2,3", "nan,1", "a"])},
     "stphase": {"demo": (["cos", None], ["sin", ""]),
-                "x-list": (["20", "20,300", "", "20:60:3:log"], ["0", "-5", "1:2:3", "x", "nan",
-                                                                None]),
+                "x-list": (["20", "20,300", "", "20:60:3:log", "1e-80"],
+                           ["0", "-5", "1:2:3", "x", "nan", "5e-324", None]),
                 "N": (["1", "2", "3", None], ["0", "70", *_BAD]),
                 "M": (["1", "2", None], ["0", "30", *_BAD])},
     "model": {"preset": (["a2"], ["h3", "bogus", "", None]),

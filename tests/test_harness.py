@@ -129,6 +129,19 @@ def test_emit_svg_bytes_are_pinned(tmp_path):
             == "0e43aee454e87fd50628b34a9d7819420d198f99865114e663151f1c0991ca8f")
 
 
+def test_emit_svg_chart_ending_at_x_1_spans_the_frame(tmp_path):
+    # log 1 = 0 is the largest log x here; it must map to the frame's right
+    # edge, 580, not to where a log x of 1 would be
+    xs = np.geomspace(0.1, 1.0, 6)
+    path = tmp_path / "plot.svg"
+    sw.emit(make_records(xs, xs**-2), "svg", str(path))
+    text = path.read_text()
+    assert 'points="60.00,60.00 164.00,132.00 268.00,204.00 372.00,276.00 ' \
+           '476.00,348.00 580.00,420.00"' in text
+    assert (hashlib.sha256(path.read_bytes()).hexdigest()
+            == "71f8995b9fe74c3e9d153edbc98561761b0be8aede6593b22956975d404c33ba")
+
+
 def _ragged(second):
     return [sw.SweepRecord(inputs=(("x", 1.0),), outputs=(("y", 2.0),)), second]
 

@@ -183,7 +183,8 @@ def test_per_row_breaks_stop_each_row_on_its_own():
 
 def one_call_per_order(f, breaks, order0, tol, max_order=256, floor_rel=1e-14):
     """integrate_panels on one break array as a plain loop, one call of f per
-    order: the reference for its first call, which takes two orders at once."""
+    order: the reference for its first call, which takes two or three orders
+    at once."""
     def level(order):
         nodes, weights = gl_panels_nodes(breaks, order)
         fv = f(nodes)
@@ -227,6 +228,27 @@ def test_fused_first_call_gives_the_bits_of_one_call_per_order(panels):
                          for i in range(len(sizes) - 1)]
 
 
+# 7 x 16 x 146 = 16,352 nodes fit the budget of a first call of three orders;
+# 147 panels take two, and 342 one
+@pytest.mark.parametrize("panels", [4, 146, 147, 342])
+def test_three_order_first_call_gives_the_bits_of_one_call_per_order(panels):
+    # about twenty periods a panel, so that the order doubles past 64
+    rates, w = np.array([0.3, 4.0]), 60.0 * panels
+    breaks = np.linspace(0.0, 2.0, panels + 1)
+    sizes = []
+
+    def rows(s):
+        sizes.append(s.size)
+        return oscillating(rates[:, None], w, s)
+
+    got = integrate_panels(rows, breaks, order0=16, tol=1e-12, first_orders=3)
+    ref = one_call_per_order(lambda s: oscillating(rates[:, None], w, s), breaks, 16, 1e-12)
+    assert got.tobytes() == ref.tobytes()
+    taken = 3 if panels <= 146 else 2 if panels <= 341 else 1
+    assert sizes[0] == (2 ** taken - 1) * 16 * panels and len(sizes) >= 2
+    assert sizes[1:] == [16 * panels * 2 ** (i + taken) for i in range(len(sizes) - 1)]
+
+
 @pytest.mark.parametrize("panels", [(3, 5, 2), (150, 100, 92), (150, 100, 91)])
 def test_fused_first_call_gives_each_row_its_bits(panels):
     # per-row breaks: under the budget (3 x 16 x 341 nodes at most) the first
@@ -249,6 +271,34 @@ def test_fused_first_call_gives_each_row_its_bits(panels):
         ref = one_call_per_order(lambda s, j=j: oscillating(rates[j], ws[j], s), breaks, 16,
                                  1e-12)
         assert got[j].tobytes() == np.complex128(ref).tobytes(), j
+
+
+def test_three_order_first_call_gives_each_row_its_bits():
+    # per-row breaks: a smooth row stops at order 32, inside the first call,
+    # and the rows after it keep their own sums at order 64 and past it
+    rates = np.array([0.3, 4.0, 40.0])
+    panels, ws = (3, 5, 2), (0.5, 75.0, 150.0)
+    grids = [np.linspace(0.0, 2.0, n + 1) for n in panels]
+    seen = []
+
+    def rows_f(nodes):
+        seen.append(np.bincount(nodes["row"], minlength=len(rates)))
+        j = nodes["row"]
+        return oscillating(rates[j], np.array(ws)[j], nodes["x"])
+
+    got = integrate_panels(rows_f, grids, order0=16, tol=1e-12, first_orders=3)
+    assert list(seen[0]) == [7 * 16 * n for n in panels] and len(seen) >= 2
+    stops = []
+    for j, breaks in enumerate(grids):
+        sizes = []
+
+        def alone(s, j=j):
+            sizes.append(s.size)
+            return oscillating(rates[j], ws[j], s)
+        ref = one_call_per_order(alone, breaks, 16, 1e-12)
+        assert got[j].tobytes() == np.complex128(ref).tobytes(), j
+        stops.append(len(sizes))
+    assert stops[0] == 2 and max(stops) > 3
 
 
 def test_no_fused_call_when_the_first_order_is_the_last():

@@ -426,3 +426,84 @@ def test_x_positive_required(cos_problem):
         sw.expand(cos_problem, -3.0, 1, 1)
     with pytest.raises(UsageError):
         sw.oracle(cos_problem, 0.0)
+
+
+def test_x_too_small_for_the_terms_raises_naming_the_smallest_x(cos_problem):
+    # x^-((N+1)/p) and x^-M must fit in a double; the named x fits
+    for x, N, M, smallest in [(1e-80, 9, 1, 2.23389e-62), (1e-40, 2, 9, 5.61669e-35),
+                              (5e-324, 1, 1, 5.56274e-309)]:
+        with pytest.raises(OutOfRangeError, match=rf"^x = {x:g} is too small for N = {N}, "
+                           rf"M = {M} and p = 2: .* smallest x that fits is {smallest}$"):
+            sw.expand(cos_problem, x, N, M)
+        try:
+            with np.errstate(all="ignore"):
+                sw.expand(cos_problem, smallest, N, M)
+        except OutOfRangeError as exc:
+            assert "too small" not in str(exc)
+    # N = 3 and M = 2 fit at x = 1e-80: a finite row, however far from the integral
+    assert np.isfinite(sw.expand(cos_problem, 1e-80, 3, 2).total)
+    # past the powers' own limit, the terms still overflow: no silent NaN total
+    with pytest.raises(OutOfRangeError, match=r"^the expansion at x = 1e-58 with N = 9 and M = 1 "
+                                              r"overflows: its total is \(nan\+nanj\)$"):
+        with np.errstate(all="ignore"):
+            sw.expand(cos_problem, 1e-58, 9, 1)
+
+
+# -- R1's first integrand call takes orders 16, 32 and 64 --------------------------
+
+def _r1_two_order_start(amps, n, x):
+    """R1 as :func:`remainder_integrals` had it with a first call of orders 16
+    and 32 alone: the same breaks, tolerance and floor."""
+    from sympwave._quad import halfperiod_breaks, integrate_panels
+    from sympwave.profiles import cutoff_product_derivs
+    p, cutoff = amps[0].p, amps[0].q.cutoff
+    lo, hi = cutoff.lo ** (1.0 / p), cutoff.hi ** (1.0 / p)
+    phase = x * hi**p
+    breaks = np.union1d(np.concatenate([np.linspace(0.0, lo, 11), np.linspace(lo, hi, 9)[1:]]),
+                        hi * halfperiod_breaks(phase / 8.0, 0.0, 1.0) ** (1.0 / p))
+    qs = [a.q for a in amps]
+    return integrate_panels(lambda us: cutoff_product_derivs(qs, n, us) * sw.k_n(n, us, x, p),
+                            breaks, order0=16, tol=1e-12,
+                            floor_rel=max(1e-14, np.finfo(float).eps * p * phase))
+
+
+def _r1_cases(family):
+    """(amplitudes, n, x) of the R1 integrals of one family: the cos demo's
+    amplitudes for N = 1, 2 and 4, and the a2 xi poles at r = 0.5, 1 and 4."""
+    if family in ("one", "sin", "poly"):
+        g = {"one": lambda t: 1.0, "sin": np.sin, "poly": lambda t: 1.0 + t * t}[family]
+        amps = (sw.amplitude_data(make_cos_problem(g)),)
+        return [(amps, N + 1, x) for x in (0.1, 20.0, 50.0, 1e3, 4598.63, 7718.68)
+                for N in (1, 2, 4)]
+    sym = (sw.plancherel_symbol(sw.CFunction(sw.preset("a2"))) if family == "a2"
+           else sw.gaussian_symbol(2))
+    return [(sw.QFamily(sym, [1.0, 0.0], r).amps, 2, h * r)
+            for r in (0.5, 1.0, 4.0) for h in (5.0, 40.0)]
+
+
+@pytest.mark.parametrize("family", ["one", "sin", "poly", "a2", "gauss"])
+def test_r1_keeps_the_bits_of_a_two_order_first_call(family):
+    # a first call of three orders compares the same sums at every order, with
+    # order 16's mass as the floor, so every R1 keeps its bits; starting at
+    # order 32 instead would move "sin" at x = 7718.68, where order 32 stops
+    from sympwave.stationary_phase import remainder_integrals
+    for amps, n, x in _r1_cases(family):
+        r1, _ = remainder_integrals(amps, n, 1, x)
+        assert r1.tobytes() == _r1_two_order_start(amps, n, x).tobytes(), (n, x)
+
+
+@pytest.mark.parametrize("x,panels", [(20.0, 19), (1000.0, 85), (1840.0, 146), (1860.0, 147)])
+def test_r1_takes_one_integrand_call_up_to_146_panels(monkeypatch, cos_problem, x, panels):
+    # orders 16, 32 and 64 have 112 nodes a panel, at most 2^14 in all up to
+    # 146 panels; past that the first call takes orders 16 and 32, then 64
+    from sympwave import stationary_phase as sp
+    real_k_n, sizes = sp.k_n, []
+
+    def counted(n, u, x, p):
+        sizes.append(np.size(u))
+        return real_k_n(n, u, x, p)
+
+    amp = sw.amplitude_data(cos_problem)
+    monkeypatch.setattr(sp, "k_n", counted)
+    sw.expand(cos_problem, x, 2, 1, amplitude=amp)
+    assert sizes == ([112 * panels] if panels <= 146 else [48 * panels, 64 * panels])
