@@ -19,6 +19,11 @@ main term pairs exp(+i h r) with sigma(r E) and exp(-i h r) with
 sigma(-r E).  For Weyl-even symbols (every built-in) the two terms are
 interchangeable; the exactness test below pins the convention.
 
+D_r and :func:`i_psi` sum the symbol over S^(l-2) by one sphere rule: level
+k takes 8 2^k azimuths and 4 2^k Gauss-Legendre nodes per polar angle (S^0
+is +1 and -1).  One probe keeps the first level whose sums at three colatitudes
+agree with the next level's to 1e-11, and raises ResolutionError past 2^19 points.
+
 Each sphere pole's boundary amplitude is extended by
 :func:`~sympwave.stationary_phase.extend_amplitude`, and the remainder
 integrals of both poles come from one call of
@@ -28,7 +33,7 @@ integrals of both poles come from one call of
 A sweep over h at fixed r changes only the frequency x = h r.  So the parts
 that do not depend on h are built once per (symbol, E, r), each kept by
 :func:`~sympwave._quad.build_once` for the 16 latest keys: the D_r table with
-its refinement probe, the direct integrator (a Chebyshev proxy for even l,
+its sphere level, the direct integrator (a Chebyshev proxy for even l,
 Filon panels for odd l) and the :class:`QFamily`, whose pole amplitudes get
 one R2 Filon build per M.  Each is built when first needed, so
 :func:`xi_direct` alone never builds the q family, and an error is raised
@@ -47,7 +52,7 @@ import numpy as np
 
 from ._quad import (FilonPanels, build_once, cheb_fit, filon_chebyshev, gl_panels_nodes,
                     gl_rule, halfperiod_breaks, integrate_panels)
-from .errors import DivergenceError, NormalizationError, UsageError
+from .errors import DivergenceError, NormalizationError, ResolutionError, UsageError
 from .plancherel import CFunction
 from .profiles import Profile, tail_radius
 from .stationary_phase import extend_amplitude, k_n_zero, remainder_integrals
@@ -97,91 +102,106 @@ def plancherel_symbol(cf: CFunction) -> Symbol:
 def rotate_to_axis(E) -> np.ndarray:
     """Rotation J with J e1 = E (so J^-1 E = e1), built by orthonormalization."""
     E = np.asarray(E, dtype=float)
-    l = E.shape[0]
     if abs(np.linalg.norm(E) - 1.0) > 1e-12:
         raise NormalizationError("direction E must be a unit vector")
-    cols = [E]
-    skip = int(np.argmax(np.abs(E)))
-    for i in range(l):
-        if i != skip:
-            e = np.zeros(l)
-            e[i] = 1.0
-            cols.append(e)
-    A = np.stack(cols, axis=1)
+    # E, then the unit vectors but the one along E's largest entry
+    A = np.column_stack([E, np.delete(np.eye(len(E)), int(np.argmax(np.abs(E))), axis=1)])
     Q, Rm = np.linalg.qr(A)
-    Q = Q * np.sign(np.diag(Rm))[None, :]
-    return Q
+    return Q * np.sign(np.diag(Rm))[None, :]
 
 
 # ---------------------------------------------------------------------------
 # the partial spherical average D_r
 # ---------------------------------------------------------------------------
 
-def _sphere_rule(l: int, refine: int = 0):
-    """Points and weights on S^(l-2) (the last l-1 coordinates of Theta).
+# the most points a level may have (level 16 at l = 3, 4 at l = 5): a D_r
+# table there takes 10^8 symbol points a Filon fit, some 8 s on two cores
+_SPHERE_BUDGET = 1 << 19
+# symbol points per block of a sphere sum, or one pair's level if that is
+# more, so that its memory does not grow with the number of (r, theta) pairs
+_SPHERE_BLOCK = 1 << 16
+_PROBE_THETA = np.array([0.3, 1.1, 2.4])
 
-    Total weight is the surface area S_(l-2); for l = 2 the sphere is the
-    two-point set {+1, -1}.
-    """
+
+def _sphere_rule(l: int, level: int):
+    """Points and weights of the sphere rule on S^(l-2) (the last l-1
+    coordinates of Theta) at ``level``; see the module docstring."""
     if l == 2:
         return np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
-    nphi = 64 << refine
-    phi = 2.0 * np.pi * np.arange(nphi) / nphi
-    wphi = np.full(nphi, 2.0 * np.pi / nphi)
+    phi = 2.0 * np.pi * np.arange(8 << level) / (8 << level)
     pts = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
-    w = wphi
-    for j in range(l - 3):
+    w = np.full(len(phi), 2.0 * np.pi / len(phi))
+    for _ in range(l - 3):
         # prepend a polar angle with its sin-power weight
-        ng = 32 << refine
-        x, gw = gl_rule(ng)
+        x, gw = gl_rule(4 << level)
         th = 0.5 * np.pi * (x + 1.0)
         wth = 0.5 * np.pi * gw * np.sin(th) ** (pts.shape[-1] - 1)
-        new_pts = np.concatenate(
-            [np.broadcast_to(np.cos(th)[:, None, None], (ng, len(pts), 1)),
-             np.sin(th)[:, None, None] * pts[None, :, :]], axis=-1)
-        pts = new_pts.reshape(-1, new_pts.shape[-1])
-        w = (wth[:, None] * w[None, :]).ravel()
+        pts = np.concatenate([np.cos(th)[:, None, None] * np.ones((1, len(pts), 1)),
+                              np.sin(th)[:, None, None] * pts], axis=-1)
+        pts, w = pts.reshape(-1, pts.shape[-1]), (wth[:, None] * w).ravel()
     return pts, w
 
 
-def d_r(symbol: Symbol, rotation: np.ndarray, r: float, theta1, refine: int = 0):
-    """Average of the rotated symbol over the sphere slice at colatitude theta1.
+def _sphere_sum(symbol: Symbol, rotation: np.ndarray, r, theta1, level: int):
+    """sum_j w_j sigma(r J (cos theta1, sin theta1 p_j)) over the sphere rule at ``level``,
+    for r and theta1 broadcast together, in blocks of ``_SPHERE_BLOCK`` symbol points."""
+    l = symbol.dimension
+    pts, w = _sphere_rule(l, level)
+    th, r = np.broadcast_arrays(np.asarray(theta1, dtype=float), np.asarray(r, dtype=float))
+    cos, sin, rs = (np.ravel(a)[:, None, None] for a in (np.cos(th), np.sin(th), r))
+    rows = max(1, _SPHERE_BLOCK // len(w))
 
-    Vectorized over theta1.  For l = 2 this folds the circle onto [0, pi]
-    by summing the two branches (cos t, +/- sin t).
-    """
+    def block(i):
+        theta_dir = np.concatenate([cos[i:i + rows] * np.ones((1, len(w), 1)),
+                                    sin[i:i + rows] * pts], axis=-1)
+        # one 2-d product for the block: each lam keeps the bits of a product per point
+        lam = (rs[i:i + rows] * theta_dir).reshape(-1, l) @ rotation.T
+        return np.asarray(symbol.eval(lam)).reshape(-1, len(w)) @ w
+
+    return np.concatenate([block(i) for i in range(0, len(rs), rows)]).reshape(r.shape)
+
+
+def _sphere_level(symbol: Symbol, rotation: np.ndarray, r, weight=1.0) -> int:
+    """The probe's level for ``symbol``: the first whose ``weight`` times
+    sphere sums at ``_PROBE_THETA`` (r and weight may add a leading axis of
+    radii) agree with the next level's to 1e-11 relative."""
     l = symbol.dimension
     if l < 2:
         raise UsageError("the sphere average needs rank >= 2; use the rank-one path")
-    th = np.atleast_1d(np.asarray(theta1, dtype=float))
-    pts, w = _sphere_rule(l, refine)
-    theta_dir = np.concatenate(
-        [np.cos(th)[:, None, None] * np.ones((1, len(pts), 1)),
-         np.sin(th)[:, None, None] * pts[None, :, :]], axis=-1)   # (nt, np, l)
-    lam = r * theta_dir @ rotation.T
-    vals = symbol.eval(lam)
-    out = vals @ w
-    return out if np.ndim(theta1) else complex(out[0])
+    if l == 2:
+        return 0
+    level, change = 0, math.inf
+    prev = weight * _sphere_sum(symbol, rotation, r, _PROBE_THETA, 0)
+    while (8 << level + 1) * (4 << level + 1) ** (l - 3) <= _SPHERE_BUDGET:
+        cur = weight * _sphere_sum(symbol, rotation, r, _PROBE_THETA, level + 1)
+        change = np.max(np.abs(cur - prev)) / (np.max(np.abs(cur)) + 1e-300)
+        if change <= 1e-11:
+            return level
+        level, prev = level + 1, cur
+    raise ResolutionError(f"sphere rule at rank {l}: level {level} moves by {change:.2e}, and "
+                          f"level {level + 1} would pass the budget of {_SPHERE_BUDGET} points")
 
 
 class _DrTable:
-    """D_r with spherical refinement fixed by a convergence check at theta = 0.3."""
+    """D_r of (symbol, rotation, r) at the level :func:`_sphere_level` chose."""
 
     def __init__(self, symbol, rotation, r):
         self.symbol, self.rotation, self.r = symbol, rotation, r
-        self.refine = 0
-        if symbol.dimension > 2:
-            probe = np.array([0.3, 1.1, 2.4])
-            prev = d_r(symbol, rotation, r, probe, refine=0)
-            while self.refine < 4:
-                cur = d_r(symbol, rotation, r, probe, refine=self.refine + 1)
-                if np.max(np.abs(cur - prev)) <= 1e-11 * (np.max(np.abs(cur)) + 1e-300):
-                    break
-                self.refine += 1
-                prev = cur
+        self.level = _sphere_level(symbol, rotation, r)
 
     def __call__(self, theta1):
-        return d_r(self.symbol, self.rotation, self.r, theta1, refine=self.refine)
+        return _sphere_sum(self.symbol, self.rotation, self.r, theta1, self.level)
+
+
+def d_r(symbol: Symbol, rotation: np.ndarray, r: float, theta1):
+    """Average of the rotated symbol over the sphere slice at colatitude theta1.
+
+    Vectorized over theta1.  For l = 2 this folds the circle onto [0, pi]
+    by summing the two branches (cos t, +/- sin t); for l >= 3 each call
+    runs the probe of the module's one sphere rule.
+    """
+    out = _DrTable(symbol, rotation, r)(theta1)
+    return out if np.ndim(theta1) else complex(out)
 
 
 # ---------------------------------------------------------------------------
@@ -367,19 +387,20 @@ def xi_decompose(symbol: Symbol, E, r: float, h: float,
 def i_psi(symbol: Symbol, profile: Profile, t_phase: float, E, h: float):
     """Direct value and main term of the Psi-weighted integral.
 
-    Psi(r) = exp(i t_phase r) psi(r).  Returns (direct, main) where direct
-    integrates Psi against xi(r, h) radially (evaluated with the radial
-    integral innermost so arbitrary frequencies stay cheap) and main is the
-    stationary boundary contribution with constant C_l h^((1-l)/2).
+    Psi(r) = exp(i t_phase r) psi(r) with t_phase finite, and h > 0 finite.
+    Returns (direct, main): main is the stationary boundary term with
+    constant C_l h^((1-l)/2); direct is one FilonPanels build over r with a
+    row per colatitude node, of amplitude psi(r) r^(l-1) times the sphere
+    sum at the probe's level for that product at radii across [0, rmax].
     """
+    if not (math.isfinite(h) and h > 0.0 and math.isfinite(t_phase)):
+        raise UsageError(f"i_psi needs a finite h > 0 and a finite t_phase, "
+                         f"got h = {h} and t_phase = {t_phase}")
     l = symbol.dimension
-    n_eff = symbol.growth_exponent + l
-    s_needed = n_eff + l / 2.0 - 2.0
+    s_needed = symbol.growth_exponent + 1.5 * l - 2.0
     if not profile.constant_finite(0, max(0.0, s_needed)):
         raise DivergenceError(
             f"profile constant (k=0, s={s_needed:.3g}) diverges; the integral is undefined")
-    if h < 0.0:
-        raise UsageError("h must be nonnegative")
 
     J = rotate_to_axis(E)
     E = np.asarray(E, dtype=float)
@@ -389,30 +410,23 @@ def i_psi(symbol: Symbol, profile: Profile, t_phase: float, E, h: float):
     # main term: two linear-phase radial integrals at frequencies t +/- h;
     # for even l the weight r^((l-1)/2) has a branch point at 0, handled by
     # a short r = w^2 cap with half-period panels before the Filon tail
-    def smooth_amp(sign):
-        def amp(rs):
-            rs = np.atleast_1d(rs)
-            lam = (sign * rs)[:, None] * E[None, :]
-            return profile.eval(0, rs) * np.asarray(symbol.eval(lam))
-        return amp
+    power = (l - 1) / 2.0
 
     def radial_main(sign, freq):
-        amp = smooth_amp(sign)
-        power = (l - 1) / 2.0
-        if l % 2 == 1:
-            fil = FilonPanels(lambda rs: amp(rs) * np.atleast_1d(rs) ** power,
-                              0.0, rmax, n_panels=32, warn_label="i_psi main")
-            return fil.integrate(freq)
-        r1 = min(1.0, rmax / 8.0)
+        def amp(rs):
+            rs = np.atleast_1d(rs)
+            return profile.eval(0, rs) * np.asarray(symbol.eval((sign * rs)[:, None] * E[None, :]))
+
+        r1 = 0.0 if l % 2 else min(1.0, rmax / 8.0)
+        tail = FilonPanels(lambda rs: amp(rs) * np.atleast_1d(rs) ** power,
+                           r1, rmax, n_panels=32, warn_label="i_psi main").integrate(freq)
+        if l % 2:
+            return tail
         wb = halfperiod_breaks(abs(freq) * r1, 0.0, math.sqrt(r1))
-        cap = integrate_panels(
-            lambda ws: 2.0 * ws ** (2.0 * power + 1.0) * amp(ws**2)
-            * np.exp(1j * freq * ws**2),
+        return tail + integrate_panels(
+            lambda ws: 2.0 * ws ** (2.0 * power + 1.0) * amp(ws**2) * np.exp(1j * freq * ws**2),
             np.unique(np.concatenate([wb, np.linspace(0.0, math.sqrt(r1), 9)])),
             order0=16, tol=1e-11, warn_label="i_psi main cap")
-        fil = FilonPanels(lambda rs: amp(rs) * np.atleast_1d(rs) ** power,
-                          r1, rmax, n_panels=32, warn_label="i_psi main tail")
-        return cap + fil.integrate(freq)
 
     quarter = 1j * np.pi * (1.0 - l) / 4.0
     main = main_term_constant(l) * h ** ((1.0 - l) / 2.0) * (
@@ -420,41 +434,24 @@ def i_psi(symbol: Symbol, profile: Profile, t_phase: float, E, h: float):
         + np.exp(-quarter) * radial_main(-1, t_phase - h)
     )
 
-    # direct: colatitude outside, radial Filon inside
-    pts, w = _sphere_rule(l, refine=1 if l <= 3 else 0)
-    nodes_t, nodes_w = _colatitude_rule(l, t_phase, h)
-    ct, st = np.cos(nodes_t), np.sin(nodes_t)
-    freqs = t_phase + h * ct
+    # direct: colatitude outside, radial Filon inside; the probe takes radii
+    # across [0, rmax], since at rmax alone a Gaussian symbol is exactly 0
+    def weight(rs):
+        return profile.eval(0, rs) * rs ** (l - 1)
 
-    theta_dir = np.concatenate(
-        [ct[:, None, None] * np.ones((1, len(pts), 1)),
-         st[:, None, None] * pts[None, :, :]], axis=-1)      # (nt, np, l)
-
-    vals = np.zeros((len(nodes_t), len(pts)), dtype=complex)
-    for ip in range(len(pts)):
-        lam_dirs = theta_dir[:, ip, :] @ J.T                     # (nt, l)
-        def amp(rs, dirs=lam_dirs):
-            rs = np.atleast_1d(rs)
-            lam = rs[None, :, None] * dirs[:, None, :]
-            return (profile.eval(0, rs)[None, :] * rs[None, :] ** (l - 1)
-                    * np.asarray(symbol.eval(lam)))
-        # one row per colatitude node, each at its own frequency
-        fil = FilonPanels(amp, 0.0, rmax, n_panels=24, warn_label="i_psi direct")
-        vals[:, ip] = fil.integrate(freqs)
-    weighted = (vals @ w) * st ** (l - 2)
-    direct = np.sum(nodes_w * weighted)
+    radii = rmax * np.geomspace(1.0 / 64.0, 1.0, 7)[:, None]
+    level = _sphere_level(symbol, J, radii, weight(radii))
+    nodes_t, nodes_w = _colatitude_rule(t_phase, h)
+    fil = FilonPanels(lambda rs: weight(rs) * _sphere_sum(symbol, J, rs, nodes_t[:, None], level),
+                      0.0, rmax, n_panels=24, warn_label="i_psi direct")
+    vals = fil.integrate(t_phase + h * np.cos(nodes_t))
+    direct = np.sum(nodes_w * vals * np.sin(nodes_t) ** (l - 2))
     return complex(direct), complex(main)
 
 
-def _colatitude_rule(l: int, t_phase: float, h: float):
+def _colatitude_rule(t_phase: float, h: float):
     """GL panels on [0, pi] refined where |t + h cos(theta)| is small."""
-    cuts = {0.0, np.pi}
-    if h > 0.0:
-        for level in [0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0]:
-            for sgn in (-1.0, 1.0):
-                c = (sgn * level - t_phase) / h
-                if -1.0 < c < 1.0:
-                    cuts.add(float(np.arccos(c)))
-    base = np.linspace(0.0, np.pi, 17)
-    breaks = np.unique(np.concatenate([np.array(sorted(cuts)), base]))
-    return gl_panels_nodes(breaks, 16)
+    c = (np.multiply.outer([-1.0, 1.0], [0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0]).ravel()
+         - t_phase) / h
+    cuts = np.arccos(c[(-1.0 < c) & (c < 1.0)])
+    return gl_panels_nodes(np.unique(np.concatenate([cuts, np.linspace(0.0, np.pi, 17)])), 16)

@@ -552,10 +552,12 @@ def expand(problem: PhaseProblem, x: float, N: int, M: int,
         i2_terms.append(complex(osc_b * (1.0 / p) * q1n * (1j / x) ** (n + 1)))
 
     # R1 = (-1)^(N+1) [ q^(N)(0) k_{N+1}(0) + int q^(N+1)(u) k_{N+1}(u) du ]
-    # R2 = (1/p) (i/x)^M int_{B^p}^inf q1^(M)(v) exp(i x v) dv
-    (r1_int,), (r2_int,) = remainder_integrals((amp,), N + 1, M, x)
-    R1 = (-1.0) ** (N + 1) * (amp.q.proxy_deriv(N)(0.0) * k_n_zero(N + 1, x, p) + r1_int)
-    R2 = (1.0 / p) * (1j / x) ** M * r2_int
+    # R2 = (1/p) (i/x)^M int_{B^p}^inf q1^(M)(v) exp(i x v) dv; they may overflow
+    # at tiny x, which the check of the total below reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        (r1_int,), (r2_int,) = remainder_integrals((amp,), N + 1, M, x)
+        R1 = (-1.0) ** (N + 1) * (amp.q.proxy_deriv(N)(0.0) * k_n_zero(N + 1, x, p) + r1_int)
+        R2 = (1.0 / p) * (1j / x) ** M * r2_int
 
     res = ExpansionResult(main_terms=main_terms, i2_terms=i2_terms,
                           R1=complex(R1), R2=complex(R2), x=x,

@@ -1,4 +1,7 @@
 import io
+import os
+import subprocess
+import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -344,6 +347,20 @@ def test_invalid_input_exit_code(argv, tmp_path, capsys):
 def test_usage_error_names_what_failed(argv, message, tmp_path, capsys):
     assert main(_write_config(argv, tmp_path)) == 2
     assert message in capsys.readouterr().err
+
+
+def test_overflowing_expansion_exits_2_with_runtime_warnings_as_errors():
+    # at x = 1e-58 the R1 integrand overflows in numpy; that must reach the
+    # non-finite total's usage error, not escape as a RuntimeWarning (exit 1)
+    src = os.path.dirname(os.path.dirname(sw.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "sympwave.cli",
+                           "stphase", "--x-list", "1e-58", "--N", "9", "--M", "1"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == ("usage error: the expansion at x = 1e-58 with N = 9 and M = 1 "
+                           "overflows: its total is (nan+nanj)\n")
 
 
 def _write_config(argv, tmp_path):

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.special import j0 as scipy_j0
-from scipy.special import jv
+from scipy.special import iv, jv
 
 import sympwave as sw
 from sympwave.errors import DivergenceError, NormalizationError, ResolutionError, UsageError
@@ -97,7 +97,7 @@ def gaussian_xi(l, r, h):
             * (h * r) ** (1.0 - l / 2.0) * jv(l / 2.0 - 1.0, h * r))
 
 
-@pytest.mark.parametrize("l", [2, 3, 4])
+@pytest.mark.parametrize("l", [2, 3, 4, 5])
 @pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
 @pytest.mark.parametrize("h", [10.0, 80.0, 400.0])
 def test_xi_direct_gaussian_closed_form(l, r, h):
@@ -105,10 +105,47 @@ def test_xi_direct_gaussian_closed_form(l, r, h):
     assert abs(sw.xi_direct(sw.gaussian_symbol(l), E, r, h) - gaussian_xi(l, r, h)) <= 1e-12
 
 
-def test_xi_direct_gaussian_closed_form_l5():
-    # one point: the 65,536-point sphere rule of rank 5 costs about 1.7 s a call
-    E = np.eye(5)[0]
-    assert abs(sw.xi_direct(sw.gaussian_symbol(5), E, 1.0, 80.0) - gaussian_xi(5, 1.0, 80.0)) <= 1e-12
+def shifted_gaussian_symbol(a):
+    a = np.asarray(a, dtype=float)
+    return sw.Symbol(len(a), lambda lam: np.exp(-np.sum((np.asarray(lam) - a) ** 2, axis=-1)) + 0j,
+                     vanishing_order=0, growth_exponent=0.0, label="shifted gauss")
+
+
+@pytest.mark.parametrize("l", [3, 4, 5])
+def test_xi_direct_shifted_gaussian_closed_form(l):
+    # sigma = exp(-|lam - a|^2) is not constant on a sphere slice, so the
+    # sphere rule's level matters: xi = r^(l-1) e^(-r^2-|a|^2) int_(S^(l-1))
+    # e^(<w, 2 r a + i h r E>) dw, and the sphere integral of e^(<w, v>) is
+    # (2 pi)^(l/2) k^(1-l/2) I_(l/2-1)(k) with k^2 = <v, v>, even in k
+    a = np.array([0.3, -0.4, 0.5, 0.2, -0.1])[:l]
+    E = np.ones(l) / math.sqrt(l)
+    for r in (0.5, 1.0, 2.0):
+        sym = shifted_gaussian_symbol(a)
+        for h in (5.0, 20.0, 80.0):
+            k = np.sqrt(complex(4.0 * r * r * (a @ a) - h * h * r * r, 4.0 * h * r * r * (E @ a)))
+            ref = (r ** (l - 1) * math.exp(-r * r - a @ a) * (2.0 * math.pi) ** (l / 2.0)
+                   * k ** (1.0 - l / 2.0) * iv(l / 2.0 - 1.0, k))
+            assert abs(sw.xi_direct(sym, E, r, h) - ref) <= 1e-9 * abs(ref), (r, h)
+
+
+def test_unresolved_sphere_average_raises_before_the_budget():
+    # a step across the slice: the azimuth rule converges like 1/n, so no two
+    # levels agree to 1e-11 below 2^19 points
+    points = []
+
+    def step(lam):
+        lam = np.asarray(lam)
+        points.append(lam.size // lam.shape[-1])
+        return np.where(lam[..., 1] > 0.1, 1.0, 0.0) + 0j
+
+    sym = sw.Symbol(3, step, vanishing_order=0, growth_exponent=0.0, label="step")
+    with pytest.raises(ResolutionError, match=r"^sphere rule at rank 3: level 16 moves by .*, and "
+                                              r"level 17 would pass the budget of 524288 points$"):
+        sw.d_r(sym, np.eye(3), 1.0, 0.5)
+    # the probe's three colatitudes at levels 0-16; level 17 alone would add 3 * 2^20
+    assert sum(points) == 3 * 8 * (2**17 - 1)
+    with pytest.raises(ResolutionError, match="budget of 524288 points"):
+        sw.xi_direct(sym, E3, 1.0, 10.0)
 
 
 def test_xi_direct_h_zero_sphere_area():
@@ -340,6 +377,30 @@ def test_i_psi_direct_matches_bessel_transform():
                                         for k in range(40)))
         d, _ = sw.i_psi(sym, prof, 0.0, E2, h)
         assert abs(d - ref) <= 1e-9 * abs(ref), h
+
+
+def test_i_psi_l3_gaussian_against_the_radial_integral():
+    # gauss, exp:1, t = 0, E = e1 at l = 3: direct = int_0^inf r^2 e^(-r - r^2)
+    # 4 pi sin(h r) / (h r) dr = (4 pi / h) Im int_0^inf r e^(-r^2 - b r) dr
+    # with b = 1 - i h, and int_0^inf r e^(-r^2 - b r) dr
+    # = 1/2 - (b sqrt(pi) / 4) e^(b^2/4) erfc(b/2)
+    import mpmath as mp
+    prof = sw.Profile("exponential", 1.0)
+    for h, tol in ((20.0, 1e-11), (80.0, 1e-8)):
+        with mp.workdps(30):
+            b = 1 - 1j * mp.mpf(h)
+            ref = float(4 * mp.pi / h * mp.im(
+                0.5 - b * mp.sqrt(mp.pi) / 4 * mp.exp(b * b / 4) * mp.erfc(b / 2)))
+        d, _ = sw.i_psi(sw.gaussian_symbol(3), prof, 0.0, E3, h)
+        assert abs(d - ref) <= tol * abs(ref), h
+
+
+@pytest.mark.parametrize("t_phase,h", [(0.0, 0.0), (0.0, -1.0), (0.0, math.nan),
+                                       (0.0, math.inf), (math.nan, 10.0), (-math.inf, 10.0)])
+def test_i_psi_needs_finite_h_above_zero_and_finite_t(t_phase, h):
+    sym, prof = sw.gaussian_symbol(2), sw.Profile("exponential", 1.0)
+    with pytest.raises(UsageError, match=r"^i_psi needs a finite h > 0 and a finite t_phase, got "):
+        sw.i_psi(sym, prof, t_phase, E2, h)
 
 
 def test_i_psi_divergence_check():
