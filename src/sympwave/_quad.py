@@ -573,8 +573,8 @@ class ChebTable:
     call of ``f`` on exactly 25 points, so its coefficients are the same
     whichever thread or lookup builds it; building is serialized by a lock.
     A lookup runs the Clenshaw recurrence over blocks of 4096 points, in
-    three preallocated complex buffers per block.  Non-finite arguments give
-    NaN; a lookup whose least and largest arguments are finite needs no mask.
+    three preallocated complex buffers per block.  A non-finite argument is
+    a ValueError, before any chunk is built.
 
     ``chunks`` maps each built chunk's left end k to its pieces, a tuple of
     (left ends, midpoints, half-widths, coefficients of shape (pieces, 25)).
@@ -627,15 +627,12 @@ class ChebTable:
         """Table value at ``v`` (scalar or array, same shape out)."""
         varr = np.asarray(v, dtype=float)
         x = varr.ravel()
-        lo, hi = (x.min(), x.max()) if x.size else (np.nan, np.nan)
-        if np.isfinite(lo) and np.isfinite(hi):     # every argument finite
-            out = self._values(x, lo, hi)
-        else:
-            out = np.full(x.shape, np.nan, dtype=complex)
-            ok = np.isfinite(x)
-            xs = x[ok]
-            if xs.size:
-                out[ok] = self._values(xs, xs.min(), xs.max())
+        if not x.size:
+            return np.empty(varr.shape, dtype=complex)
+        lo, hi = x.min(), x.max()
+        if not (np.isfinite(lo) and np.isfinite(hi)):
+            raise ValueError(f"{self.warn_label}: table arguments must be finite")
+        out = self._values(x, lo, hi)
         return out.reshape(varr.shape) if varr.ndim else complex(out[0])
 
     def _values(self, xs, lo, hi):

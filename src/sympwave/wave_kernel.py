@@ -14,9 +14,8 @@ with a = (m + m2 - 1)/2 and b = (m2 - 1)/2 for the root multiplicities
 (m, m2) = (m_alpha, m_2alpha).  For m2 = 0, g(z) = z^(a-1/2); for ch2
 (a = 1, b = 0), C g = 4 arcsin(sqrt z) / (pi sinh^2 R).  Every phi is one
 finite Fourier integral: Filon panels in s on [-(R - gap), R - gap], whose
-cost does not grow with lam R, plus the two endpoint caps s = +-(R - w^2),
-w in [0, sqrt(gap)], gap = min(1/2, R/4), in which the endpoint powers of z
-are smooth.  When a - 1/2 is a
+cost does not grow with lam R, plus the two endpoint caps R - gap <= |s| <= R,
+gap = min(1/2, R/4), on the boundary row below.  When a - 1/2 is a
 nonnegative integer (every odd-dimensional m2 = 0 geometry) the density is
 entire in s and gap = 0.  A radius at which C(R), its factors or z would
 leave double range is a :class:`UsageError` that names the range.
@@ -30,12 +29,15 @@ regime (where the spherical function supplies most of the oscillation) both
 fast and accurate.  Since z(s) = z(-s), s = R sin theta folds the measure's
 two halves into one integral over theta in [0, pi/2],
 
-    kernel(t, R) = 2 C(R) int R cos theta g(z) [F(t - s) + F(t + s)] dtheta,
+    kernel(t, R) = 2 C(R) int R cos theta g(z) [F(t - s) + F(t + s)] dtheta.
 
-with z formed from R + s = R (1 + sin theta) and R - s = 2 R sin^2(pi/4 - theta/2),
-so that it keeps its digits at both ends; the Jacobian R cos theta vanishes
+Kernels and phi's caps are one boundary row, :func:`_boundary_rows`: the
+density R cos theta g(z) in theta = arcsin(s/R), with z formed from
+R + s = R (1 + sin theta) and R - s = 2 R sin^2(pi/4 - theta/2) so that it
+keeps its digits at both ends, times a weight, F(t - s) + F(t + s) for a
+kernel and 2 cos(lam s) for the caps.  The Jacobian R cos theta vanishes
 like w = sqrt(R - s) at theta = pi/2 and makes the density smooth there for
-every parity of n, as the caps' 2w does for phi.  F is tabulated once per
+every parity of n.  F is tabulated once per
 profile: Filon panels give exact values at any frequency, and a lazy
 piecewise-Chebyshev table over unit chunks of v, filled from those values on
 first use, serves every quadrature node after that.
@@ -117,6 +119,10 @@ def rank_one_geometry(name_or_datum) -> RankOneGeometry:
 # ---------------------------------------------------------------------------
 
 _LOG_RANGE = 700.0      # e^{+-700}, about 1e+-304, are normal doubles
+# most panels of one radius' endpoint caps, one per pi of the phase lam gap:
+# lam = 3e6 at gap = 1/2 takes 477,465 of them and about 5 s, and without a
+# limit lam = 1e12 asked numpy for 1.16 TiB of breaks
+_CAP_PANELS = 1 << 19
 
 
 def _radius_range(geom: RankOneGeometry) -> tuple[float, float]:
@@ -163,21 +169,38 @@ def _entire_density(geom: RankOneGeometry) -> bool:
 
 def _cap_breaks(R, lam_max=0.0):
     """The endpoint caps at radii R > 0: their width gap = min(1/2, R/4) in s,
-    and the breaks of their equal panels in w on [0, sqrt(gap)] (last axis):
-    4, or one per pi of the phase lam_max gap that the largest frequency turns
-    across the widest cap, so their Gauss-Legendre order stays low."""
-    gap = np.minimum(0.5, 0.25 * R)
-    panels = max(4, math.ceil(lam_max * np.max(gap, initial=0.0) / math.pi))
-    return gap, np.linspace(0.0, np.sqrt(gap), panels + 1, axis=-1)
-
-
-def _cap_map(R, w):
-    """s, z and ds/dw at the nodes w of the cap s = R - w^2.
-
-    R - s is w^2 itself, so z keeps every digit, and the Jacobian 2w makes
-    the density smooth for every parity of n.
+    and their increasing breaks in theta = arcsin(s / R) (last axis), the
+    images theta = pi/2 - 2 arcsin(w / sqrt(2R)) of equal panels in
+    w = sqrt(R - s) on [0, sqrt(gap)]: 4, or one per pi of the phase
+    lam_max gap that the largest frequency turns across the widest cap, so
+    their Gauss-Legendre order stays low.  More than 2^19 panels is a
+    :class:`ResolutionError` that names the largest lam those radii allow.
     """
-    return R - w**2, _line_z(R, R + (R - w**2), w**2), 2.0 * w
+    gap = np.minimum(0.5, 0.25 * R)
+    phase = lam_max * np.max(gap, initial=0.0)
+    if phase > math.pi * _CAP_PANELS:
+        raise ResolutionError(
+            f"phi endpoint caps: the phase lam gap = {phase:.3e} needs more than "
+            f"{_CAP_PANELS} panels of pi; the largest |lam| at these radii is "
+            f"{math.pi * _CAP_PANELS / np.max(gap):.6g}")
+    w = np.linspace(0.0, np.sqrt(gap), max(4, math.ceil(phase / math.pi)) + 1, axis=-1)
+    return gap, (0.5 * np.pi - 2.0 * np.arcsin(w / np.sqrt(2.0 * R)[..., None]))[..., ::-1]
+
+
+def _boundary_rows(shape, Rs, breaks, weight, spread=None, **quad):
+    """Per radius Rs[i] > 0, the integral over its breaks[i] in theta of the
+    density R cos theta g(z), z as in the module docstring, times
+    ``weight(s, rows)`` at s = R sin theta, plus ``spread[i]`` if given: one
+    per-row :func:`integrate_panels` call with the options ``quad``."""
+    def integrand(nodes):
+        th, rows = nodes["x"], nodes["row"]
+        R = Rs[rows]
+        sin = np.sin(th)
+        z = _line_z(R, R * (1.0 + sin), 2.0 * R * np.sin(0.25 * np.pi - 0.5 * th) ** 2)
+        vals = R * np.cos(th) * shape(z) * weight(R * sin, rows)
+        return vals if spread is None else vals + spread[rows].T
+
+    return integrate_panels(integrand, breaks, **quad)
 
 
 def _phi_quadrature(geom: RankOneGeometry, lam: np.ndarray, R: np.ndarray) -> np.ndarray:
@@ -194,23 +217,24 @@ def _phi_quadrature(geom: RankOneGeometry, lam: np.ndarray, R: np.ndarray) -> np
     without halving, and a radius whose panels no other radius halves gets
     the same value alone or batched.
 
-    The endpoint caps of :func:`_cap_breaks` remain, in w = sqrt(R -+ s),
+    The endpoint caps remain, on the theta breaks of :func:`_cap_breaks`,
     with one panel per pi of the largest phase lam gap (4 at least), so
     their order stays low (20 for lam up to 1e5, measured); every radius of
-    a batch with lam = 0, as in :func:`phi_zero`, keeps 4.
-    Both caps of a radius have one density, so they are one row of a per-row
-    :func:`integrate_panels` call, with the phases e^(-i lam s) + e^(i lam s).
-    That row also carries the interior's value, spread evenly over
-    [0, sqrt(gap)], and a lam = 0 column, so it integrates phi itself and
-    stops against phi_0, the measure's whole mass, not the caps' own.
+    a batch with lam = 0, as in :func:`phi_zero`, keeps 4, and more than
+    2^19 panels is a :class:`ResolutionError`.  Both caps of a radius have
+    one density, so they are one row of :func:`_boundary_rows`, with the
+    weight e^(-i lam s) + e^(i lam s) = 2 cos(lam s).  That row also carries
+    the interior's value, spread evenly over the caps' theta range, and a
+    lam = 0 column, so it integrates phi itself and stops against phi_0, the
+    measure's whole mass, not the caps' own.
     """
     entire = _entire_density(geom)
-    gap, cap_breaks = _cap_breaks(R, np.max(np.abs(lam), initial=0.0))
     # each radius' starting grid: its equal panel count, or its halvings toward +-1
     if entire:
         gap = np.zeros(R.shape)
         levels = np.maximum(4, np.minimum(48, np.ceil(R / 2.0))).astype(int)
     else:
+        gap, cap_breaks = _cap_breaks(R, np.max(np.abs(lam), initial=0.0))
         levels = np.maximum(2, np.ceil(np.log2(1.25 * (R - gap) / gap))).astype(int)
         lam = np.hstack([lam, np.zeros((len(R), 1))])
     scale, shape = _boundary_density(geom, R)
@@ -227,22 +251,19 @@ def _phi_quadrature(geom: RankOneGeometry, lam: np.ndarray, R: np.ndarray) -> np
         interior[rows] = fil.integrate(-hh[:, :, 0] * lam[rows])
     if entire:
         return scale[:, None] * interior
-
-    def caps(nodes):
-        w, rows = nodes["x"], nodes["row"]
-        s, z, jac = _cap_map(R[rows], w)
-        spread = interior[rows] / cap_breaks[rows, -1:]
-        return jac * shape(z) * 2.0 * np.cos(lam[rows].T * s) + spread.T
-
-    return scale[:, None] * integrate_panels(caps, cap_breaks, order0=10, tol=1e-13, max_order=80,
-                                             warn_label="phi endpoint caps")[:, :-1]
+    caps = _boundary_rows(shape, R, cap_breaks, lambda s, rows: 2.0 * np.cos(lam[rows].T * s),
+                          interior / (cap_breaks[:, -1:] - cap_breaks[:, :1]), order0=10,
+                          tol=1e-13, max_order=80, warn_label="phi endpoint caps")
+    return scale[:, None] * caps[:, :-1]
 
 
 def phi_rank1(geom: RankOneGeometry, lam, R: float):
     """Spherical function phi_lam at Cartan radius R >= 0 (vectorized in lam).
 
     Real-valued for real lam; raises :class:`ResolutionError` if the
-    imaginary part of the quadrature exceeds 1e-10 relative.
+    imaginary part of the quadrature exceeds 1e-10 relative, or if the
+    endpoint caps would need more than 2^19 panels, which the message says
+    as the largest |lam| at R (3.29e6 from R = 2 on).
     """
     R = _check_radii(geom, float(R))
     lam_arr = np.atleast_1d(np.asarray(lam, dtype=float))
@@ -377,19 +398,15 @@ class KernelEvaluator:
     def _line_values(self, ts, Rs):
         scale, shape = _boundary_density(self.geom, Rs)
 
-        def integrand(nodes):
-            th, rows = nodes["x"], nodes["row"]
-            R, t = Rs[rows], ts[rows]
-            sin = np.sin(th)
-            s = R * sin
-            z = _line_z(R, R * (1.0 + sin), 2.0 * R * np.sin(0.25 * np.pi - 0.5 * th) ** 2)
+        def weight(s, rows):
             # one table read for both halves of the measure, at s and at -s
+            t = ts[rows]
             F = self.transform(np.concatenate([t - s, t + s])).reshape(2, -1)
-            return R * np.cos(th) * shape(z) * (F[0] + F[1])
+            return F[0] + F[1]
 
-        total = integrate_panels(integrand, _line_breaks(ts, Rs), order0=10, tol=1e-11,
-                                 max_order=40, warn_label="kernel boundary integral",
-                                 floor_rel=3e-9)
+        total = _boundary_rows(shape, Rs, _line_breaks(ts, Rs), weight, order0=10, tol=1e-11,
+                               max_order=40, warn_label="kernel boundary integral",
+                               floor_rel=3e-9)
         return 2.0 * scale * total
 
 
@@ -401,8 +418,8 @@ _EQUAL_PANELS = 12      # most equal s-panels of one pair
 def _line_breaks(ts: np.ndarray, Rs: np.ndarray) -> list[np.ndarray]:
     """Breaks in theta = arcsin(s / R) on [0, pi/2], one sorted array per pair
     (t, R > 0): equal s-panels on [0, R - gap], the points |t -+ d| in
-    (0, R - gap) near the peaks of F(t -+ s), and the endpoint cap's equal
-    w-panels, w = sqrt(R - s).
+    (0, R - gap) near the peaks of F(t -+ s), and the endpoint cap's breaks
+    from :func:`_cap_breaks`.
 
     Each pair is one row of a padded array: its n = min(12, max(4,
     ceil((R - gap) / 2))) equal panels start at j (R - gap) / n, as
@@ -418,8 +435,7 @@ def _line_breaks(ts: np.ndarray, Rs: np.ndarray) -> list[np.ndarray]:
     equal = np.where(j < n, j * (hi / n), np.nan)
     peaks = np.abs(ts[:, None] + _PEAK_OFFSETS)
     peaks[~((peaks > 0.0) & (peaks < hi))] = np.nan
-    theta = np.arcsin(np.hstack([equal / R, peaks / R, cap / np.sqrt(2.0 * R)]))
-    theta[:, -cap.shape[1]:] = 0.5 * np.pi - 2.0 * theta[:, -cap.shape[1]:]
+    theta = np.hstack([np.arcsin(np.hstack([equal / R, peaks / R])), cap])
     theta.sort(axis=1)
     keep = ~np.isnan(theta)
     keep[:, 1:] &= theta[:, 1:] != theta[:, :-1]

@@ -337,19 +337,19 @@ def _clenshaw_reference(table, v):
 
 def test_table_read_matches_the_complex_recurrence_bit_for_bit():
     # h4/rational:8 splits the chunks next to v = 0; the batch spans three
-    # blocks, the last one short, with non-finite points among them
+    # blocks, the last one short
     ev = sw.KernelEvaluator(sw.rank_one_geometry("h4"), sw.Profile("rational", 8.0))
     table = ev.transform
     v = np.linspace(-3.0, 4.0, 2 * _TABLE_BLOCK + 123)
-    v[[5, _TABLE_BLOCK + 7, 2 * _TABLE_BLOCK + 100]] = (np.nan, np.inf, -np.inf)
     got = table(v)
     assert any(len(pieces[0]) > 1 for pieces in table.chunks.values())
-    assert np.isnan(got[[5, _TABLE_BLOCK + 7, 2 * _TABLE_BLOCK + 100]]).all()
     assert got.tobytes() == _clenshaw_reference(table, v).tobytes()
-    # a lookup of finite points alone skips the mask and gives the same bits
-    finite = np.isfinite(v)
-    assert table(v[finite]).tobytes() == got[finite].tobytes()
-    assert np.isnan(table(np.array([np.nan, np.inf]))).all() and table(np.empty(0)).shape == (0,)
+    # a non-finite argument is refused before it builds a NaN chunk into the table
+    built = set(table.chunks)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            table(np.array([0.5, bad, 1e3]))
+    assert set(table.chunks) == built and table(np.empty(0)).shape == (0,)
 
 
 # -- spherical-Bessel moments ----------------------------------------------------
