@@ -7,7 +7,10 @@ Three engines cover everything in the package:
   panel grid); an integrand may return rows, which refine together, or take
   one break array per row, each row then stopping on its own; the first two
   orders (or more, if the caller asks) are one call of the integrand when
-  they hold at most 2^14 nodes;
+  they hold at most 2^14 nodes, and with one break array per row no call
+  holds more: rows go in groups of at most 2^14 nodes, a larger row in
+  slices of that size whose values are summed once, in the memory order the
+  integrand gives them, so every row keeps the bits it has alone;
 * Filon panels for linear phases of arbitrary frequency: the amplitude is
   Legendre-projected per panel and the moments int P_k(x) e^(i mu x) dx
   = 2 i^k j_k(mu) are exact spherical-Bessel values, so the panels only
@@ -117,9 +120,10 @@ def gl_panels_nodes(breaks: np.ndarray, order: int):
 # a node of one row of a per-row :func:`integrate_panels` call; nodes carry
 # their rows, so the integrand takes one argument in both modes
 ROW_NODE = np.dtype([("x", float), ("row", np.intp)])
-# the most nodes of a first call of :func:`integrate_panels` that takes more
-# than one order at once; a larger one takes fewer orders, down to one, so
-# that its peak memory stays that of one order
+# the most nodes of one integrand call of :func:`integrate_panels` in its
+# per-row mode, and of a first call of either mode that takes more than one
+# order at once; a larger first call takes fewer orders, down to one, and a
+# row with more nodes than this at one order is evaluated in slices
 FUSED_NODES = 1 << 14
 
 
@@ -134,27 +138,36 @@ def integrate_panels(f, breaks, order0: int = 16, tol: float = 1e-10,
     together, and the result has shape ``lead``.
 
     With a sequence of break arrays, one per row, ``f`` gets one flat
-    structured array (:data:`ROW_NODE`) of the nodes ``x`` of every row still
-    refining, each with its ``row`` index, and returns one value per node;
-    the result has one entry per row.  Every row's panels are joined into
-    one flat panel array once per call, and each order forms the nodes and
-    weights of all live panels at once, rows in order.  Each row stops at
-    the first order at which its own two levels agree and is not evaluated
-    after that; its sum is taken over its own contiguous slice of nodes, so
-    its value is the one it has alone.
+    structured array (:data:`ROW_NODE`) of the nodes ``x`` of rows still
+    refining, each with its ``row`` index, and returns values of shape
+    ``lead + (nodes,)``; the result has one entry of shape ``lead`` per row.
+    Every row's panels are joined into one flat panel array once per call.
+    Each order evaluates the live rows in consecutive groups of whole rows,
+    rows in order, each group with at most 2^14 nodes (:data:`FUSED_NODES`);
+    a group sums its rows and drops its arrays before the next one starts.
+    A row with more nodes than that at one order is evaluated alone, in
+    slices of whole panels with at most 2^14 nodes each, whose products of
+    values and weights are written into one buffer of the memory order of
+    the integrand's values and summed once: numpy does not round a sum over
+    the nodes of an F-ordered (columns x nodes) array as it rounds one over
+    a C-ordered copy.
+    Each row stops at the first order at which its own two levels agree and
+    is not evaluated after that; its sum is taken over its own contiguous
+    slice of nodes, so its value is the one it has alone, in any group.
 
     Order ``order0`` is always followed by order ``2 order0``, so the first
-    call of ``f`` takes the first ``first_orders`` orders ``order0``,
-    ``2 order0``, ``4 order0``, ... at once (two by default, none past
-    ``max_order``), as many of them as have at most 2^14 nodes together
-    (:data:`FUSED_NODES`): the nodes of each order in turn, each in the
-    layout a call of its own would have.  Each order is then summed over
-    its own slice of the values, so an integrand whose value at a node does
-    not depend on the other nodes gives the result of one call per order,
-    bit for bit.  Every later order, and every order of a call too large to
-    take two, is one call of ``f``.  A caller whose integrals seldom stop
-    at order ``2 order0`` passes ``first_orders=3``: the stopping decisions
-    are the same, with one call fewer.
+    call of ``f`` on a group (the whole break array, with one) takes the
+    first ``first_orders`` orders ``order0``, ``2 order0``, ``4 order0``,
+    ... at once (two by default, none past ``max_order``); per-row groups
+    are formed to fit all of them, and a first call takes as many as have at
+    most 2^14 nodes together: the nodes of each order in turn, each in the
+    layout a call of its own would have.  Each order is then summed over its
+    own slice of the values, so an integrand whose value at a node does not
+    depend on the other nodes gives the result of one call per order, bit
+    for bit.  Every later order, and every order of a call too large to take
+    two, is one call of ``f`` per group or slice.  A caller whose integrals
+    seldom stop at order ``2 order0`` passes ``first_orders=3``: the
+    stopping decisions are the same, with one call fewer.
 
     Relative tolerance is measured against the finer level in the max norm
     over the rows that refine together, with an absolute floor of
@@ -166,59 +179,102 @@ def integrate_panels(f, breaks, order0: int = 16, tol: float = 1e-10,
              else [np.asarray(breaks, dtype=float)])
     # every row's panels, rows in order
     counts = np.array([len(g) - 1 for g in grids])
+    starts, panel_counts = np.cumsum(counts) - counts, counts.tolist()
     lo, hi = np.concatenate([g[:-1] for g in grids]), np.concatenate([g[1:] for g in grids])
-    panel_row = np.repeat(np.arange(len(grids)), counts)
 
-    def layout(order, live):
-        """Nodes, weights and per-grid node counts of the live grids at one order."""
-        keep = slice(None)
-        if len(live) < len(grids):
-            alive = np.zeros(len(grids), dtype=bool)
-            alive[live] = True
-            keep = alive[panel_row]
-        nodes, weights = (v.ravel() for v in _panel_rules(lo[keep], hi[keep], order))
-        return nodes, weights, counts[live] * order
+    def fused(panels):
+        """The orders of a first call on ``panels`` panels."""
+        orders = [order0]
+        while (len(orders) < first_orders and orders[-1] < max_order
+               and (sum(orders) + 2 * orders[-1]) * panels <= FUSED_NODES):
+            orders.append(2 * orders[-1])
+        return orders
 
-    def call(live, orders):
-        """``f`` once on the nodes of every order in ``orders``, one order after
-        the other; each order's values and its layout."""
-        parts = [layout(order, live) for order in orders]
-        nodes = np.concatenate([part[0] for part in parts])
+    def groups(rows, per_panel):
+        """Consecutive runs of whole rows of ``rows``, each with at most
+        2^14 nodes at ``per_panel`` nodes a panel, or one row alone."""
+        run, size = [], 0
+        for i in rows:
+            nodes = panel_counts[i] * per_panel
+            if run and size + nodes > FUSED_NODES:
+                yield run
+                run, size = [], 0
+            run.append(i)
+            size += nodes
+        if run:
+            yield run
+
+    def call(rows, panels, sel, orders):
+        """``f`` once on the nodes of the panels ``sel``, ``panels[k]`` of them
+        in row ``rows[k]``, at every order in ``orders``, one order after the
+        other; each order's values and weights."""
+        rules = [_panel_rules(lo[sel], hi[sel], order) for order in orders]
+        nodes = np.concatenate([x.ravel() for x, _ in rules])
         if per_row:
-            rows = np.empty(nodes.size, dtype=ROW_NODE)
-            rows["x"] = nodes
-            rows["row"] = np.concatenate([np.repeat(live, sizes) for _, _, sizes in parts])
-            nodes = rows
+            tagged = np.empty(nodes.size, dtype=ROW_NODE)
+            tagged["x"] = nodes
+            tagged["row"] = np.concatenate([np.repeat(rows, panels * order) for order in orders])
+            nodes = tagged
         fv = f(nodes)
-        cuts = [0, *accumulate(w.size for _, w, _ in parts)]
-        return [(fv[..., a:b], w, sizes)
-                for (a, b), (_, w, sizes) in zip(zip(cuts[:-1], cuts[1:]), parts)]
+        cuts = [0, *accumulate(w.size for _, w in rules)]
+        return [(fv[..., a:b], w.ravel()) for a, b, (_, w) in zip(cuts[:-1], cuts[1:], rules)]
 
-    def sums(fv, weights, sizes, masses=False):
-        """Integral (and total integrand mass) of each live grid at one order."""
+    def evaluate(rows, orders, masses=False):
+        """Per order, the sums of each row in ``rows``, and their total
+        integrand masses at the first order if ``masses``."""
+        panels = counts[rows]
+        start, stop = starts[rows[0]], starts[rows[-1]] + panel_counts[rows[-1]]
+        sel = (slice(start, stop) if rows[-1] - rows[0] == len(rows) - 1   # consecutive: a view
+               else np.repeat(starts[rows] - np.cumsum(panels) + panels, panels)
+               + np.arange(panels.sum()))
+        if not per_row or len(rows) > 1 or sum(orders) * (stop - start) <= FUSED_NODES:
+            levels = zip(orders, call(rows, panels, sel, orders))
+            return [sums(fv * w, panels * order,
+                         np.abs(fv) * np.abs(w) if masses and not k else None)
+                    for k, (order, (fv, w)) in enumerate(levels)]
+        # one row past the budget at one order: slices of whole panels, their
+        # products written into one buffer of the integrand's memory order
+        (order,) = orders
+        step, prod, mass = max(1, FUSED_NODES // order), None, None
+        for a in range(start, stop, step):
+            b = min(a + step, stop)
+            ((fv, w),) = call(rows, np.array([b - a]), slice(a, b), orders)
+            if prod is None:
+                shape = fv.shape[:-1] + ((stop - start) * order,)
+                prod = np.empty_like(fv, dtype=np.result_type(fv, w), shape=shape)
+                mass = np.empty_like(fv, dtype=float, shape=shape) if masses else None
+            cut = slice((a - start) * order, (b - start) * order)
+            np.multiply(fv, w, out=prod[..., cut])
+            if masses:
+                np.multiply(np.abs(fv), np.abs(w), out=mass[..., cut])
+        return [sums(prod, panels * order, mass)]
+
+    def sums(prod, sizes, mass=None):
+        """Integral of each row at one order from the products of values and
+        weights, and its total integrand mass from ``mass``, if given."""
         cuts = [0, *accumulate(sizes.tolist())]
         spans = list(zip(cuts[:-1], cuts[1:]))
-        prod = fv * weights
         out = [prod[..., a:b].sum(axis=-1) for a, b in spans]
-        if not masses:
-            return out
-        mass = np.abs(fv) * np.abs(weights)
-        return out, [mass[..., a:b].sum(axis=-1).max() for a, b in spans]
+        return out, None if mass is None else [mass[..., a:b].sum(axis=-1).max() for a, b in spans]
 
-    order = order0
     live = list(range(len(grids)))
-    orders = [order0]    # the orders of the first call
-    while (len(orders) < first_orders and orders[-1] < max_order
-           and (sum(orders) + 2 * orders[-1]) * counts.sum() <= FUSED_NODES):
-        orders.append(2 * orders[-1])
-    first = call(live, orders)
-    out, scale = sums(*first.pop(0), masses=True)   # scale: cancellation-aware floor
+    out, scale = [None] * len(grids), [None] * len(grids)   # scale: cancellation-aware floor
+    early = {}           # the sums of the later orders of each group's first call
+    # groups sized for every order a first call may take; a row alone may take fewer
+    for run in groups(live, sum(fused(0))):
+        orders = fused(int(counts[run].sum()))
+        (first, masses), *later = evaluate(run, orders, masses=True)
+        for i, c, m in zip(run, first, masses):
+            out[i], scale[i] = c, m
+        for order, (level, _) in zip(orders[1:], later):
+            early.setdefault(order, {}).update(zip(run, level))
     prev, residual = list(out), [0.0] * len(grids)
+    order = order0
     while order < max_order and live:
         order *= 2
-        # an order of the first call has the sums of every row, stopped or not
-        level = dict(zip(range(len(grids)), sums(*first.pop(0))) if first
-                     else zip(live, sums(*call(live, [order])[0])))
+        level = early.pop(order, {})
+        for run in groups([i for i in live if i not in level], order):
+            level.update(zip(run, evaluate(run, [order])[0][0]))
         still = []
         for i in live:
             c = level[i]
@@ -572,9 +628,11 @@ class ChebTable:
     width emits one :class:`AccuracyWarning`.  Each piece comes from its own
     call of ``f`` on exactly 25 points, so its coefficients are the same
     whichever thread or lookup builds it; building is serialized by a lock.
-    A lookup runs the Clenshaw recurrence over blocks of 4096 points, in
-    three preallocated complex buffers per block.  A non-finite argument is
-    a ValueError, before any chunk is built.
+    A lookup runs over blocks of 4096 points: each block finds its pieces
+    and local coordinates and runs the Clenshaw recurrence in three
+    preallocated complex buffers, so no array but the result grows with the
+    lookup.  A non-finite argument is a ValueError, before any chunk is
+    built.
 
     ``chunks`` maps each built chunk's left end k to its pieces, a tuple of
     (left ends, midpoints, half-widths, coefficients of shape (pieces, 25)).
@@ -638,14 +696,14 @@ class ChebTable:
     def _values(self, xs, lo, hi):
         """The table at the finite points ``xs``, whose least and largest are lo and hi."""
         _, lefts, mids, halves, coeffs = self._pieces(xs, lo, hi)
-        j = np.searchsorted(lefts, xs, side="right") - 1
-        u2 = 2.0 * (xs - mids[j]) / halves[j]
         vals = np.empty(xs.shape, dtype=complex)
-        # blocks bound the gathered coefficients at 25 x _TABLE_BLOCK
+        # each block forms its own piece indices, local coordinates and
+        # gathered coefficients (25 x _TABLE_BLOCK), so none grows with xs
         for start in range(0, xs.size, _TABLE_BLOCK):
             blk = slice(start, start + _TABLE_BLOCK)
-            cj, ur = coeffs[:, j[blk]], u2[blk]
-            ub = ur.astype(complex)
+            j = np.searchsorted(lefts, xs[blk], side="right") - 1
+            ur = 2.0 * (xs[blk] - mids[j]) / halves[j]
+            cj, ub = coeffs[:, j], ur.astype(complex)
             b1, b2, tmp = (np.zeros(ub.shape, dtype=complex) for _ in range(3))
             for c in cj[:0:-1]:  # Clenshaw, b1, b2 = c + ub b1 - b2, b1, in place
                 np.multiply(ub, b1, out=tmp)

@@ -42,9 +42,10 @@ profile: Filon panels give exact values at any frequency, and a lazy
 piecewise-Chebyshev table over unit chunks of v, filled from those values on
 first use, serves every quadrature node after that.
 ``KernelEvaluator.values`` evaluates whole arrays of (t, R) with one table
-read per integrand call of :func:`integrate_panels` (per-row stopping keeps
-each value equal to its own ``value``); the theta breaks of a block of pairs
-are built at once, one padded row per pair.  ``phi_zero`` takes an array of
+read per integrand call of :func:`integrate_panels`, whose per-row calls
+hold at most 2^14 nodes (per-row stopping keeps each value equal to its own
+``value``); the theta breaks of a block of pairs are built at once, one
+padded row per pair.  ``phi_zero`` takes an array of
 radii.  ``dispersive_bound`` makes one ``values`` call per integrand call of
 its outer R-integral, and reads phi_0 and the polar weight at that call's
 radii from a cache keyed by the radii.  Every ``KernelEvaluator`` of equal
@@ -68,7 +69,9 @@ from .profiles import Profile, tail_radius
 from .root_data import RootDatum, preset
 
 _IM_TOL = 1e-10
-_PAIR_BLOCK = 256    # (t, R) pairs per integrate_panels call of KernelEvaluator.values
+# (t, R) pairs whose theta breaks KernelEvaluator.values builds at once, one
+# padded row each; integrate_panels bounds the nodes of each integrand call
+_PAIR_BLOCK = 256
 # Filon nodes of the largest starting grid a transform may ask for (halving
 # the panels that fail can multiply it by at most 64): an h3 evaluator of
 # this size peaks at about 225 MB of RSS after its first value
@@ -120,8 +123,8 @@ def rank_one_geometry(name_or_datum) -> RankOneGeometry:
 
 _LOG_RANGE = 700.0      # e^{+-700}, about 1e+-304, are normal doubles
 # most panels of one radius' endpoint caps, one per pi of the phase lam gap:
-# lam = 3e6 at gap = 1/2 takes 477,465 of them and about 5 s, and without a
-# limit lam = 1e12 asked numpy for 1.16 TiB of breaks
+# lam = 3e6 at gap = 1/2 takes 477,465 of them, about 3 s and 0.4 GB of RSS,
+# and without a limit lam = 1e12 asked numpy for 1.16 TiB of breaks
 _CAP_PANELS = 1 << 19
 
 
@@ -373,10 +376,11 @@ class KernelEvaluator:
         against F(t - s), folded by s = R sin theta into one integral over
         theta in [0, pi/2] against F(t - s) + F(t + s).  That integral is one
         row of an :func:`integrate_panels` call with per-row stopping, so
-        every pair still refining shares one read of ``transform`` per
-        integrand call, at t - s and t + s together.  Pairs go through in
-        blocks of 256, which bounds the nodes held at once.  |t| + R past
-        2^52, near where the table's unit chunks collapse, is a UsageError.
+        the pairs of one integrand call, at most 2^14 nodes of whole pairs
+        still refining, share one read of ``transform``, at t - s and t + s
+        together.  Pairs go through in blocks of 256, which bounds only the
+        arrays of their theta breaks.  |t| + R past 2^52, near where the
+        table's unit chunks collapse, is a UsageError.
         """
         t, R = np.broadcast_arrays(np.asarray(t, dtype=float), _check_radii(self.geom, R))
         if not np.all(np.isfinite(t)):

@@ -251,9 +251,10 @@ def test_three_order_first_call_gives_the_bits_of_one_call_per_order(panels):
 
 @pytest.mark.parametrize("panels", [(3, 5, 2), (150, 100, 92), (150, 100, 91)])
 def test_fused_first_call_gives_each_row_its_bits(panels):
-    # per-row breaks: under the budget (3 x 16 x 341 nodes at most) the first
-    # call carries every row's nodes of orders 16 and 32, and each row still
-    # gets the value and the stopping order it has alone, in one call per order
+    # per-row breaks: rows go in groups of at most 2^14 nodes (3 x 16 x 341),
+    # and each group's first call carries its rows' nodes of orders 16 and 32:
+    # one group for 341 panels, two for 342; each row still gets the value
+    # and the stopping order it has alone, in one call per order
     rates = np.array([0.3, 4.0, 40.0])
     grids = [np.linspace(0.0, 2.0 / (j + 1), n + 1) for j, n in enumerate(panels)]
     ws = [15.0 * n * (j + 1) for j, n in enumerate(panels)]
@@ -265,8 +266,9 @@ def test_fused_first_call_gives_each_row_its_bits(panels):
         return oscillating(rates[j], np.array(ws)[j], nodes["x"])
 
     got = integrate_panels(rows_f, grids, order0=16, tol=1e-12)
-    fused = 3 * 16 * sum(panels) <= 1 << 14
-    assert list(seen[0]) == [(3 if fused else 1) * 16 * n for n in panels]
+    groups = 1 if 3 * 16 * sum(panels) <= 1 << 14 else 2
+    assert sum(seen[:groups]).tolist() == [3 * 16 * n for n in panels]
+    assert all(0 < c.sum() <= 1 << 14 for c in seen)
     for j, breaks in enumerate(grids):
         ref = one_call_per_order(lambda s, j=j: oscillating(rates[j], ws[j], s), breaks, 16,
                                  1e-12)
@@ -299,6 +301,67 @@ def test_three_order_first_call_gives_each_row_its_bits():
         assert got[j].tobytes() == np.complex128(ref).tobytes(), j
         stops.append(len(sizes))
     assert stops[0] == 2 and max(stops) > 3
+
+
+def test_row_groups_give_each_row_its_bits():
+    # 40 rows of 20 to 59 panels: each order's live rows go in several groups
+    # of whole rows, no call past 2^14 nodes, and each row gets the bits and
+    # the stopping order it has alone, in one call per order
+    gen = np.random.default_rng(7)
+    panels = gen.integers(20, 60, size=40)
+    rates, ws = gen.uniform(0.1, 5.0, size=40), 15.0 * panels * gen.uniform(0.5, 4.0, size=40)
+    grids = [np.linspace(0.0, 2.0, n + 1) for n in panels]
+    seen = []
+
+    def rows_f(nodes):
+        seen.append(np.bincount(nodes["row"], minlength=len(grids)))
+        j = nodes["row"]
+        return oscillating(rates[j], ws[j], nodes["x"])
+
+    got = integrate_panels(rows_f, grids, order0=16, tol=1e-12)
+    assert max(c.sum() for c in seen) <= 1 << 14
+    first = [next(k for k, c in enumerate(seen) if c[j]) for j in range(len(grids))]
+    assert first == sorted(first) and len(set(first)) >= 3     # groups of whole rows, in order
+    stops = set()
+    for j, breaks in enumerate(grids):
+        sizes = []
+
+        def alone(s, j=j):
+            sizes.append(s.size)
+            return oscillating(rates[j], ws[j], s)
+        ref = one_call_per_order(alone, breaks, 16, 1e-12)
+        assert got[j].tobytes() == np.complex128(ref).tobytes(), j
+        assert [c[j] for c in seen if c[j]] == [sizes[0] + sizes[1], *sizes[2:]], j
+        stops.add(len(sizes))
+    assert len(stops) > 1
+
+
+def test_one_large_row_is_summed_in_its_own_memory_order(monkeypatch):
+    # a row of 3,000 panels has 30,000 nodes at order 10: it is evaluated in
+    # slices of at most 2^14 nodes, between two small rows, and its values,
+    # (columns x nodes) and F-ordered as phi's cap weight gives them, are
+    # summed in one buffer of that order: every bit is that of one call
+    lam = np.array([[0.0, 3.0, 40.0], [0.0, 1.0, 2.0], [0.5, 7.0, 90.0]])
+    grids = [np.linspace(0.0, 1.0, 5), np.linspace(0.0, 3.0, 3001), np.linspace(0.0, 2.0, 9)]
+
+    def rows_f(nodes):
+        seen.append(nodes.size)
+        x = nodes["x"]
+        return np.cos(lam[nodes["row"]].T * x) * np.exp(-x)
+
+    seen = []
+    sliced = integrate_panels(rows_f, grids, order0=10, tol=1e-13, max_order=80)
+    assert max(seen) <= 1 << 14 and len(seen) > 4
+    monkeypatch.setattr(_quad, "FUSED_NODES", 1 << 62)
+    seen = []
+    whole = integrate_panels(rows_f, grids, order0=10, tol=1e-13, max_order=80)
+    assert max(seen) > 1 << 14
+    assert sliced.shape == (3, 3) and sliced.tobytes() == whole.tobytes()
+    # the reason for the buffer's order: a C-ordered copy rounds differently
+    nodes, weights = gl_panels_nodes(grids[1], 20)
+    vals = (np.cos(nodes[:, None] * lam[1]) * (np.exp(-nodes) * weights)[:, None]).T
+    assert vals.flags.f_contiguous and not vals.flags.c_contiguous
+    assert vals.sum(axis=-1).tobytes() != np.ascontiguousarray(vals).sum(axis=-1).tobytes()
 
 
 def test_no_fused_call_when_the_first_order_is_the_last():

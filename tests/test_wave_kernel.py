@@ -3,6 +3,7 @@ import re
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 
 import mpmath as mp
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 import sympwave as sw
 from sympwave import wave_kernel as wk
-from sympwave._quad import AccuracyWarning
+from sympwave._quad import AccuracyWarning, gl_panels_nodes
 from sympwave.errors import DivergenceError, OutOfRangeError, ResolutionError, UsageError
 from sympwave.root_data import ReducedRoot, RootDatum
 
@@ -681,19 +682,76 @@ def test_dispersive_bound_h3_against_mpmath(h3_geometry, exp_profile):
 def test_dispersive_bound_reads_the_table_once_per_order(h3_geometry, exp_profile,
                                                           monkeypatch):
     # each outer integrand call (orders 6 and 12 together, then 24 alone) is
-    # one values call, and each of its blocks of pairs reads the table once
-    # per inner order, at most three; one radius at a time took 2,710 reads
-    import sympwave.wave_kernel as wk
-    reads, levels = [], []
-    read, values = wk.ChebTable.__call__, wk.KernelEvaluator.values
+    # one values call; its pairs' inner integrals read the table once per
+    # integrand call, at t - s and t + s together.  Each inner order (10 and
+    # 20 together, then 40, ...) goes in calls of whole rows of at most 2^14
+    # nodes, each but the last fuller than 2^14 less one row, which is the
+    # fewest such calls there are; one radius at a time took 2,710 reads
+    reads, levels, calls = [], [], {}
+    read, values, integrate = wk.ChebTable.__call__, wk.KernelEvaluator.values, wk.integrate_panels
     monkeypatch.setattr(wk.ChebTable, "__call__",
                         lambda self, v: reads.append(np.size(v)) or read(self, v))
     monkeypatch.setattr(wk.KernelEvaluator, "values",
                         lambda self, t, R: levels.append(np.size(R)) or values(self, t, R))
+
+    def counted(f, breaks, **kw):
+        if np.ndim(breaks[0]) == 0:          # the outer R-integral
+            return integrate(f, breaks, **kw)
+        panels, key = np.array([len(b) - 1 for b in breaks]), len(calls)
+
+        def g(nodes):
+            per_row = np.bincount(nodes["row"], minlength=len(panels))
+            live = per_row > 0
+            per_panel = set((per_row[live] // panels[live]).tolist())
+            assert len(per_panel) == 1       # every row of a call is at the same orders
+            calls.setdefault((key, per_panel.pop(), panels.max()), []).append(nodes.size)
+            return f(nodes)
+        return integrate(g, breaks, **kw)
+
+    monkeypatch.setattr(wk, "integrate_panels", counted)
     sw.dispersive_bound(h3_geometry, exp_profile, 40.0, 4.0)
     assert 1 <= len(levels) <= 3 and min(levels) > 1
-    blocks = sum(-(-n // wk._PAIR_BLOCK) for n in levels)
-    assert 1 <= len(reads) <= 3 * blocks
+    sizes = [n for level in calls.values() for n in level]
+    assert len(reads) == len(sizes) and sorted(reads) == sorted(2 * n for n in sizes)
+    assert max(sizes) <= 1 << 14
+    for (_, per_panel, widest), level in calls.items():
+        assert all(n > (1 << 14) - per_panel * widest for n in level[:-1])
+    assert len(reads) < 40
+
+
+def traced_peak(fn):
+    """fn() and the peak of the memory that tracemalloc saw it allocate."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_kernel_values_of_a_bound_level_hold_little_memory(h3_geometry, exp_profile):
+    # the bound's first outer call: 450 radii at orders 6 and 12, one values
+    # call.  Integrand calls of at most 2^14 nodes and table lookups that form
+    # their indices per block keep its peak at 6.1 MB (measured); one call of
+    # all 256 pairs of a block at orders 10 and 20 peaked at 19.7 MB
+    breaks = wk._bound_breaks(h3_geometry, 4.0)
+    Rs = np.concatenate([gl_panels_nodes(breaks, order)[0] for order in (6, 12)])
+    assert Rs.size == 450
+    ev = sw.KernelEvaluator(h3_geometry, exp_profile)
+    warm = ev.values(40.0, Rs)
+    again, peak = traced_peak(lambda: ev.values(40.0, Rs))
+    assert again.tobytes() == warm.tobytes()
+    assert peak <= 7e6, peak
+
+
+def test_phi_caps_of_many_panels_hold_little_memory():
+    # lam = 3e5 at R = 2 gives the caps 47,747 panels, one row of 477,470 nodes
+    # at order 10: slices of at most 2^14 nodes and one buffer of products
+    # per order keep the peak at 34.7 MB (measured), where one call of every
+    # node took 131.5 MB; the value keeps the bits it had then
+    val, peak = traced_peak(lambda: sw.phi_rank1(sw.rank_one_geometry("h2"), 3e5, 2.0))
+    assert val.hex() == (0.0004133266218759894).hex()
+    assert peak <= 45e6, peak
 
 
 def counted_phi_zero(monkeypatch):
@@ -768,6 +826,18 @@ def test_concurrent_bounds_form_each_radial_weight_once(h3_geometry, exp_profile
     assert not any(th.is_alive() for th in threads) and not errors
     assert 1 <= len(calls) <= 3 and len(set(calls)) == len(calls)
     assert [got[i] for i in range(len(ts))] == alone * 2
+
+
+@pytest.mark.parametrize("name", ["h2", "h4", "ch2", "H5"])
+def test_dispersive_bound_decays_on_every_rank_one_preset(name):
+    # the paper's L^p' - L^p decay at p = 4: the slope of log bound against
+    # log t over t = 10 to 80 is at most -2.8; measured -3.747 (h2), -3.213
+    # (h4), -3.007 (ch2) and -3.013 (H^5)
+    geom = _odd_hyperbolic(5) if name == "H5" else sw.rank_one_geometry(name)
+    ts = np.array([10.0, 20.0, 40.0, 80.0])
+    bounds = [sw.dispersive_bound(geom, sw.Profile("exponential", 1.0), t, 4.0) for t in ts]
+    slope = np.polyfit(np.log(ts), np.log(bounds), 1)[0]
+    assert slope <= -2.8, slope
 
 
 def test_dispersive_even_dimension_at_large_radius():
