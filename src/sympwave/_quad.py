@@ -4,13 +4,13 @@ Three engines cover everything in the package:
 
 * half-period panel subdivision with fixed-order Gauss-Legendre inside each
   panel, the order doubled until self-consistent (for phases resolved by the
-  panel grid); an integrand may return rows, which refine together, or take
-  one break array per row, each row then stopping on its own; the first two
-  orders (or more, if the caller asks) are one call of the integrand when
-  they hold at most 2^14 nodes, and with one break array per row no call
-  holds more: rows go in groups of at most 2^14 nodes, a larger row in
-  slices of that size whose values are summed once, in the memory order the
-  integrand gives them, so every row keeps the bits it has alone;
+  panel grid); an integrand may return several values per node, which
+  refine together, or take one break array per row, each row then stopping
+  on its own; no integrand call holds more than 2^14 nodes: the first two
+  orders (or more, if the caller asks) are one call when they fit, rows go
+  in groups of at most 2^14 nodes, and a larger row in slices of that size
+  whose values are summed once, in the memory order the integrand gives
+  them, so every row keeps the bits it has alone;
 * Filon panels for linear phases of arbitrary frequency: the amplitude is
   Legendre-projected per panel and the moments int P_k(x) e^(i mu x) dx
   = 2 i^k j_k(mu) are exact spherical-Bessel values, so the panels only
@@ -117,13 +117,12 @@ def gl_panels_nodes(breaks: np.ndarray, order: int):
     return nodes.ravel(), weights.ravel()
 
 
-# a node of one row of a per-row :func:`integrate_panels` call; nodes carry
-# their rows, so the integrand takes one argument in both modes
+# a node of one row of an :func:`integrate_panels` call with one break array
+# per row; nodes carry their rows, so the integrand takes one argument
 ROW_NODE = np.dtype([("x", float), ("row", np.intp)])
-# the most nodes of one integrand call of :func:`integrate_panels` in its
-# per-row mode, and of a first call of either mode that takes more than one
-# order at once; a larger first call takes fewer orders, down to one, and a
-# row with more nodes than this at one order is evaluated in slices
+# the most nodes of one integrand call of :func:`integrate_panels`; a first
+# call that would hold more takes fewer orders, down to one, and a row with
+# more nodes than this at one order is evaluated in slices
 FUSED_NODES = 1 << 14
 
 
@@ -132,15 +131,16 @@ def integrate_panels(f, breaks, order0: int = 16, tol: float = 1e-10,
                      floor_rel: float = 1e-14, first_orders: int = 2):
     """Composite GL with order doubling until two levels agree.
 
-    With one break array, ``f`` must accept a flat array of nodes and return
-    values (complex ok) of shape ``lead + (nodes,)``; if ``lead`` is not
-    empty, each row is its own integrand, the rows share the nodes and refine
-    together, and the result has shape ``lead``.
+    ``breaks`` is one break array, integrated as a single row, or a
+    sequence of break arrays, one per row.  ``f`` gets one flat
+    array of the nodes of rows still refining and returns values (complex
+    ok) of shape ``lead + (nodes,)``.  With a sequence, each node is a
+    :data:`ROW_NODE`, its ``x`` tagged with its ``row`` index, and the
+    result has one entry of shape ``lead`` per row; with one break array the
+    nodes are plain floats and the result has shape ``lead``.  If ``lead``
+    is not empty, each of its entries is its own integrand, and the entries
+    of a row share its nodes and refine together.
 
-    With a sequence of break arrays, one per row, ``f`` gets one flat
-    structured array (:data:`ROW_NODE`) of the nodes ``x`` of rows still
-    refining, each with its ``row`` index, and returns values of shape
-    ``lead + (nodes,)``; the result has one entry of shape ``lead`` per row.
     Every row's panels are joined into one flat panel array once per call.
     Each order evaluates the live rows in consecutive groups of whole rows,
     rows in order, each group with at most 2^14 nodes (:data:`FUSED_NODES`);
@@ -156,23 +156,23 @@ def integrate_panels(f, breaks, order0: int = 16, tol: float = 1e-10,
     slice of nodes, so its value is the one it has alone, in any group.
 
     Order ``order0`` is always followed by order ``2 order0``, so the first
-    call of ``f`` on a group (the whole break array, with one) takes the
-    first ``first_orders`` orders ``order0``, ``2 order0``, ``4 order0``,
-    ... at once (two by default, none past ``max_order``); per-row groups
-    are formed to fit all of them, and a first call takes as many as have at
-    most 2^14 nodes together: the nodes of each order in turn, each in the
-    layout a call of its own would have.  Each order is then summed over its
-    own slice of the values, so an integrand whose value at a node does not
-    depend on the other nodes gives the result of one call per order, bit
-    for bit.  Every later order, and every order of a call too large to take
-    two, is one call of ``f`` per group or slice.  A caller whose integrals
-    seldom stop at order ``2 order0`` passes ``first_orders=3``: the
-    stopping decisions are the same, with one call fewer.
+    call of ``f`` on a group takes the first ``first_orders`` orders
+    ``order0``, ``2 order0``, ``4 order0``, ... at once (two by default, none
+    past ``max_order``); groups are formed to fit all of them, and a first
+    call takes as many as have at most 2^14 nodes together: the nodes of
+    each order in turn, each in the layout a call of its own would have.
+    Each order is then summed over its own slice of the values, so an
+    integrand whose value at a node does not depend on the other nodes
+    gives the result of one call per order, bit for bit.  Every later order,
+    and every order of a call too large to take two, is one call of ``f``
+    per group or slice.  A caller whose integrals seldom stop at order
+    ``2 order0`` passes ``first_orders=3``: the stopping decisions are the
+    same, with one call fewer.
 
     Relative tolerance is measured against the finer level in the max norm
-    over the rows that refine together, with an absolute floor of
-    ``floor_rel`` times their largest total integrand mass for results that
-    are small through cancellation.
+    over the entries of a row, with an absolute floor of ``floor_rel`` times
+    their largest total integrand mass for results that are small through
+    cancellation.
     """
     per_row = len(breaks) > 0 and np.ndim(breaks[0]) > 0
     grids = ([np.asarray(b, dtype=float) for b in breaks] if per_row
@@ -227,7 +227,7 @@ def integrate_panels(f, breaks, order0: int = 16, tol: float = 1e-10,
         sel = (slice(start, stop) if rows[-1] - rows[0] == len(rows) - 1   # consecutive: a view
                else np.repeat(starts[rows] - np.cumsum(panels) + panels, panels)
                + np.arange(panels.sum()))
-        if not per_row or len(rows) > 1 or sum(orders) * (stop - start) <= FUSED_NODES:
+        if len(rows) > 1 or sum(orders) * (stop - start) <= FUSED_NODES:
             levels = zip(orders, call(rows, panels, sel, orders))
             return [sums(fv * w, panels * order,
                          np.abs(fv) * np.abs(w) if masses and not k else None)

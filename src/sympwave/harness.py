@@ -123,10 +123,6 @@ def _flatten(rec: SweepRecord):
     return names, values
 
 
-def _flat_columns(rec: SweepRecord):
-    return list(zip(*_flatten(rec)))
-
-
 def _flat_values(records, header):
     """Each record's flat values; a record whose flat column names differ
     from ``header`` is a usage error."""

@@ -257,8 +257,8 @@ def xi_direct(symbol: Symbol, E, r: float, h: float) -> complex:
     exact moments, so the cost does not grow with h r.  The proxy or the
     panels are built once per (symbol, E, r) and reused at every h.
     """
-    if r <= 0.0 or h < 0.0:
-        raise UsageError("need r > 0 and h >= 0")
+    if not (math.isfinite(r) and math.isfinite(h) and r > 0.0 and h >= 0.0):
+        raise UsageError(f"need a finite r > 0 and a finite h >= 0, got r = {r} and h = {h}")
     return r ** (symbol.dimension - 1) * _direct_integral(*_parts_key(symbol, E, r))(h * r)
 
 

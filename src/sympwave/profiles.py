@@ -35,7 +35,7 @@ from numpy.polynomial.chebyshev import Chebyshev
 
 from ._jets import (jet_compose, jet_derivatives, jet_div, jet_exp, jet_neg_recip,
                     jet_powi)
-from ._quad import cheb_series_blocks
+from ._quad import build_once, cheb_series_blocks
 from .errors import DivergenceError, UnsupportedOrderError, UsageError
 
 MAX_ORDER = 12
@@ -88,14 +88,8 @@ class CutoffProduct:
     def __init__(self, proxy: Chebyshev, cutoff: SmoothCutoff, p: int, lo: float, hi: float):
         self.proxy, self.cutoff, self.p = proxy, cutoff, p
         self.lo, self.hi = float(lo), float(hi)
-        self._proxy_derivs = {0: proxy}
-
-    def proxy_deriv(self, j: int) -> Chebyshev:
-        """The j-th derivative of the proxy, built once per order."""
-        d = self._proxy_derivs.get(j)
-        if d is None:
-            d = self._proxy_derivs.setdefault(j, self.proxy.deriv(j))
-        return d
+        # proxy_deriv(j): the j-th derivative of the proxy, built once per order
+        self.proxy_deriv = build_once(maxsize=None, shared=False)(proxy.deriv)
 
     def __call__(self, x):
         out = self.deriv(0, x)

@@ -450,10 +450,11 @@ def remainder_integrals(amps: tuple[AmplitudeData, ...], n: int, m: int, x: floa
     holds more than four periods of k_n; k_n runs once per node set for
     every amplitude.  R2 is one Filon build.
 
-    R1 starts at order 16, the first order that can stop it, and its first
-    integrand call takes orders 16, 32 and 64 when they hold at most 2^14
-    nodes (146 panels): most R1 integrals stop at order 64, so that is one
-    k_n call each, with the stopping decisions of one call per order.
+    R1 starts at order 16, the first order that can stop it, and takes
+    orders 16, 32 and 64 in its first integrand call where they fit (the
+    call rule of :func:`~sympwave._quad.integrate_panels`): most R1
+    integrals stop at order 64, so up to 146 panels that is one k_n call
+    each, with the stopping decisions of one call per order.
     R1 refines to 1e-12 relative, with an absolute floor of
     max(1e-14, eps p x u_hi^p) of the integrand's mass, u_hi^p being the
     end of the live interval in v = u^p.  That floor is the integrand's own
@@ -530,8 +531,8 @@ def expand(problem: PhaseProblem, x: float, N: int, M: int,
     x^-((N+1)/p) or x^-M overflows, naming the smallest x that fits, and for
     one whose terms overflow to a total that is not finite.
     """
-    if x <= 0.0:
-        raise UsageError("x must be positive")
+    if not (math.isfinite(x) and x > 0.0):
+        raise UsageError(f"x must be finite and positive, got {x!r}")
     check_terms(N, M)
     p = problem.p
     _check_x_fits(x, N, M, p)
@@ -575,13 +576,12 @@ def oracle(problem: PhaseProblem, x: float) -> complex:
     one array phase inversion; fixed-order Gauss-Legendre inside, order
     doubled until two levels agree to 1e-10 relative (see
     :func:`~sympwave._quad.integrate_panels`); a warning is attached when the
-    order cap of 128 is reached first.  ``g`` and ``f`` are called on all
-    nodes at once, one call for the first two orders together when they
-    hold at most 2^14 nodes and one call for each later order, so each node
-    is evaluated once per order.
+    order cap of 128 is reached first.  ``g`` and ``f`` are called on the
+    node arrays of that function's integrand calls, so each node is
+    evaluated once per order.
     """
-    if x <= 0.0:
-        raise UsageError("x must be positive")
+    if not (math.isfinite(x) and x > 0.0):
+        raise UsageError(f"x must be finite and positive, got {x!r}")
     span = problem.fb - problem.fa
     fracs = halfperiod_breaks(x * span, 0.0, 1.0)
     breaks = _invert_extended(problem, (fracs * span) ** (1.0 / problem.p))

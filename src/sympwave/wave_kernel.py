@@ -42,8 +42,8 @@ profile: Filon panels give exact values at any frequency, and a lazy
 piecewise-Chebyshev table over unit chunks of v, filled from those values on
 first use, serves every quadrature node after that.
 ``KernelEvaluator.values`` evaluates whole arrays of (t, R) with one table
-read per integrand call of :func:`integrate_panels`, whose per-row calls
-hold at most 2^14 nodes (per-row stopping keeps each value equal to its own
+read per integrand call of :func:`integrate_panels`, whose call rule bounds
+the nodes of each read (per-row stopping keeps each value equal to its own
 ``value``); the theta breaks of a block of pairs are built at once, one
 padded row per pair.  ``phi_zero`` takes an array of
 radii.  ``dispersive_bound`` makes one ``values`` call per integrand call of
@@ -376,8 +376,8 @@ class KernelEvaluator:
         against F(t - s), folded by s = R sin theta into one integral over
         theta in [0, pi/2] against F(t - s) + F(t + s).  That integral is one
         row of an :func:`integrate_panels` call with per-row stopping, so
-        the pairs of one integrand call, at most 2^14 nodes of whole pairs
-        still refining, share one read of ``transform``, at t - s and t + s
+        the pairs of one integrand call, grouped by that function's call
+        rule, share one read of ``transform``, at t - s and t + s
         together.  Pairs go through in blocks of 256, which bounds only the
         arrays of their theta breaks.  |t| + R past 2^52, near where the
         table's unit chunks collapse, is a UsageError.
@@ -540,9 +540,8 @@ def _radial_weight(geom: RankOneGeometry, radii: bytes):
 def dispersive_bound(geom: RankOneGeometry, profile: Profile, t: float, p: float) -> float:
     """Convolution-bound integral {int |k_t|^{p/2} phi_0 D dR}^{2/p} for p > 2.
 
-    Each call of the outer R-integral's integrand, which holds the first
-    two refinement levels together and each later level alone (see
-    :func:`~sympwave._quad.integrate_panels`), is one
+    Each integrand call of the outer R-integral, as
+    :func:`~sympwave._quad.integrate_panels` forms them, is one
     :meth:`KernelEvaluator.values` call over all of its radii.  Its
     evaluator reads the one table of (geom, profile), and phi_0 and the
     polar weight D at a call's radii depend only on those radii: they are

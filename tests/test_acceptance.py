@@ -228,13 +228,13 @@ def test_criterion_10_dispersive_decay():
 def test_criterion_11_determinism():
     import hashlib
 
-    from sympwave.harness import _flat_columns
+    from sympwave.harness import _flatten
 
     t0 = time.perf_counter()
 
     def digest(spec):
         rows = sw.run_sweep(spec)
-        text = "\n".join(",".join("%.17g" % v for _, v in _flat_columns(r))
+        text = "\n".join(",".join("%.17g" % v for v in _flatten(r)[1])
                          for r in rows)
         return hashlib.sha256(text.encode()).hexdigest()
 

@@ -316,8 +316,8 @@ def test_model_sweep_skips_small_hr():
 
 def _sweep_digest(spec):
     rows = sw.run_sweep(spec)
-    from sympwave.harness import _flat_columns
-    text = "\n".join(",".join("%.17g" % v for _, v in _flat_columns(r)) for r in rows)
+    from sympwave.harness import _flatten
+    text = "\n".join(",".join("%.17g" % v for v in _flatten(r)[1]) for r in rows)
     return hashlib.sha256(text.encode()).hexdigest()
 
 

@@ -206,47 +206,69 @@ def oscillating(rate, w, s):
     return np.exp(-rate * s) * (1.0 + 1j * np.sin(w * s))
 
 
+def call_sizes(panels, levels, taken):
+    """The node counts of the integrand calls of one break array of
+    ``panels`` panels whose levels of one call per order had ``levels``
+    nodes each: the first ``taken`` levels in one call, then each level in
+    slices of whole panels with at most 2^14 nodes each."""
+    sizes = [sum(levels[:taken])]
+    for n in levels[taken:]:
+        order = n // panels
+        step = (1 << 14) // order
+        sizes += [order * min(step, panels - a) for a in range(0, panels, step)]
+    return sizes
+
+
 # 3 x 16 x 341 = 16,368 nodes fit the budget of the fused first call, 342 panels do not
 @pytest.mark.parametrize("panels", [4, 341, 342, 700])
 def test_fused_first_call_gives_the_bits_of_one_call_per_order(panels):
     # two rows sharing the nodes, about five periods a panel, so that the
-    # order doubles past the fused pair at least once
+    # order doubles past the fused pair at least once; the first call takes
+    # the fused pair when it fits, and no call holds more than 2^14 nodes
     rates, w = np.array([0.3, 4.0]), 15.0 * panels
     breaks = np.linspace(0.0, 2.0, panels + 1)
-    sizes = []
+    sizes, levels = [], []
 
     def rows(s):
         sizes.append(s.size)
         return oscillating(rates[:, None], w, s)
 
+    def alone(s):
+        levels.append(s.size)
+        return oscillating(rates[:, None], w, s)
+
     got = integrate_panels(rows, breaks, order0=16, tol=1e-12)
-    ref = one_call_per_order(lambda s: oscillating(rates[:, None], w, s), breaks, 16, 1e-12)
+    ref = one_call_per_order(alone, breaks, 16, 1e-12)
     assert got.tobytes() == ref.tobytes()
-    fused = 3 * 16 * panels <= 1 << 14
-    assert sizes[0] == (3 if fused else 1) * 16 * panels and len(sizes) >= 2
-    assert sizes[1:] == [16 * panels * 2 ** (i + (2 if fused else 1))
-                         for i in range(len(sizes) - 1)]
+    taken = 2 if 3 * 16 * panels <= 1 << 14 else 1
+    assert len(levels) > 2 and sizes == call_sizes(panels, levels, taken)
+    assert max(sizes) <= 1 << 14
 
 
 # 7 x 16 x 146 = 16,352 nodes fit the budget of a first call of three orders;
 # 147 panels take two, and 342 one
 @pytest.mark.parametrize("panels", [4, 146, 147, 342])
 def test_three_order_first_call_gives_the_bits_of_one_call_per_order(panels):
-    # about twenty periods a panel, so that the order doubles past 64
+    # about twenty periods a panel, so that the order doubles past 64; the
+    # first call takes as many orders as fit, and no call holds more than 2^14
     rates, w = np.array([0.3, 4.0]), 60.0 * panels
     breaks = np.linspace(0.0, 2.0, panels + 1)
-    sizes = []
+    sizes, levels = [], []
 
     def rows(s):
         sizes.append(s.size)
         return oscillating(rates[:, None], w, s)
 
+    def alone(s):
+        levels.append(s.size)
+        return oscillating(rates[:, None], w, s)
+
     got = integrate_panels(rows, breaks, order0=16, tol=1e-12, first_orders=3)
-    ref = one_call_per_order(lambda s: oscillating(rates[:, None], w, s), breaks, 16, 1e-12)
+    ref = one_call_per_order(alone, breaks, 16, 1e-12)
     assert got.tobytes() == ref.tobytes()
     taken = 3 if panels <= 146 else 2 if panels <= 341 else 1
-    assert sizes[0] == (2 ** taken - 1) * 16 * panels and len(sizes) >= 2
-    assert sizes[1:] == [16 * panels * 2 ** (i + taken) for i in range(len(sizes) - 1)]
+    assert len(levels) > 3 and sizes == call_sizes(panels, levels, taken)
+    assert max(sizes) <= 1 << 14
 
 
 @pytest.mark.parametrize("panels", [(3, 5, 2), (150, 100, 92), (150, 100, 91)])
@@ -362,6 +384,43 @@ def test_one_large_row_is_summed_in_its_own_memory_order(monkeypatch):
     vals = (np.cos(nodes[:, None] * lam[1]) * (np.exp(-nodes) * weights)[:, None]).T
     assert vals.flags.f_contiguous and not vals.flags.c_contiguous
     assert vals.sum(axis=-1).tobytes() != np.ascontiguousarray(vals).sum(axis=-1).tobytes()
+
+
+def test_single_break_calls_past_the_budget_keep_their_bits(monkeypatch):
+    # R1 at x = 1e5 (about 8,000 panels), the oracle at 1e5 (31,831 panels)
+    # and two F-ordered rows sharing 3,000 panels: one break array each, its
+    # orders evaluated in slices of at most 2^14 nodes, with the bits of one
+    # call per order
+    from sympwave import stationary_phase
+    from sympwave.harness import _cos_demo_problem
+
+    lam = np.array([3.0, 40.0])
+    breaks = np.linspace(0.0, 3.0, 3001)
+
+    def two_rows(s):
+        return (np.cos(s[:, None] * lam) * np.exp(-s)[:, None]).T
+
+    def run():
+        sizes = []
+
+        def recorded(f, breaks, **quad):
+            return integrate_panels(lambda s: sizes.append(s.size) or f(s), breaks, **quad)
+
+        monkeypatch.setattr(stationary_phase, "integrate_panels", recorded)
+        problem = _cos_demo_problem()
+        res = sw.expand(problem, 1e5, N=1, M=1)
+        rows = recorded(two_rows, breaks, order0=10, tol=1e-13, max_order=80)
+        assert rows.shape == (2,)
+        values = [res.total, res.R1, sw.oracle(problem, 1e5), *rows]
+        return np.array(values, dtype=complex).tobytes(), sizes
+
+    sliced, sizes = run()
+    assert max(sizes) <= 1 << 14 and len(sizes) > 100
+    monkeypatch.setattr(_quad, "FUSED_NODES", 1 << 62)
+    whole, sizes = run()
+    assert max(sizes) > 1 << 19
+    assert sliced == whole
+    assert two_rows(breaks).flags.f_contiguous
 
 
 def test_no_fused_call_when_the_first_order_is_the_last():

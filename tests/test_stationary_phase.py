@@ -205,6 +205,22 @@ def test_contour_function_input_contract(call):
         call()
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("call", ["expand-x", "oracle-x", "xi_direct-r", "xi_direct-h"])
+def test_non_finite_inputs_are_usage_errors(cos_problem, call, value):
+    # numpy would raise ValueError or OverflowError from the panel breaks,
+    # or return nan+nanj with no warning
+    e1 = np.array([1.0, 0.0])
+    calls = {
+        "expand-x": lambda: sw.expand(cos_problem, value, 1, 1),
+        "oracle-x": lambda: sw.oracle(cos_problem, value),
+        "xi_direct-r": lambda: sw.xi_direct(sw.gaussian_symbol(2), e1, value, 1.0),
+        "xi_direct-h": lambda: sw.xi_direct(sw.gaussian_symbol(2), e1, 1.0, value),
+    }
+    with pytest.raises(UsageError, match="finite"):
+        calls[call]()
+
+
 def test_k_n_derivative_identity():
     h = 1e-4
     fd = (sw.k_n(2, 0.3 + h, 5.0, 2) - sw.k_n(2, 0.3 - h, 5.0, 2)) / (2 * h)
