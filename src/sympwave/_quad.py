@@ -50,8 +50,6 @@ from itertools import accumulate
 import numpy as np
 from numpy.polynomial import legendre as npleg
 from numpy.polynomial.chebyshev import Chebyshev
-from scipy.fft import dct
-from scipy.special import jv
 
 from .errors import ResolutionError
 
@@ -495,6 +493,8 @@ def filon_chebyshev(series: Chebyshev, mu: float) -> complex:
 
     The moments are pi i^k J_k(mu).
     """
+    # imported here, as every scipy function is: import sympwave loads no scipy
+    from scipy.special import jv
     coeffs = series.coef
     k = np.arange(len(coeffs))
     sign = -1.0 if mu < 0 else 1.0
@@ -506,6 +506,8 @@ def filon_chebyshev(series: Chebyshev, mu: float) -> complex:
 def _cheb_coeffs_from_values(vals: np.ndarray) -> np.ndarray:
     """Chebyshev coefficients from values at the first-kind points of
     :func:`cheb_first_kind_points`, by one DCT-II (full weight on c0)."""
+    # imported here, as every scipy function is: import sympwave loads no scipy
+    from scipy.fft import dct
     coeffs = dct(vals, type=2) / len(vals)
     coeffs[0] *= 0.5
     return coeffs

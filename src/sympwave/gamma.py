@@ -12,7 +12,6 @@ eps |log Gamma(z)|, also at |Im z| up to 1e6.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import loggamma
 
 from .errors import GammaPoleError
 
@@ -26,6 +25,8 @@ def log_gamma(z):
     input shape.  Raises :class:`GammaPoleError` when any entry is within
     1e-14 of a nonpositive integer.
     """
+    # imported here, as every scipy function is: import sympwave loads no scipy
+    from scipy.special import loggamma
     arr = np.asarray(z, dtype=complex)
     nearest = np.rint(arr.real)
     at_pole = (np.abs(arr - nearest) <= _POLE_TOL) & (nearest <= 0.0)

@@ -189,7 +189,7 @@ class Profile:
 
     def constant_C(self, k: int, s: float) -> float:
         """Integral of |psi^(k)(r)| (r+1)^s over [0, inf), to ~1e-9 relative."""
-        # imported here: scipy.integrate would be a quarter of the package's import time
+        # imported here, as every scipy function is: import sympwave loads no scipy
         from scipy.integrate import quad
 
         if not 0 <= k <= MAX_ORDER:

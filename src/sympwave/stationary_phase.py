@@ -42,7 +42,6 @@ from functools import partial
 from math import gamma as real_gamma
 
 import numpy as np
-from scipy.special import wofz
 
 from ._quad import (MAX_PANELS, FilonPanels, build_once, cheb_fit, gl_panels_nodes,
                     halfperiod_breaks, integrate_panels)
@@ -261,6 +260,8 @@ def _scaled_ierfc(k: int, z: np.ndarray) -> np.ndarray:
     reused buffers, with the ufuncs of ``1 / (2z + 2(j+1) r)`` in that
     order; every point therefore gets the bits it has alone.
     """
+    # imported here, as every scipy function is: import sympwave loads no scipy
+    from scipy.special import wofz
     e0 = wofz(1j * z)
     if k == 0:
         return e0

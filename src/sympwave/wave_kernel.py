@@ -60,7 +60,6 @@ from dataclasses import dataclass, field
 from math import gamma as real_gamma
 
 import numpy as np
-from scipy.special import hyp2f1
 
 from ._quad import _FILON_NODES, ChebTable, FilonPanels, build_once, integrate_panels
 from .errors import DivergenceError, OutOfRangeError, ResolutionError, UsageError
@@ -150,6 +149,8 @@ def _boundary_density(geom: RankOneGeometry, R):
     """The density C(R) g(z) of mu_R in s, as its two factors: C at the radii
     R, and g as a function of z = (cosh R - cosh s) / (2 cosh R).  Quadratures
     sum g and multiply by C once."""
+    # imported here, as every scipy function is: import sympwave loads no scipy
+    from scipy.special import hyp2f1
     a, b = geom.alpha, geom.beta
     const = 2.0 ** (2.0 * a - 1.0) * real_gamma(a + 1.0) / (math.sqrt(math.pi)
                                                              * real_gamma(a + 0.5))

@@ -1,4 +1,5 @@
 import io
+import json
 import os
 import subprocess
 import sys
@@ -361,6 +362,63 @@ def test_overflowing_expansion_exits_2_with_runtime_warnings_as_errors():
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr == ("usage error: the expansion at x = 1e-58 with N = 9 and M = 1 "
                            "overflows: its total is (nan+nanj)\n")
+
+
+def _fresh_python(args, **env):
+    """A fresh interpreter on this sympwave, with its output captured."""
+    src = os.path.dirname(os.path.dirname(sw.__file__))
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=120)
+
+
+# imports sympwave, runs main(argv) unless argv is empty, and prints the exit
+# code and the scipy modules then loaded as the last line of stdout
+_SCIPY_PROBE = """\
+import json, sys
+import sympwave
+argv = json.loads(sys.argv[1])
+if argv:
+    from sympwave.cli import main
+    code = main(argv)
+else:
+    code = None
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+"""
+
+
+@pytest.mark.parametrize("argv, code, loaded", [
+    ([], None, set()),
+    (["cfun", "--preset", "h3", "--lambda-max", "2", "--steps", "3"], 0, set()),
+    (["kernel", "--preset", "h3", "--psi", "exp:1.0", "--R", "0.5"], 2, set()),
+    # the control: a kernel value needs hyp2f1 and dct
+    (["kernel", "--preset", "h3", "--psi", "exp:1.0", "--t-list", "10", "--R", "0.5"], 0,
+     {"scipy.special", "scipy.fft"}),
+], ids=["import", "cfun", "usage-error", "kernel"])
+def test_scipy_is_loaded_only_where_a_value_needs_it(argv, code, loaded):
+    proc = _fresh_python(["-c", _SCIPY_PROBE, json.dumps(argv)])
+    assert proc.returncode == 0, proc.stderr
+    got_code, modules = json.loads(proc.stdout.splitlines()[-1])
+    assert got_code == code
+    if loaded:
+        assert loaded <= set(modules), modules
+    else:
+        assert modules == [], modules
+
+
+@pytest.mark.parametrize("argv", [
+    # one batched call of KernelEvaluator.values
+    ["kernel", "--preset", "h3", "--psi", "exp:1.0", "--t-list", "5,10,20,40", "--R", "0.5"],
+    # one bound per worker, so four threads make the first hyp2f1 and dct calls together
+    ["dispersive", "--preset", "h3", "--psi", "exp:1.0", "--p", "4", "--t-list", "1,2,3,4"],
+], ids=["kernel", "dispersive"])
+def test_first_scipy_use_on_four_workers_gives_the_one_worker_bytes(argv):
+    one, four = (_fresh_python(["-m", "sympwave.cli", *argv], SYMPWAVE_THREADS=n)
+                 for n in ("1", "4"))
+    assert one.returncode == 0 and four.returncode == 0, one.stderr + four.stderr
+    assert one.stdout.count("\n") == 5
+    assert four.stdout == one.stdout
 
 
 def _write_config(argv, tmp_path):
