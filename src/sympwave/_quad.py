@@ -6,11 +6,10 @@ Three engines cover everything in the package:
   panel, the order doubled until self-consistent (for phases resolved by the
   panel grid); an integrand may return several values per node, which
   refine together, or take one break array per row, each row then stopping
-  on its own; no integrand call holds more than 2^14 nodes: the first two
-  orders (or more, if the caller asks) are one call when they fit, rows go
-  in groups of at most 2^14 nodes, and a larger row in slices of that size
-  whose values are summed once, in the memory order the integrand gives
-  them, so every row keeps the bits it has alone;
+  on its own; each row is cut, from its own first panel, into slices of at
+  most 2^14 nodes, slices are packed into integrand calls of at most 2^14
+  nodes, and a row's slice sums are added by math.fsum, so every row keeps
+  the bits it has alone;
 * Filon panels for linear phases of arbitrary frequency: the amplitude is
   Legendre-projected per panel and the moments int P_k(x) e^(i mu x) dx
   = 2 i^k j_k(mu) are exact spherical-Bessel values, so the panels only
@@ -42,10 +41,11 @@ proxy for the colatitude integrals of even rank.
 
 from __future__ import annotations
 
+import math
 import threading
 import warnings
 from functools import lru_cache, update_wrapper
-from itertools import accumulate
+from itertools import accumulate, product
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
@@ -118,10 +118,18 @@ def gl_panels_nodes(breaks: np.ndarray, order: int):
 # a node of one row of an :func:`integrate_panels` call with one break array
 # per row; nodes carry their rows, so the integrand takes one argument
 ROW_NODE = np.dtype([("x", float), ("row", np.intp)])
-# the most nodes of one integrand call of :func:`integrate_panels`; a first
-# call that would hold more takes fewer orders, down to one, and a row with
-# more nodes than this at one order is evaluated in slices
+# the most nodes of one slice of a row, and of one integrand call, in
+# :func:`integrate_panels`
 FUSED_NODES = 1 << 14
+
+
+def _fsum(parts):
+    """Sum of the arrays ``parts`` by :func:`math.fsum` per entry, Re and Im apart; one as is."""
+    if len(parts) == 1:
+        return parts[0]
+    stack = np.stack(parts)
+    cols = stack.reshape(len(parts), -1).view(float)     # Re, Im pairs if complex
+    return np.array([math.fsum(c) for c in cols.T]).view(stack.dtype).reshape(stack.shape[1:])[()]
 
 
 def integrate_panels(f, breaks, order0: int = 16, tol: float = 1e-10,
@@ -129,156 +137,86 @@ def integrate_panels(f, breaks, order0: int = 16, tol: float = 1e-10,
                      floor_rel: float = 1e-14, first_orders: int = 2):
     """Composite GL with order doubling until two levels agree.
 
-    ``breaks`` is one break array, integrated as a single row, or a
-    sequence of break arrays, one per row.  ``f`` gets one flat
-    array of the nodes of rows still refining and returns values (complex
-    ok) of shape ``lead + (nodes,)``.  With a sequence, each node is a
-    :data:`ROW_NODE`, its ``x`` tagged with its ``row`` index, and the
-    result has one entry of shape ``lead`` per row; with one break array the
-    nodes are plain floats and the result has shape ``lead``.  If ``lead``
-    is not empty, each of its entries is its own integrand, and the entries
-    of a row share its nodes and refine together.
+    ``breaks`` is one break array, integrated as a single row, or a sequence
+    of break arrays, one per row.  ``f`` gets one flat array of the nodes of
+    rows still refining and returns values (complex ok) of shape ``lead +
+    (nodes,)``.  With a sequence, each node is a :data:`ROW_NODE`, its ``x``
+    tagged with its ``row`` index, and the result has one entry of shape
+    ``lead`` per row; with one break array the nodes are plain floats and the
+    result has shape ``lead``.  Each entry of ``lead`` is its own integrand;
+    the entries of a row share its nodes and refine together.
 
-    Every row's panels are joined into one flat panel array once per call.
-    Each order evaluates the live rows in consecutive groups of whole rows,
-    rows in order, each group with at most 2^14 nodes (:data:`FUSED_NODES`);
-    a group sums its rows and drops its arrays before the next one starts.
-    A row with more nodes than that at one order is evaluated alone, in
-    slices of whole panels with at most 2^14 nodes each, whose products of
-    values and weights are written into one buffer of the memory order of
-    the integrand's values and summed once: numpy does not round a sum over
-    the nodes of an F-ordered (columns x nodes) array as it rounds one over
-    a C-ordered copy.
-    Each row stops at the first order at which its own two levels agree and
-    is not evaluated after that; its sum is taken over its own contiguous
-    slice of nodes, so its value is the one it has alone, in any group.
-
-    Order ``order0`` is always followed by order ``2 order0``, so the first
-    call of ``f`` on a group takes the first ``first_orders`` orders
-    ``order0``, ``2 order0``, ``4 order0``, ... at once (two by default, none
-    past ``max_order``); groups are formed to fit all of them, and a first
-    call takes as many as have at most 2^14 nodes together: the nodes of
-    each order in turn, each in the layout a call of its own would have.
-    Each order is then summed over its own slice of the values, so an
-    integrand whose value at a node does not depend on the other nodes
-    gives the result of one call per order, bit for bit.  Every later order,
-    and every order of a call too large to take two, is one call of ``f``
-    per group or slice.  A caller whose integrals seldom stop at order
-    ``2 order0`` passes ``first_orders=3``: the stopping decisions are the
-    same, with one call fewer.
-
-    Relative tolerance is measured against the finer level in the max norm
-    over the entries of a row, with an absolute floor of ``floor_rel`` times
-    their largest total integrand mass for results that are small through
-    cancellation.
+    At each order, each row's panels are cut, from its own first panel, into
+    slices of whole panels with at most 2^14 nodes (:data:`FUSED_NODES`),
+    and consecutive slices, rows in order, are packed into integrand calls of
+    at most 2^14 nodes, each order's slices in turn.  A row's value is the
+    :func:`_fsum` of its slices' sums, so it depends on the row alone; if
+    ``f`` at a node does not depend on the other nodes, a row of one slice
+    per order has the bits of one call per order.  The first pass takes the
+    first ``first_orders`` orders ``order0``, ``2 order0``, ... of every row
+    (none past ``max_order``); a caller whose rows seldom stop at ``2 order0``
+    passes 3.  A row stops at the first order at which its last two levels
+    agree, to ``tol`` relative to the finer one in the max norm over its
+    entries, or to ``floor_rel`` times their largest integrand mass at
+    ``order0`` for rows that are small through cancellation.
     """
     per_row = len(breaks) > 0 and np.ndim(breaks[0]) > 0
     grids = ([np.asarray(b, dtype=float) for b in breaks] if per_row
              else [np.asarray(breaks, dtype=float)])
-    # every row's panels, rows in order
-    counts = np.array([len(g) - 1 for g in grids])
-    starts, panel_counts = np.cumsum(counts) - counts, counts.tolist()
+    # every row's panels, rows in order: row i has starts[i]:starts[i + 1]
+    starts = [0, *accumulate(len(g) - 1 for g in grids)]
     lo, hi = np.concatenate([g[:-1] for g in grids]), np.concatenate([g[1:] for g in grids])
 
-    def fused(panels):
-        """The orders of a first call on ``panels`` panels."""
-        orders = [order0]
-        while (len(orders) < first_orders and orders[-1] < max_order
-               and (sum(orders) + 2 * orders[-1]) * panels <= FUSED_NODES):
-            orders.append(2 * orders[-1])
-        return orders
-
-    def groups(rows, per_panel):
-        """Consecutive runs of whole rows of ``rows``, each with at most
-        2^14 nodes at ``per_panel`` nodes a panel, or one row alone."""
-        run, size = [], 0
-        for i in rows:
-            nodes = panel_counts[i] * per_panel
-            if run and size + nodes > FUSED_NODES:
-                yield run
-                run, size = [], 0
-            run.append(i)
-            size += nodes
-        if run:
-            yield run
-
-    def call(rows, panels, sel, orders):
-        """``f`` once on the nodes of the panels ``sel``, ``panels[k]`` of them
-        in row ``rows[k]``, at every order in ``orders``, one order after the
-        other; each order's values and weights."""
-        rules = [_panel_rules(lo[sel], hi[sel], order) for order in orders]
-        nodes = np.concatenate([x.ravel() for x, _ in rules])
+    def call(run, sums):
+        """``f`` once on the slices ``run``, each (row, order, first panel, panels):
+        their sums into ``sums[row, order]``, and at ``order0`` masses into ``sums[row, 0]``."""
+        levels = []
+        for order in sorted({s[1] for s in run}):
+            rows, _, first, size = np.array([s for s in run if s[1] == order]).T
+            sel = np.repeat(first - np.cumsum(size) + size, size) + np.arange(size.sum())
+            levels.append((order, rows, size * order, *_panel_rules(lo[sel], hi[sel], order)))
+        nodes = np.concatenate([x.ravel() for *_, x, _ in levels])
         if per_row:
-            tagged = np.empty(nodes.size, dtype=ROW_NODE)
-            tagged["x"] = nodes
-            tagged["row"] = np.concatenate([np.repeat(rows, panels * order) for order in orders])
-            nodes = tagged
-        fv = f(nodes)
-        cuts = [0, *accumulate(w.size for _, w in rules)]
-        return [(fv[..., a:b], w.ravel()) for a, b, (_, w) in zip(cuts[:-1], cuts[1:], rules)]
+            tags = np.concatenate([np.repeat(rows, n) for _, rows, n, *_ in levels])
+            nodes = np.rec.fromarrays([nodes, tags], dtype=ROW_NODE).view(np.ndarray)
+        fv, a = f(nodes), 0
+        for order, rows, n, _, w in levels:
+            vals, w, a = fv[..., a:a + w.size], w.ravel(), a + w.size
+            prod, mass = vals * w, np.abs(vals) * np.abs(w) if order == order0 else None
+            cuts = [0, *accumulate(n.tolist())]
+            for i, b, c in zip(rows.tolist(), cuts, cuts[1:]):
+                sums.setdefault((i, order), []).append(prod[..., b:c].sum(axis=-1))
+                if mass is not None:
+                    sums.setdefault((i, 0), []).append(mass[..., b:c].sum(axis=-1))
 
-    def evaluate(rows, orders, masses=False):
-        """Per order, the sums of each row in ``rows``, and their total
-        integrand masses at the first order if ``masses``."""
-        panels = counts[rows]
-        start, stop = starts[rows[0]], starts[rows[-1]] + panel_counts[rows[-1]]
-        sel = (slice(start, stop) if rows[-1] - rows[0] == len(rows) - 1   # consecutive: a view
-               else np.repeat(starts[rows] - np.cumsum(panels) + panels, panels)
-               + np.arange(panels.sum()))
-        if len(rows) > 1 or sum(orders) * (stop - start) <= FUSED_NODES:
-            levels = zip(orders, call(rows, panels, sel, orders))
-            return [sums(fv * w, panels * order,
-                         np.abs(fv) * np.abs(w) if masses and not k else None)
-                    for k, (order, (fv, w)) in enumerate(levels)]
-        # one row past the budget at one order: slices of whole panels, their
-        # products written into one buffer of the integrand's memory order
-        (order,) = orders
-        step, prod, mass = max(1, FUSED_NODES // order), None, None
-        for a in range(start, stop, step):
-            b = min(a + step, stop)
-            ((fv, w),) = call(rows, np.array([b - a]), slice(a, b), orders)
-            if prod is None:
-                shape = fv.shape[:-1] + ((stop - start) * order,)
-                prod = np.empty_like(fv, dtype=np.result_type(fv, w), shape=shape)
-                mass = np.empty_like(fv, dtype=float, shape=shape) if masses else None
-            cut = slice((a - start) * order, (b - start) * order)
-            np.multiply(fv, w, out=prod[..., cut])
-            if masses:
-                np.multiply(np.abs(fv), np.abs(w), out=mass[..., cut])
-        return [sums(prod, panels * order, mass)]
+    def level(rows, orders):
+        """{(row, order): value} for ``rows`` and ``orders``, and (row, 0): mass at ``order0``."""
+        sums, run, size = {}, [], 0
+        for i, order in product(rows, orders):
+            step = max(1, FUSED_NODES // order)
+            for a in range(starts[i], starts[i + 1], step):
+                n = order * min(step, starts[i + 1] - a)
+                if run and size + n > FUSED_NODES:
+                    call(run, sums)
+                    run, size = [], 0
+                run.append((i, order, a, n // order))
+                size += n
+        call(run, sums)
+        return {key: _fsum(parts) for key, parts in sums.items()}
 
-    def sums(prod, sizes, mass=None):
-        """Integral of each row at one order from the products of values and
-        weights, and its total integrand mass from ``mass``, if given."""
-        cuts = [0, *accumulate(sizes.tolist())]
-        spans = list(zip(cuts[:-1], cuts[1:]))
-        out = [prod[..., a:b].sum(axis=-1) for a, b in spans]
-        return out, None if mass is None else [mass[..., a:b].sum(axis=-1).max() for a, b in spans]
-
-    live = list(range(len(grids)))
-    out, scale = [None] * len(grids), [None] * len(grids)   # scale: cancellation-aware floor
-    early = {}           # the sums of the later orders of each group's first call
-    # groups sized for every order a first call may take; a row alone may take fewer
-    for run in groups(live, sum(fused(0))):
-        orders = fused(int(counts[run].sum()))
-        (first, masses), *later = evaluate(run, orders, masses=True)
-        for i, c, m in zip(run, first, masses):
-            out[i], scale[i] = c, m
-        for order, (level, _) in zip(orders[1:], later):
-            early.setdefault(order, {}).update(zip(run, level))
-    prev, residual = list(out), [0.0] * len(grids)
-    order = order0
+    orders = [order0]
+    while len(orders) < first_orders and orders[-1] < max_order:
+        orders.append(2 * orders[-1])
+    first, live = level(range(len(grids)), orders), list(range(len(grids)))
+    out, scale = [first[i, order0] for i in live], [first[i, 0].max() for i in live]
+    residual, order = [0.0] * len(live), order0
     while order < max_order and live:
         order *= 2
-        level = early.pop(order, {})
-        for run in groups([i for i in live if i not in level], order):
-            level.update(zip(run, evaluate(run, [order])[0][0]))
-        still = []
+        now, still = first if order in orders else level(live, [order]), []
         for i in live:
-            c = level[i]
-            out[i], residual[i] = c, abs(c - prev[i]).max()
+            c = now[i, order]
+            out[i], residual[i] = c, abs(c - out[i]).max()
             if residual[i] > tol * abs(c).max() + floor_rel * scale[i] + 1e-300:
-                prev[i] = c
                 still.append(i)
         live = still
     for i in live:

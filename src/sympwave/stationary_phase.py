@@ -49,7 +49,7 @@ from .errors import OutOfRangeError, ResolutionError, UsageError
 from .profiles import CutoffProduct, SmoothCutoff, cutoff_product_derivs
 
 _GRID_CHECK = 1000
-# the orders R1's first integrand call takes, 16, 32 and 64: most R1 integrals
+# the orders R1's first pass takes, 16, 32 and 64: most R1 integrals
 # stop at order 64 (45 of the 48 in seed-3 passes of the xi and stphase
 # benchmarks, the rest at 128), so a first call of orders 16 and 32 alone was
 # one call more.  Order 32 does stop some (a q^(N+1) that is proxy noise,
@@ -452,10 +452,11 @@ def remainder_integrals(amps: tuple[AmplitudeData, ...], n: int, m: int, x: floa
     every amplitude.  R2 is one Filon build.
 
     R1 starts at order 16, the first order that can stop it, and takes
-    orders 16, 32 and 64 in its first integrand call where they fit (the
-    call rule of :func:`~sympwave._quad.integrate_panels`): most R1
-    integrals stop at order 64, so up to 146 panels that is one k_n call
-    each, with the stopping decisions of one call per order.
+    orders 16, 32 and 64 in its first pass (``first_orders=3`` of
+    :func:`~sympwave._quad.integrate_panels`, whose slice rule packs them
+    into one call up to 146 panels): most R1 integrals stop at order 64, so
+    that is one k_n call each, with the stopping decisions of one call per
+    order.
     R1 refines to 1e-12 relative, with an absolute floor of
     max(1e-14, eps p x u_hi^p) of the integrand's mass, u_hi^p being the
     end of the live interval in v = u^p.  That floor is the integrand's own

@@ -42,7 +42,7 @@ profile: Filon panels give exact values at any frequency, and a lazy
 piecewise-Chebyshev table over unit chunks of v, filled from those values on
 first use, serves every quadrature node after that.
 ``KernelEvaluator.values`` evaluates whole arrays of (t, R) with one table
-read per integrand call of :func:`integrate_panels`, whose call rule bounds
+read per integrand call of :func:`integrate_panels`, whose slice rule bounds
 the nodes of each read (per-row stopping keeps each value equal to its own
 ``value``); the theta breaks of a block of pairs are built at once, one
 padded row per pair.  ``phi_zero`` takes an array of
@@ -377,7 +377,7 @@ class KernelEvaluator:
         against F(t - s), folded by s = R sin theta into one integral over
         theta in [0, pi/2] against F(t - s) + F(t + s).  That integral is one
         row of an :func:`integrate_panels` call with per-row stopping, so
-        the pairs of one integrand call, grouped by that function's call
+        the pairs of one integrand call, packed by that function's slice
         rule, share one read of ``transform``, at t - s and t + s
         together.  Pairs go through in blocks of 256, which bounds only the
         arrays of their theta breaks.  |t| + R past 2^52, near where the

@@ -1,3 +1,4 @@
+import math
 import sys
 import threading
 import time
@@ -181,25 +182,58 @@ def test_per_row_breaks_stop_each_row_on_its_own():
     assert len({sum(1 for n in seen if n[j]) for j in range(len(rates))}) > 1
 
 
-def one_call_per_order(f, breaks, order0, tol, max_order=256, floor_rel=1e-14):
+def one_call_per_order(f, breaks, order0, tol, max_order=256, floor_rel=1e-14, exact=False):
     """integrate_panels on one break array as a plain loop, one call of f per
-    order: the reference for its first call, which takes two or three orders
-    at once."""
+    order: the reference for a row of one slice per order.  With ``exact``,
+    also the math.fsum of the last order's products of values and weights
+    per entry (:func:`fsum_nodes`), their mass sum |f w| per entry, and that
+    order's node count: the reference for a row of several slices."""
     def level(order):
         nodes, weights = gl_panels_nodes(breaks, order)
         fv = f(nodes)
-        return (fv * weights).sum(axis=-1), (np.abs(fv) * np.abs(weights)).sum(axis=-1).max()
+        return fv * weights, np.abs(fv) * np.abs(weights)
 
     order = order0
-    prev, scale = level(order)
+    prod, mass = level(order)
+    prev, scale = prod.sum(axis=-1), mass.sum(axis=-1).max()
     out = prev
     while order < max_order:
         order *= 2
-        out, _ = level(order)
+        prod, mass = level(order)
+        out = prod.sum(axis=-1)
         if abs(out - prev).max() <= tol * abs(out).max() + floor_rel * scale + 1e-300:
             break
         prev = out
-    return out
+    return (out, fsum_nodes(prod), mass.sum(axis=-1), prod.shape[-1]) if exact else out
+
+
+def fsum_nodes(prod):
+    """math.fsum of ``prod`` over its last axis, real and imaginary parts apart."""
+    rows = np.asarray(prod, dtype=complex).reshape(-1, np.shape(prod)[-1])
+    sums = [complex(math.fsum(r.real.tolist()), math.fsum(r.imag.tolist())) for r in rows]
+    return np.array(sums).reshape(np.shape(prod)[:-1])
+
+
+# a row of several slices is within this many eps of its mass sum |f w| of the
+# math.fsum of its products at its last order: each slice's own numpy sum
+# rounds, pairwise (at most 0.8 eps here) or node by node for F-ordered values
+# (at most 29 eps for the 3,000-panel row below, where one numpy sum over the
+# row's 60,000 nodes was 43 eps off), and math.fsum of the slice sums once
+SLICE_EPS = 64
+
+
+def assert_slice_rule(got, f, breaks, order0, tol, **quad):
+    """``got``, a row on ``breaks``, is the slice rule's value: the bits of one
+    call per order if its last order has at most 2^14 nodes, else within
+    SLICE_EPS eps of its mass of the exact sum of its products."""
+    ref, exact, mass, nodes = one_call_per_order(f, breaks, order0, tol, exact=True, **quad)
+    got = np.asarray(got, dtype=complex)
+    if nodes <= 1 << 14:
+        assert got.tobytes() == np.asarray(ref, dtype=complex).tobytes()
+    else:
+        err = np.abs(got - exact) / (np.finfo(float).eps * mass)
+        assert np.all(err <= SLICE_EPS), err
+    return nodes
 
 
 def oscillating(rate, w, s):
@@ -209,22 +243,31 @@ def oscillating(rate, w, s):
 def call_sizes(panels, levels, taken):
     """The node counts of the integrand calls of one break array of
     ``panels`` panels whose levels of one call per order had ``levels``
-    nodes each: the first ``taken`` levels in one call, then each level in
-    slices of whole panels with at most 2^14 nodes each."""
-    sizes = [sum(levels[:taken])]
-    for n in levels[taken:]:
-        order = n // panels
-        step = (1 << 14) // order
-        sizes += [order * min(step, panels - a) for a in range(0, panels, step)]
-    return sizes
+    nodes each: each level cut into slices of whole panels with at most
+    2^14 nodes, and consecutive slices packed into calls of at most 2^14
+    nodes, the first ``taken`` levels together, then each later level."""
+    def packed(levels):
+        sizes = [0]
+        for n in levels:
+            order = n // panels
+            step = (1 << 14) // order
+            for a in range(0, panels, step):
+                nodes = order * min(step, panels - a)
+                if sizes[-1] + nodes > 1 << 14:
+                    sizes.append(0)
+                sizes[-1] += nodes
+        return sizes
+    return packed(levels[:taken]) + [n for level in levels[taken:] for n in packed([level])]
 
 
-# 3 x 16 x 341 = 16,368 nodes fit the budget of the fused first call, 342 panels do not
+# 3 x 16 x 341 = 16,368 nodes fit one call of orders 16 and 32, and 342 panels
+# do not; 700 panels are two slices at order 32, and every case reaches order 64
 @pytest.mark.parametrize("panels", [4, 341, 342, 700])
 def test_fused_first_call_gives_the_bits_of_one_call_per_order(panels):
     # two rows sharing the nodes, about five periods a panel, so that the
-    # order doubles past the fused pair at least once; the first call takes
-    # the fused pair when it fits, and no call holds more than 2^14 nodes
+    # order doubles past the first pair at least once; the first pass packs
+    # the slices of orders 16 and 32 into calls of at most 2^14 nodes, and
+    # the row keeps the bits of one call per order while it has one slice
     rates, w = np.array([0.3, 4.0]), 15.0 * panels
     breaks = np.linspace(0.0, 2.0, panels + 1)
     sizes, levels = [], []
@@ -238,19 +281,19 @@ def test_fused_first_call_gives_the_bits_of_one_call_per_order(panels):
         return oscillating(rates[:, None], w, s)
 
     got = integrate_panels(rows, breaks, order0=16, tol=1e-12)
-    ref = one_call_per_order(alone, breaks, 16, 1e-12)
-    assert got.tobytes() == ref.tobytes()
-    taken = 2 if 3 * 16 * panels <= 1 << 14 else 1
-    assert len(levels) > 2 and sizes == call_sizes(panels, levels, taken)
+    nodes = assert_slice_rule(got, alone, breaks, 16, 1e-12)
+    assert (nodes <= 1 << 14) == (panels == 4)
+    assert len(levels) > 2 and sizes == call_sizes(panels, levels, 2)
     assert max(sizes) <= 1 << 14
 
 
-# 7 x 16 x 146 = 16,352 nodes fit the budget of a first call of three orders;
-# 147 panels take two, and 342 one
+# 7 x 16 x 146 = 16,352 nodes fit one call of orders 16, 32 and 64; 147 panels
+# take two calls, and 342 four; every case but 4 panels has several slices at 128
 @pytest.mark.parametrize("panels", [4, 146, 147, 342])
 def test_three_order_first_call_gives_the_bits_of_one_call_per_order(panels):
     # about twenty periods a panel, so that the order doubles past 64; the
-    # first call takes as many orders as fit, and no call holds more than 2^14
+    # first pass packs the slices of three orders, and no call holds more
+    # than 2^14 nodes
     rates, w = np.array([0.3, 4.0]), 60.0 * panels
     breaks = np.linspace(0.0, 2.0, panels + 1)
     sizes, levels = [], []
@@ -264,10 +307,9 @@ def test_three_order_first_call_gives_the_bits_of_one_call_per_order(panels):
         return oscillating(rates[:, None], w, s)
 
     got = integrate_panels(rows, breaks, order0=16, tol=1e-12, first_orders=3)
-    ref = one_call_per_order(alone, breaks, 16, 1e-12)
-    assert got.tobytes() == ref.tobytes()
-    taken = 3 if panels <= 146 else 2 if panels <= 341 else 1
-    assert len(levels) > 3 and sizes == call_sizes(panels, levels, taken)
+    nodes = assert_slice_rule(got, alone, breaks, 16, 1e-12)
+    assert (nodes <= 1 << 14) == (panels == 4)
+    assert len(levels) > 3 and sizes == call_sizes(panels, levels, 3)
     assert max(sizes) <= 1 << 14
 
 
@@ -326,9 +368,10 @@ def test_three_order_first_call_gives_each_row_its_bits():
 
 
 def test_row_groups_give_each_row_its_bits():
-    # 40 rows of 20 to 59 panels: each order's live rows go in several groups
-    # of whole rows, no call past 2^14 nodes, and each row gets the bits and
-    # the stopping order it has alone, in one call per order
+    # 40 rows of 20 to 59 panels, one slice each at every order up to 256:
+    # each pass packs the live rows' slices, rows in order, into calls of at
+    # most 2^14 nodes, and each row gets the bits and the stopping order it
+    # has alone, in one call per order
     gen = np.random.default_rng(7)
     panels = gen.integers(20, 60, size=40)
     rates, ws = gen.uniform(0.1, 5.0, size=40), 15.0 * panels * gen.uniform(0.5, 4.0, size=40)
@@ -343,7 +386,7 @@ def test_row_groups_give_each_row_its_bits():
     got = integrate_panels(rows_f, grids, order0=16, tol=1e-12)
     assert max(c.sum() for c in seen) <= 1 << 14
     first = [next(k for k, c in enumerate(seen) if c[j]) for j in range(len(grids))]
-    assert first == sorted(first) and len(set(first)) >= 3     # groups of whole rows, in order
+    assert first == sorted(first) and len(set(first)) >= 3     # packed in row order
     stops = set()
     for j, breaks in enumerate(grids):
         sizes = []
@@ -353,74 +396,89 @@ def test_row_groups_give_each_row_its_bits():
             return oscillating(rates[j], ws[j], s)
         ref = one_call_per_order(alone, breaks, 16, 1e-12)
         assert got[j].tobytes() == np.complex128(ref).tobytes(), j
-        assert [c[j] for c in seen if c[j]] == [sizes[0] + sizes[1], *sizes[2:]], j
+        assert sum(c[j] for c in seen) == sum(sizes), j           # the same orders
         stops.add(len(sizes))
     assert len(stops) > 1
 
 
-def test_one_large_row_is_summed_in_its_own_memory_order(monkeypatch):
-    # a row of 3,000 panels has 30,000 nodes at order 10: it is evaluated in
-    # slices of at most 2^14 nodes, between two small rows, and its values,
-    # (columns x nodes) and F-ordered as phi's cap weight gives them, are
-    # summed in one buffer of that order: every bit is that of one call
-    lam = np.array([[0.0, 3.0, 40.0], [0.0, 1.0, 2.0], [0.5, 7.0, 90.0]])
-    grids = [np.linspace(0.0, 1.0, 5), np.linspace(0.0, 3.0, 3001), np.linspace(0.0, 2.0, 9)]
-
-    def rows_f(nodes):
-        seen.append(nodes.size)
+def cap_like(lam):
+    """Values (columns x nodes), F-ordered as phi's cap weight gives them, of
+    cos(lam_k x) e^(-x) for the row of lam ``lam[row]`` of each ROW_NODE."""
+    def f(nodes):
         x = nodes["x"]
         return np.cos(lam[nodes["row"]].T * x) * np.exp(-x)
+    return f
 
-    seen = []
-    sliced = integrate_panels(rows_f, grids, order0=10, tol=1e-13, max_order=80)
-    assert max(seen) <= 1 << 14 and len(seen) > 4
-    monkeypatch.setattr(_quad, "FUSED_NODES", 1 << 62)
-    seen = []
-    whole = integrate_panels(rows_f, grids, order0=10, tol=1e-13, max_order=80)
-    assert max(seen) > 1 << 14
-    assert sliced.shape == (3, 3) and sliced.tobytes() == whole.tobytes()
-    # the reason for the buffer's order: a C-ordered copy rounds differently
-    nodes, weights = gl_panels_nodes(grids[1], 20)
-    vals = (np.cos(nodes[:, None] * lam[1]) * (np.exp(-nodes) * weights)[:, None]).T
-    assert vals.flags.f_contiguous and not vals.flags.c_contiguous
-    assert vals.sum(axis=-1).tobytes() != np.ascontiguousarray(vals).sum(axis=-1).tobytes()
+
+LAMS = np.array([[0.0, 3.0, 40.0], [0.0, 1.0, 2.0], [0.5, 7.0, 90.0]])
+
+
+def test_one_large_row_is_summed_in_its_own_memory_order():
+    # a row of 3,000 panels has 30,000 nodes at order 10: it is cut into
+    # slices of at most 2^14 nodes, between two small rows; each slice is
+    # summed in the memory order of its F-ordered values, and the slice sums
+    # by math.fsum, so the large row is within SLICE_EPS eps of its mass of
+    # the exact sum, and the small rows keep the bits of one call per order
+    grids = [np.linspace(0.0, 1.0, 5), np.linspace(0.0, 3.0, 3001), np.linspace(0.0, 2.0, 9)]
+    seen, f = [], cap_like(LAMS)
+    got = integrate_panels(lambda nodes: seen.append(nodes.size) or f(nodes), grids, order0=10,
+                           tol=1e-13, max_order=80)
+    assert max(seen) <= 1 << 14 and len(seen) > 4 and got.shape == (3, 3)
+    for j, breaks in enumerate(grids):
+        def alone(x, j=j):
+            vals = np.cos(LAMS[np.full(x.size, j)].T * x) * np.exp(-x)
+            assert vals.flags.f_contiguous and not vals.flags.c_contiguous
+            return vals
+        nodes = assert_slice_rule(got[j], alone, breaks, 10, 1e-13, max_order=80)
+        assert (nodes > 1 << 14) == (j == 1), j
+
+
+def test_a_large_row_has_its_bits_alone_between_rows_and_as_one_break_array():
+    # each row's slices start at its own first panel, so a row of 3,000 panels
+    # (two slices at order 10, more at each later order) has one value whatever
+    # rows share its calls, and as a single break array
+    big, quad = np.linspace(0.0, 3.0, 3001), dict(order0=10, tol=1e-13, max_order=80)
+    between = integrate_panels(cap_like(LAMS), [np.linspace(0.0, 1.0, 5), big,
+                                                np.linspace(0.0, 2.0, 9)], **quad)[1]
+    alone = integrate_panels(cap_like(LAMS[1:2]), [big], **quad)[0]
+    single = integrate_panels(lambda x: np.cos(LAMS[np.ones(x.size, int)].T * x) * np.exp(-x),
+                              big, **quad)
+    assert between.shape == single.shape == (3,)
+    assert between.tobytes() == alone.tobytes() == single.tobytes()
 
 
 def test_single_break_calls_past_the_budget_keep_their_bits(monkeypatch):
     # R1 at x = 1e5 (about 8,000 panels), the oracle at 1e5 (31,831 panels)
-    # and two F-ordered rows sharing 3,000 panels: one break array each, its
-    # orders evaluated in slices of at most 2^14 nodes, with the bits of one
-    # call per order
+    # and two F-ordered rows sharing 3,000 panels: one break array each, cut
+    # into slices of at most 2^14 nodes, so that no integrand call holds more;
+    # each value is within SLICE_EPS eps of its mass of the math.fsum of the
+    # products of its last order, at the stopping order of one call per order
     from sympwave import stationary_phase
     from sympwave.harness import _cos_demo_problem
 
     lam = np.array([3.0, 40.0])
-    breaks = np.linspace(0.0, 3.0, 3001)
 
     def two_rows(s):
         return (np.cos(s[:, None] * lam) * np.exp(-s)[:, None]).T
 
-    def run():
-        sizes = []
+    sizes, integrals = [], []
 
-        def recorded(f, breaks, **quad):
-            return integrate_panels(lambda s: sizes.append(s.size) or f(s), breaks, **quad)
+    def recorded(f, breaks, **quad):
+        got = integrate_panels(lambda s: sizes.append(s.size) or f(s), breaks, **quad)
+        integrals.append((got, f, breaks, quad))
+        return got
 
-        monkeypatch.setattr(stationary_phase, "integrate_panels", recorded)
-        problem = _cos_demo_problem()
-        res = sw.expand(problem, 1e5, N=1, M=1)
-        rows = recorded(two_rows, breaks, order0=10, tol=1e-13, max_order=80)
-        assert rows.shape == (2,)
-        values = [res.total, res.R1, sw.oracle(problem, 1e5), *rows]
-        return np.array(values, dtype=complex).tobytes(), sizes
-
-    sliced, sizes = run()
-    assert max(sizes) <= 1 << 14 and len(sizes) > 100
-    monkeypatch.setattr(_quad, "FUSED_NODES", 1 << 62)
-    whole, sizes = run()
-    assert max(sizes) > 1 << 19
-    assert sliced == whole
+    monkeypatch.setattr(stationary_phase, "integrate_panels", recorded)
+    problem = _cos_demo_problem()
+    sw.expand(problem, 1e5, N=1, M=1)
+    sw.oracle(problem, 1e5)
+    breaks = np.linspace(0.0, 3.0, 3001)
+    assert recorded(two_rows, breaks, order0=10, tol=1e-13, max_order=80).shape == (2,)
     assert two_rows(breaks).flags.f_contiguous
+    assert max(sizes) <= 1 << 14 and len(sizes) > 100 and len(integrals) == 3
+    for got, f, breaks, quad in integrals:
+        ref = {k: quad[k] for k in ("max_order", "floor_rel") if k in quad}
+        assert assert_slice_rule(got, f, breaks, quad["order0"], quad["tol"], **ref) > 1 << 14
 
 
 def test_no_fused_call_when_the_first_order_is_the_last():
