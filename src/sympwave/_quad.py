@@ -294,29 +294,30 @@ _FILON_TOL = 2e-11     # Legendre tail / the row's largest starting coefficient
 
 
 @lru_cache(maxsize=None)
-def _filon_projection(nodes: int, deg: int):
-    """Matrix taking amplitude values at GL nodes to Legendre coefficients."""
-    x, w = gl_rule(nodes)
-    P = np.polynomial.legendre.legvander(x, deg - 1)  # (nodes, deg)
-    k = np.arange(deg)
+def _filon_projection():
+    """Matrix taking amplitude values at the 24 GL nodes to 16 Legendre coefficients."""
+    x, w = gl_rule(_FILON_NODES)
+    P = np.polynomial.legendre.legvander(x, _FILON_DEG - 1)  # (nodes, deg)
+    k = np.arange(_FILON_DEG)
     proj = (2.0 * k[:, None] + 1.0) / 2.0 * (P.T * w[None, :])  # (deg, nodes)
     return x, proj
 
 
 @lru_cache(maxsize=None)
-def _odd_factorials(deg: int) -> np.ndarray:
-    """(2k + 1)!! for k = 0..deg-1, each a product of odd numbers from 1 up."""
+def _odd_factorials() -> np.ndarray:
+    """(2k + 1)!! for k = 0..15, each a product of odd numbers from 1 up."""
     return np.array([np.multiply.reduce(np.arange(1, 2 * k + 2, 2, dtype=float))
-                     for k in range(deg)])
+                     for k in range(_FILON_DEG)])
 
 
-def _sph_jn_table(z: np.ndarray, deg: int) -> np.ndarray:
-    """Spherical Bessel j_k(z) for k = 0..deg-1, vectorized over z >= 0.
+def _sph_jn_table(z: np.ndarray) -> np.ndarray:
+    """Spherical Bessel j_k(z) for k = 0..15, vectorized over z >= 0.
 
     Three regimes: Taylor series near zero, Miller downward recurrence for
     moderate arguments (where upward recurrence loses digits), and upward
     recurrence for z beyond the largest order.
     """
+    deg = _FILON_DEG
     z = np.asarray(z, dtype=float)
     flat = z.ravel()
     out = np.zeros((deg, flat.size))
@@ -329,7 +330,7 @@ def _sph_jn_table(z: np.ndarray, deg: int) -> np.ndarray:
         # nine Taylor terms, every order at once: rows zs^k / (2k+1)!!
         zs = flat[small]
         half = 0.5 * zs * zs
-        term = np.array([zs**k for k in range(deg)]) / _odd_factorials(deg)[:, None]
+        term = np.array([zs**k for k in range(deg)]) / _odd_factorials()[:, None]
         k = np.arange(deg)[:, None]
         acc = np.zeros_like(term)
         for m in range(9):
@@ -342,17 +343,17 @@ def _sph_jn_table(z: np.ndarray, deg: int) -> np.ndarray:
         kk = deg + 48
         p_up = np.zeros_like(zm)
         p = np.full_like(zm, 1e-30)
-        table = np.zeros((max(deg, 2), zm.size))
+        table = np.zeros((deg, zm.size))
         for k in range(kk, -1, -1):
             p_next = (2.0 * k + 3.0) / zm * p - p_up
             p_up, p = p, p_next
-            if k < max(deg, 2):
+            if k < deg:
                 table[k] = p
         j0 = np.sin(zm) / zm
         j1 = j0 / zm - np.cos(zm) / zm
         use0 = np.abs(j0) >= np.abs(j1)
         scale = np.where(use0, j0 / table[0], j1 / table[1])
-        out[:, mid] = table[:deg] * scale[None, :]
+        out[:, mid] = table * scale[None, :]
 
     if np.any(big):
         zb = flat[big]
@@ -366,27 +367,25 @@ def _sph_jn_table(z: np.ndarray, deg: int) -> np.ndarray:
     return out.reshape((deg,) + z.shape)
 
 
-def _bessel_moments(mu: np.ndarray, deg: int) -> np.ndarray:
-    """Moments m_k(mu) = int_{-1}^{1} P_k(x) exp(i mu x) dx = 2 i^k j_k(mu)."""
+def _bessel_moments(mu: np.ndarray) -> np.ndarray:
+    """Moments m_k(mu) = int_{-1}^{1} P_k(x) exp(i mu x) dx = 2 i^k j_k(mu), k = 0..15."""
     mu = np.asarray(mu, dtype=float)
     sign = np.where(mu < 0.0, -1.0, 1.0)
-    z = np.abs(mu)
-    jk = _sph_jn_table(z, deg)
-    k = np.arange(deg).reshape((deg,) + (1,) * mu.ndim)
-    phase = (2.0 * 1j ** np.arange(deg)).reshape((deg,) + (1,) * mu.ndim)
-    return phase * sign[None, ...] ** k * jk
+    jk = _sph_jn_table(np.abs(mu))
+    k = np.arange(_FILON_DEG).reshape((-1,) + (1,) * mu.ndim)
+    return 2.0 * 1j ** k * sign[None, ...] ** k * jk
 
 
 class FilonPanels:
     """Reusable linear-phase integrator for a fixed amplitude on [a, b].
 
-    Build once, then evaluate int_a^b A(s) exp(i omega s) ds for whole arrays
-    of frequencies; the amplitude is sampled only at construction.  The
-    starting panels are ``n_panels`` equal panels of [a, b], or, when ``a``
-    and ``b`` are arrays, the panels [a[i], b[i]].  They are refined by
-    :func:`_split`: a panel is halved while its Legendre tail exceeds 2e-11
-    of the largest starting coefficient, so only the panels that fail are
-    refined.
+    Build once, then evaluate int_a^b A(s) exp(i omega s) ds, a and b the
+    ends of the increasing array ``breaks``, for whole arrays of frequencies;
+    the amplitude is sampled only at construction.  The starting panels are
+    [breaks[i], breaks[i + 1]], as in :func:`integrate_panels`.  They are
+    refined by :func:`_split`: a panel is halved while its Legendre tail
+    exceeds 2e-11 of the largest starting coefficient, so only the panels
+    that fail are refined.
 
     ``amp`` maps a flat node array to values of shape ``lead + (nodes,)``.  If
     ``lead`` is not empty, each row is its own amplitude, judged against its
@@ -395,18 +394,16 @@ class FilonPanels:
     frequencies whose shape broadcasts against ``lead``.
     """
 
-    def __init__(self, amp, a, b, n_panels: int = 24, warn_label: str = "filon"):
+    def __init__(self, amp, breaks, warn_label: str = "filon"):
         self.amp = amp
-        if np.ndim(a) == 0:
-            breaks = np.linspace(float(a), float(b), max(2, n_panels) + 1)
-            a, b = breaks[:-1], breaks[1:]
-        lo, hi, self.coeffs = _split(self._fit, a, b, _FILON_TOL, warn_label)
+        breaks = np.asarray(breaks, dtype=float)
+        lo, hi, self.coeffs = _split(self._fit, breaks[:-1], breaks[1:], _FILON_TOL, warn_label)
         self.mid = 0.5 * (hi + lo)
         self.half = 0.5 * (hi - lo)
 
     def _fit(self, lo, hi):
         """Legendre coefficients, shape lead + (panels, deg), of the panels [lo, hi]."""
-        x, proj = _filon_projection(_FILON_NODES, _FILON_DEG)
+        x, proj = _filon_projection()
         nodes = 0.5 * (hi + lo)[:, None] + 0.5 * (hi - lo)[:, None] * x[None, :]
         vals = np.asarray(self.amp(nodes.ravel()), dtype=complex)
         return vals.reshape(vals.shape[:-1] + nodes.shape) @ proj.T
@@ -415,7 +412,7 @@ class FilonPanels:
         """Integral against exp(i omega s); omega scalar or array."""
         om = np.atleast_1d(np.asarray(omega, dtype=float))
         mu = om[..., None] * self.half                 # om.shape + (n,)
-        moments = _bessel_moments(mu, _FILON_DEG)      # (deg,) + om.shape + (n,)
+        moments = _bessel_moments(mu)                  # (deg,) + om.shape + (n,)
         per_panel = np.einsum("...pk,k...p->...p", self.coeffs, moments)
         phase = np.exp(1j * om[..., None] * self.mid)
         out = np.sum(self.half * phase * per_panel, axis=-1)

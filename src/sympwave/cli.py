@@ -15,7 +15,7 @@ import argparse
 import sys
 
 from .errors import DivergenceError, OutOfRangeError, ResolutionError, UsageError
-from .harness import EXPERIMENTS, csv_lines, emit, read_config, run_sweep
+from .harness import EXPERIMENTS, csv_text, emit, read_config, run_sweep
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -49,7 +49,7 @@ def main(argv=None) -> int:
             fmt = "svg" if args.out.endswith(".svg") else "csv"
             emit(records, fmt, args.out)
         else:
-            sys.stdout.write("\n".join(csv_lines(records) + [""]))
+            sys.stdout.write(csv_text(records))
         return 0
     except (UsageError, OutOfRangeError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)

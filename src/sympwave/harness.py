@@ -140,26 +140,23 @@ def emit(records, fmt: str, path: str):
         raise UsageError(f"unknown format {fmt!r}")
     try:
         if fmt == "csv":
-            _emit_csv(records, path)
+            with open(path, "w") as fh:
+                fh.write(csv_text(records))
         else:
             _emit_svg(records, path)
     except OSError as exc:
         raise OSError(f"could not write {path}: {exc}") from exc
 
 
-def csv_lines(records) -> list:
-    """Header and 17-significant-digit rows of ``records``; none if empty."""
+def csv_text(records) -> str:
+    """The CSV of ``records`` that stdout and :func:`emit` write: a header and
+    17-significant-digit rows, each line ending in a newline; "" if empty."""
     if not records:
-        return []
+        return ""
     header = _flatten(records[0])[0]
     row = ",".join(["%.17g"] * len(header))
-    return [",".join(header)] + [row % tuple(values) for values in _flat_values(records, header)]
-
-
-def _emit_csv(records, path: str):
-    with open(path, "w") as fh:
-        fh.write("\n".join(csv_lines(records)))
-        fh.write("\n")
+    rows = (row % tuple(values) for values in _flat_values(records, header))
+    return "\n".join([",".join(header), *rows, ""])
 
 
 def read_csv(path: str):

@@ -23,6 +23,8 @@ D_r and :func:`i_psi` sum the symbol over S^(l-2) by one sphere rule: level
 k takes 8 2^k azimuths and 4 2^k Gauss-Legendre nodes per polar angle (S^0
 is +1 and -1).  One probe keeps the first level whose sums at three colatitudes
 agree with the next level's to 1e-11, and raises ResolutionError past 2^19 points.
+Every read of D_r is a call of :func:`d_r`, which runs the probe once per
+(symbol, rotation, r) and keeps the level for the 16 latest keys.
 
 Each sphere pole's boundary amplitude is extended by
 :func:`~sympwave.stationary_phase.extend_amplitude`, and the remainder
@@ -32,10 +34,10 @@ integrals of both poles come from one call of
 
 A sweep over h at fixed r changes only the frequency x = h r.  So the parts
 that do not depend on h are built once per (symbol, E, r), each kept by
-:func:`~sympwave._quad.build_once` for the 16 latest keys: the D_r table with
-its sphere level, the direct integrator (a Chebyshev proxy for even l,
-Filon panels for odd l) and the :class:`QFamily`, whose pole amplitudes get
-one R2 Filon build per M.  Each is built when first needed, so
+:func:`~sympwave._quad.build_once` for the 16 latest keys: the direct
+integrator (a Chebyshev proxy for even l, Filon panels for odd l) and the
+:class:`QFamily`, whose pole amplitudes get one R2 Filon build per M; both
+read D_r by :func:`d_r`.  Each is built when first needed, so
 :func:`xi_direct` alone never builds the q family, and an error is raised
 again on every call.  Per h there remain the moments of the direct integral
 at h r, R1's panels against k_n, R2's moments at h r and the closed-form
@@ -114,8 +116,8 @@ def rotate_to_axis(E) -> np.ndarray:
 # the partial spherical average D_r
 # ---------------------------------------------------------------------------
 
-# the most points a level may have (level 16 at l = 3, 4 at l = 5): a D_r
-# table there takes 10^8 symbol points a Filon fit, some 8 s on two cores
+# the most points a level may have (level 16 at l = 3, 4 at l = 5): D_r
+# there takes 10^8 symbol points a Filon fit, some 8 s on two cores
 _SPHERE_BUDGET = 1 << 19
 # symbol points per block of a sphere sum, or one pair's level if that is
 # more, so that its memory does not grow with the number of (r, theta) pairs
@@ -182,25 +184,23 @@ def _sphere_level(symbol: Symbol, rotation: np.ndarray, r, weight=1.0) -> int:
                           f"level {level + 1} would pass the budget of {_SPHERE_BUDGET} points")
 
 
-class _DrTable:
-    """D_r of (symbol, rotation, r) at the level :func:`_sphere_level` chose."""
-
-    def __init__(self, symbol, rotation, r):
-        self.symbol, self.rotation, self.r = symbol, rotation, r
-        self.level = _sphere_level(symbol, rotation, r)
-
-    def __call__(self, theta1):
-        return _sphere_sum(self.symbol, self.rotation, self.r, theta1, self.level)
+@build_once(maxsize=16)
+def _dr_level(symbol: Symbol, rotation_bytes: bytes, r: float) -> int:
+    """The probe's level for D_r of (symbol, rotation, r)."""
+    l = symbol.dimension
+    return _sphere_level(symbol, np.frombuffer(rotation_bytes).reshape(l, l), r)
 
 
 def d_r(symbol: Symbol, rotation: np.ndarray, r: float, theta1):
     """Average of the rotated symbol over the sphere slice at colatitude theta1.
 
     Vectorized over theta1.  For l = 2 this folds the circle onto [0, pi]
-    by summing the two branches (cos t, +/- sin t); for l >= 3 each call
-    runs the probe of the module's one sphere rule.
+    by summing the two branches (cos t, +/- sin t); for l >= 3 it sums the
+    module's one sphere rule at the probe's level, which is found once per
+    (symbol, rotation's bits, r) and kept for the 16 latest keys.
     """
-    out = _DrTable(symbol, rotation, r)(theta1)
+    level = _dr_level(symbol, np.asarray(rotation, dtype=float).tobytes(), float(r))
+    out = _sphere_sum(symbol, rotation, r, theta1, level)
     return out if np.ndim(theta1) else complex(out)
 
 
@@ -213,25 +213,19 @@ def _parts_key(symbol: Symbol, E, r: float):
 
 
 @build_once(maxsize=16)
-def _dr_table(symbol: Symbol, E_bytes: bytes, r: float) -> _DrTable:
-    """The D_r table that the direct integrator and the q family share."""
-    return _DrTable(symbol, rotate_to_axis(np.frombuffer(E_bytes)), r)
-
-
-@build_once(maxsize=16)
 def _direct_integral(symbol: Symbol, E_bytes: bytes, r: float):
     """x -> the integral of :func:`xi_direct` at h r = x, from a proxy (even l)
     or Filon panels (odd l) of its amplitude."""
-    l, dr = symbol.dimension, _dr_table(symbol, E_bytes, r)
+    l, J = symbol.dimension, rotate_to_axis(np.frombuffer(E_bytes))
 
     def amp(c):
         theta = np.arccos(np.clip(c, -1.0, 1.0))
-        return (1.0 - c * c) ** ((l - 2) // 2) * dr(theta)
+        return (1.0 - c * c) ** ((l - 2) // 2) * d_r(symbol, J, r, theta)
 
     if l % 2 == 0:
         proxy = cheb_fit(amp, (-1.0, 1.0), "xi_direct")
         return lambda x: filon_chebyshev(proxy, x)
-    panels = FilonPanels(amp, -1.0, 1.0, n_panels=8, warn_label="xi_direct")
+    panels = FilonPanels(amp, np.linspace(-1.0, 1.0, 9), warn_label="xi_direct")
     return lambda x: panels.integrate(x)
 
 
@@ -275,21 +269,21 @@ class QFamily:
     up to the sqrt(2) endpoint singularity, is extended by
     :func:`~sympwave.stationary_phase.extend_amplitude`, the rule
     :func:`~sympwave.stationary_phase.amplitude_data` uses too; the proxy
-    degrees grow with r for the Plancherel densities.  D_r is read from the
-    cached table of (symbol, E, r) that :func:`xi_direct` reads too.
+    degrees grow with r for the Plancherel densities.  D_r is read by
+    :func:`d_r`, at the level that :func:`xi_direct` reads it at too.
     """
 
     def __init__(self, symbol: Symbol, E, r: float):
         l = symbol.dimension
         if l < 2:
             raise UsageError("q family needs rank >= 2")
-        dr = _dr_table(*_parts_key(symbol, E, r))
+        J = rotate_to_axis(E)
 
         def a_u(us, mirror):
             us = np.atleast_1d(us)
             th = np.arccos(np.clip(1.0 - us**2, -1.0, 1.0))
             th = np.pi - th if mirror else th
-            vals = dr(th)
+            vals = d_r(symbol, J, r, th)
             base = 2.0 * us ** (l - 2) * (2.0 - us**2) ** ((l - 3) / 2.0)
             return base * (vals if mirror else np.conj(vals))
 
@@ -419,7 +413,7 @@ def i_psi(symbol: Symbol, profile: Profile, t_phase: float, E, h: float):
 
         r1 = 0.0 if l % 2 else min(1.0, rmax / 8.0)
         tail = FilonPanels(lambda rs: amp(rs) * np.atleast_1d(rs) ** power,
-                           r1, rmax, n_panels=32, warn_label="i_psi main").integrate(freq)
+                           np.linspace(r1, rmax, 33), warn_label="i_psi main").integrate(freq)
         if l % 2:
             return tail
         wb = halfperiod_breaks(abs(freq) * r1, 0.0, math.sqrt(r1))
@@ -443,7 +437,7 @@ def i_psi(symbol: Symbol, profile: Profile, t_phase: float, E, h: float):
     level = _sphere_level(symbol, J, radii, weight(radii))
     nodes_t, nodes_w = _colatitude_rule(t_phase, h)
     fil = FilonPanels(lambda rs: weight(rs) * _sphere_sum(symbol, J, rs, nodes_t[:, None], level),
-                      0.0, rmax, n_panels=24, warn_label="i_psi direct")
+                      np.linspace(0.0, rmax, 25), warn_label="i_psi direct")
     vals = fil.integrate(t_phase + h * np.cos(nodes_t))
     direct = np.sum(nodes_w * vals * np.sin(nodes_t) ** (l - 2))
     return complex(direct), complex(main)

@@ -42,10 +42,8 @@ import math
 import numpy as np
 
 from .errors import GammaPoleError
-from .gamma import log_gamma
+from .gamma import _POLE_TOL, log_gamma
 from .root_data import RootDatum, pairing
-
-_POLE_TOL = 1e-14
 
 
 def _root_form(m: int, m2: int):

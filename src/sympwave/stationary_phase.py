@@ -493,7 +493,7 @@ def _r2_build(q1, start: float, rest: tuple[AmplitudeData, ...], m: int) -> Filo
     """The Filon build of q1^(m) on [start, q1.hi] for ``q1`` and each amplitude of ``rest``."""
     q1s = [q1] + [a.q1 for a in rest]
     return FilonPanels(lambda vs: cutoff_product_derivs(q1s, m, vs),
-                       start, q1.hi, n_panels=12, warn_label="R2 integral")
+                       np.linspace(start, q1.hi, 13), warn_label="R2 integral")
 
 
 # the most boundary terms N and M: the N-th term and the remainders take up to

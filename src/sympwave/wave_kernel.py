@@ -251,7 +251,7 @@ def _phi_quadrature(geom: RankOneGeometry, lam: np.ndarray, R: np.ndarray) -> np
         brk = np.linspace(-1.0, 1.0, level + 1) if entire else np.r_[-ends[:0:-1], ends]
         fil = FilonPanels(lambda sig: hh * shape(_line_z(rr, gg + hh * (1.0 + sig),
                                                          gg + hh * (1.0 - sig))),
-                          brk[:-1], brk[1:], warn_label="phi")
+                          brk, warn_label="phi")
         interior[rows] = fil.integrate(-hh[:, :, 0] * lam[rows])
     if entire:
         return scale[:, None] * interior
@@ -339,7 +339,7 @@ def _transform_table(geom: RankOneGeometry, profile: Profile) -> ChebTable:
             f"would need {n_panels} Filon panels of {_FILON_NODES} nodes, more than "
             f"the {_TRANSFORM_NODES // _FILON_NODES} allowed; use a faster-decaying "
             "profile")
-    panels = FilonPanels(amp, 0.0, rmax, n_panels=n_panels, warn_label="kernel transform")
+    panels = FilonPanels(amp, np.linspace(0.0, rmax, n_panels + 1), warn_label="kernel transform")
     # tolerance scale: sum over panels of |int A|, fixed before any chunk exists
     mass = float(np.sum(2.0 * panels.half * np.abs(panels.coeffs[:, 0])))
     return ChebTable(panels.integrate, mass, warn_label="kernel transform")

@@ -41,14 +41,14 @@ def j0_series(z):
 
 
 def counted_xi_builds(monkeypatch):
-    """Lists that record every D_r table, q family and R2 Filon build."""
-    builds = {"dr": [], "family": [], "r2": []}
-    dr_table, family_init = model_integral._DrTable, model_integral.QFamily.__init__
+    """Lists that record every sphere-level probe, q family and R2 Filon build."""
+    builds = {"level": [], "family": [], "r2": []}
+    level, family_init = model_integral._sphere_level, model_integral.QFamily.__init__
     filon = stationary_phase.FilonPanels
 
-    def counted_dr(*args):
-        builds["dr"].append(dr_table(*args))
-        return builds["dr"][-1]
+    def counted_level(*args):
+        builds["level"].append(level(*args))
+        return builds["level"][-1]
 
     def counted_family(self, *args):
         family_init(self, *args)
@@ -58,7 +58,7 @@ def counted_xi_builds(monkeypatch):
         builds["r2"].append(filon(*args, **kwargs))
         return builds["r2"][-1]
 
-    monkeypatch.setattr(model_integral, "_DrTable", counted_dr)
+    monkeypatch.setattr(model_integral, "_sphere_level", counted_level)
     monkeypatch.setattr(model_integral.QFamily, "__init__", counted_family)
     monkeypatch.setattr(stationary_phase, "FilonPanels", counted_r2)
     return builds

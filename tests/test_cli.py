@@ -107,9 +107,19 @@ def test_empty_list_is_success(tmp_path, capsys):
     argv = ["kernel", "--preset", "h3", "--psi", "exp:1.0", "--t-list", "", "--R", "0.5"]
     out = tmp_path / "k.csv"
     assert main(argv + ["--out", str(out)]) == 0
-    assert out.read_bytes() == b"\n"
+    assert out.read_bytes() == b""
     assert main(argv) == 0
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("t_list", ["", "10,20"])
+def test_kernel_stdout_is_the_out_file(tmp_path, capsys, t_list):
+    # one CSV text for both: an empty sweep writes no bytes to either
+    argv = ["kernel", "--preset", "h3", "--psi", "exp:1", "--t-list", t_list, "--R", "0.5"]
+    out = tmp_path / "k.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode() == out.read_bytes()
 
 
 def test_stdout_is_the_out_file(tmp_path, capsys):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import sympwave as sw
 from sympwave import wave_kernel
 from sympwave.errors import UsageError
-from sympwave.harness import EXPERIMENTS, csv_lines
+from sympwave.harness import EXPERIMENTS, csv_text
 
 from conftest import counted_xi_builds
 
@@ -202,7 +202,7 @@ def _same_float(a, b):
 @given(_tables())
 def test_csv_lines_match_the_plain_rule(tmp_path_factory, records):
     ref = [_reference_columns(rec) for rec in records]
-    lines = csv_lines(records)
+    lines = csv_text(records).splitlines()
     assert lines[0] == ",".join(name for name, _ in ref[0])
     assert lines[1:] == [",".join("%.17g" % v for _, v in cols) for cols in ref]
     path = tmp_path_factory.mktemp("csv") / "t.csv"

@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ from scipy.special import j0 as scipy_j0
 from scipy.special import iv, jv
 
 import sympwave as sw
+from sympwave import model_integral
 from sympwave.errors import DivergenceError, NormalizationError, ResolutionError, UsageError
 
 from conftest import counted_xi_builds, j0_series
@@ -73,6 +75,37 @@ def test_dr_rank_one_rejected():
     sym = sw.Symbol(1, lambda lam: np.ones(np.asarray(lam).shape[:-1], dtype=complex), 0, 0.0)
     with pytest.raises(UsageError):
         sw.d_r(sym, np.eye(1), 1.0, 0.3)
+
+
+def test_dr_runs_the_probe_once_per_key(monkeypatch):
+    probes, level = [], model_integral._sphere_level
+    monkeypatch.setattr(model_integral, "_sphere_level", lambda *a: probes.append(a) or level(*a))
+    sym, J, r = sw.gaussian_symbol(3), sw.rotate_to_axis(E3), 1.3
+    thetas = (0.0, 0.7, np.array([2.2, 3.0]))
+    vals = [sw.d_r(sym, J, r, th) for th in thetas]
+    assert len(probes) == 1
+    # each call has the bits of the sphere sum at the level its own probe finds
+    for th, val in zip(thetas, vals):
+        ref = model_integral._sphere_sum(sym, J, r, th, level(sym, J, r))
+        assert np.asarray(val).tobytes() == np.asarray(ref).tobytes()
+
+
+def test_xi_decomposition_reads_d_r_through_its_module_name(monkeypatch):
+    # wrapped as a tracer wraps a layer: on every module attribute bound to it
+    points, original = [], model_integral.d_r
+
+    def traced(*args, **kwargs):
+        points.append(np.size(args[3]))
+        return original(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if mod is not None and (name == "sympwave" or name.startswith("sympwave.")):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, traced)
+    sw.clear_caches()
+    sw.xi_decompose(sw.gaussian_symbol(3), E3, 1.0, 10.0)
+    assert points and sum(points) > 0
 
 
 # -- xi by direct quadrature --------------------------------------------------
@@ -516,7 +549,7 @@ def test_xi_direct_alone_builds_no_q_family(monkeypatch):
     assert [len(b) for b in builds.values()] == [1, 0, 0]
     for h, val in zip((5.0, 20.0, 40.0), vals):
         assert abs(val - radial_closed_l3(1.0, h, math.exp(-1.0))) <= 1e-8
-    # a decomposition at the same (symbol, E, r) reads the same D_r table
+    # a decomposition at the same (symbol, E, r) reads D_r at the same level
     sw.xi_decompose(sym, E3, 1.0, 10.0)
     assert [len(b) for b in builds.values()] == [1, 1, 1]
 

@@ -23,12 +23,12 @@ def test_row_batched_filon_matches_one_panel_set_per_row():
     def rows(s):
         return np.exp(-widths[:, None] * s[None, :] ** 2) * (1.0 + 1j * s[None, :])
 
-    batched = FilonPanels(rows, 0.0, 3.0, n_panels=24)
+    batched = FilonPanels(rows, np.linspace(0.0, 3.0, 25))
     assert batched.coeffs.shape[:2] == (len(widths), 24)
     together = batched.integrate(freqs)
     for j, (c, om) in enumerate(zip(widths, freqs)):
-        single = FilonPanels(lambda s, c=c: np.exp(-c * s**2) * (1.0 + 1j * s), 0.0, 3.0,
-                             n_panels=24)
+        single = FilonPanels(lambda s, c=c: np.exp(-c * s**2) * (1.0 + 1j * s),
+                             np.linspace(0.0, 3.0, 25))
         alone = single.integrate(om)
         assert len(single.mid) == 24
         assert np.array_equal(single.coeffs, batched.coeffs[j])
@@ -44,8 +44,8 @@ def test_filon_rows_are_judged_against_their_own_coefficients():
     def rows(s):
         return np.stack([1e12 * np.exp(-(s**2)) + 0j, steep(s)])
 
-    batched = FilonPanels(rows, 0.0, 3.0, n_panels=4)
-    alone = FilonPanels(steep, 0.0, 3.0, n_panels=4)
+    batched = FilonPanels(rows, np.linspace(0.0, 3.0, 5))
+    alone = FilonPanels(steep, np.linspace(0.0, 3.0, 5))
     assert len(alone.mid) > 4 and len(batched.mid) == len(alone.mid)
     together = batched.integrate(np.array([0.0, 7.0]))
     assert together[1].tobytes() == np.complex128(alone.integrate(7.0)).tobytes()
@@ -64,7 +64,7 @@ def test_filon_splits_only_the_panels_that_fail():
         sizes.append(s.size)
         return np.exp(-400.0 * (s - 1.0) ** 2) + 0j
 
-    fil = FilonPanels(bump, 0.0, 3.0, n_panels=8)
+    fil = FilonPanels(bump, np.linspace(0.0, 3.0, 9))
     split = fil.half < 0.1                         # starting panels have half-width 3/16
     assert 8 < len(fil.mid) < 32 and np.all(np.abs(fil.mid[split] - 1.0) < 0.5)
     assert np.sum(~split) >= 5                     # far panels keep their width
@@ -82,7 +82,7 @@ def test_filon_splits_only_the_panels_that_fail():
 
 def test_filon_unresolved_amplitude_warns_once():
     with pytest.warns(AccuracyWarning) as caught:
-        fil = FilonPanels(lambda s: np.sqrt(np.abs(s - 1.0)) + 0j, 0.0, 3.0, n_panels=8,
+        fil = FilonPanels(lambda s: np.sqrt(np.abs(s - 1.0)) + 0j, np.linspace(0.0, 3.0, 9),
                           warn_label="kink")
     assert len(caught) == 1
     assert str(caught[0].message).startswith("kink: ") and "not resolved" in str(caught[0].message)
@@ -95,11 +95,11 @@ def test_filon_batch_refines_the_union_of_its_rows():
     rows = [lambda s: np.exp(-400.0 * (s - 1.0) ** 2) + 0j,
             lambda s: np.exp(-((s - 1.0) ** 2)) * (1.0 + 1j * s),
             lambda s: np.exp(-400.0 * (s - 2.0) ** 2) + 0j]
-    alone = [FilonPanels(f, 0.0, 3.0, n_panels=8) for f in rows]
+    alone = [FilonPanels(f, np.linspace(0.0, 3.0, 9)) for f in rows]
     equal = 0
     for members in ([0, 1, 2], [0, 1], [1, 2]):
-        batch = FilonPanels(lambda s: np.stack([rows[j](s) for j in members]), 0.0, 3.0,
-                            n_panels=8)
+        batch = FilonPanels(lambda s: np.stack([rows[j](s) for j in members]),
+                            np.linspace(0.0, 3.0, 9))
         freqs = np.full(len(members), 7.0)
         together = batch.integrate(freqs)
         for i, j in enumerate(members):
@@ -552,7 +552,7 @@ def _sph_jn_small_reference(zs, deg):
 def test_small_argument_bessel_rows_match_orders_one_at_a_time_and_mpmath():
     import mpmath as mp
     zs = np.r_[0.0, 1e-300, 1e-8, np.linspace(1e-3, 0.5, 200, endpoint=False)]
-    got = _sph_jn_table(zs, 16)
+    got = _sph_jn_table(zs)
     assert got.tobytes() == _sph_jn_small_reference(zs, 16).tobytes()
     assert np.array_equal(got[:, 0], np.eye(16)[0])
     with mp.workdps(30):
@@ -752,7 +752,7 @@ def test_build_once_evicts_the_least_recently_used_and_counts(own_caches):
 
 def test_clear_caches_empties_every_package_cache(h3_geometry, exp_profile):
     caches = [wave_kernel._transform_table, wave_kernel._radial_weight,
-              model_integral._dr_table, model_integral._direct_integral,
+              model_integral._dr_level, model_integral._direct_integral,
               model_integral._q_family]
     sw.dispersive_bound(h3_geometry, exp_profile, 10.0, 4.0)
     sw.xi_decompose(sw.gaussian_symbol(2), np.array([1.0, 0.0]), 1.0, 10.0)
