@@ -18,8 +18,11 @@ Three engines cover everything in the package:
 * a lazy piecewise-Chebyshev table for a smooth function of one variable
   that is read at very many points, such as a Filon transform read at every
   node of an outer quadrature: unit-width chunks of degree 24 are built on
-  first use, halved where the function varies fast, and then cost one
-  Clenshaw recurrence per point, run over fixed-size blocks of points.
+  first use, halved where the function varies fast, merged into one set of
+  sorted piece arrays, and then cost one Clenshaw recurrence per point, run
+  over fixed-size blocks of points.
+
+Gauss-Legendre panels come from :func:`gl_panels`; fixed rules are built at import.
 
 Filon panels and table chunks are refined by one rule, :func:`_split`: fit
 every starting piece, halve only the pieces whose last two coefficients are
@@ -101,22 +104,17 @@ def gl_rule(order: int):
     return x, w
 
 
-def _panel_rules(lo: np.ndarray, hi: np.ndarray, order: int):
-    """Gauss-Legendre nodes and weights of order ``order`` on the panels
-    [lo[i], hi[i]], shape (panels, order)."""
+def gl_panels(lo: np.ndarray, hi: np.ndarray, order: int):
+    """Flat Gauss-Legendre nodes and weights of order ``order`` on the panels
+    [lo[i], hi[i]], panel by panel (for breaks b, the panels b[:-1], b[1:])."""
     x, w = gl_rule(order)
     half = 0.5 * (hi - lo)[:, None]
-    return half * (x[None, :] + 1.0) + lo[:, None], half * w[None, :]
-
-
-def gl_panels_nodes(breaks: np.ndarray, order: int):
-    """Nodes and weights for composite Gauss-Legendre on given breakpoints."""
-    nodes, weights = _panel_rules(breaks[:-1], breaks[1:], order)
-    return nodes.ravel(), weights.ravel()
+    return (half * (x[None, :] + 1.0) + lo[:, None]).ravel(), (half * w[None, :]).ravel()
 
 
 # a node of one row of an :func:`integrate_panels` call with one break array
-# per row; nodes carry their rows, so the integrand takes one argument
+# per row; nodes carry their rows, so the integrand takes one node array: the
+# bench counts evaluations through a one-argument wrapper ``counted(x)``
 ROW_NODE = np.dtype([("x", float), ("row", np.intp)])
 # the most nodes of one slice of a row, and of one integrand call, in
 # :func:`integrate_panels`
@@ -144,7 +142,9 @@ def integrate_panels(f, breaks, order0: int = 16, tol: float = 1e-10,
     tagged with its ``row`` index, and the result has one entry of shape
     ``lead`` per row; with one break array the nodes are plain floats and the
     result has shape ``lead``.  Each entry of ``lead`` is its own integrand;
-    the entries of a row share its nodes and refine together.
+    the entries of a row share its nodes and refine together.  The nodes come
+    as one array, rows tagged in it, because ``bench/tracing.py`` counts
+    evaluations by wrapping ``f`` as a one-argument ``counted(x)``.
 
     At each order, each row's panels are cut, from its own first panel, into
     slices of whole panels with at most 2^14 nodes (:data:`FUSED_NODES`),
@@ -174,14 +174,14 @@ def integrate_panels(f, breaks, order0: int = 16, tol: float = 1e-10,
         for order in sorted({s[1] for s in run}):
             rows, _, first, size = np.array([s for s in run if s[1] == order]).T
             sel = np.repeat(first - np.cumsum(size) + size, size) + np.arange(size.sum())
-            levels.append((order, rows, size * order, *_panel_rules(lo[sel], hi[sel], order)))
-        nodes = np.concatenate([x.ravel() for *_, x, _ in levels])
+            levels.append((order, rows, size * order, *gl_panels(lo[sel], hi[sel], order)))
+        nodes = np.concatenate([x for *_, x, _ in levels])
         if per_row:
             tags = np.concatenate([np.repeat(rows, n) for _, rows, n, *_ in levels])
             nodes = np.rec.fromarrays([nodes, tags], dtype=ROW_NODE).view(np.ndarray)
         fv, a = f(nodes), 0
         for order, rows, n, _, w in levels:
-            vals, w, a = fv[..., a:a + w.size], w.ravel(), a + w.size
+            vals, a = fv[..., a:a + w.size], a + w.size
             prod, mass = vals * w, np.abs(vals) * np.abs(w) if order == order0 else None
             cuts = [0, *accumulate(n.tolist())]
             for i, b, c in zip(rows.tolist(), cuts, cuts[1:]):
@@ -293,21 +293,14 @@ _FILON_DEG = 16
 _FILON_TOL = 2e-11     # Legendre tail / the row's largest starting coefficient
 
 
-@lru_cache(maxsize=None)
-def _filon_projection():
-    """Matrix taking amplitude values at the 24 GL nodes to 16 Legendre coefficients."""
-    x, w = gl_rule(_FILON_NODES)
-    P = np.polynomial.legendre.legvander(x, _FILON_DEG - 1)  # (nodes, deg)
-    k = np.arange(_FILON_DEG)
-    proj = (2.0 * k[:, None] + 1.0) / 2.0 * (P.T * w[None, :])  # (deg, nodes)
-    return x, proj
-
-
-@lru_cache(maxsize=None)
-def _odd_factorials() -> np.ndarray:
-    """(2k + 1)!! for k = 0..15, each a product of odd numbers from 1 up."""
-    return np.array([np.multiply.reduce(np.arange(1, 2 * k + 2, 2, dtype=float))
-                     for k in range(_FILON_DEG)])
+# the 24 GL nodes, and the matrix (deg, nodes) taking amplitude values there
+# to 16 Legendre coefficients
+_FILON_X, _FILON_W = gl_rule(_FILON_NODES)
+_FILON_PROJ = ((2.0 * np.arange(_FILON_DEG)[:, None] + 1.0) / 2.0
+               * (npleg.legvander(_FILON_X, _FILON_DEG - 1).T * _FILON_W[None, :]))
+# (2k + 1)!! for k = 0..15, each a product of odd numbers from 1 up
+_ODD_FACTORIALS = np.array([np.multiply.reduce(np.arange(1, 2 * k + 2, 2, dtype=float))
+                            for k in range(_FILON_DEG)])
 
 
 def _sph_jn_table(z: np.ndarray) -> np.ndarray:
@@ -330,7 +323,7 @@ def _sph_jn_table(z: np.ndarray) -> np.ndarray:
         # nine Taylor terms, every order at once: rows zs^k / (2k+1)!!
         zs = flat[small]
         half = 0.5 * zs * zs
-        term = np.array([zs**k for k in range(deg)]) / _odd_factorials()[:, None]
+        term = np.array([zs**k for k in range(deg)]) / _ODD_FACTORIALS[:, None]
         k = np.arange(deg)[:, None]
         acc = np.zeros_like(term)
         for m in range(9):
@@ -403,10 +396,9 @@ class FilonPanels:
 
     def _fit(self, lo, hi):
         """Legendre coefficients, shape lead + (panels, deg), of the panels [lo, hi]."""
-        x, proj = _filon_projection()
-        nodes = 0.5 * (hi + lo)[:, None] + 0.5 * (hi - lo)[:, None] * x[None, :]
+        nodes = 0.5 * (hi + lo)[:, None] + 0.5 * (hi - lo)[:, None] * _FILON_X[None, :]
         vals = np.asarray(self.amp(nodes.ravel()), dtype=complex)
-        return vals.reshape(vals.shape[:-1] + nodes.shape) @ proj.T
+        return vals.reshape(vals.shape[:-1] + nodes.shape) @ _FILON_PROJ.T
 
     def integrate(self, omega):
         """Integral against exp(i omega s); omega scalar or array."""
@@ -571,29 +563,25 @@ class ChebTable:
     lookup.  A non-finite argument is a ValueError, before any chunk is
     built.
 
-    ``chunks`` maps each built chunk's left end k to its pieces, a tuple of
-    (left ends, midpoints, half-widths, coefficients of shape (pieces, 25)).
+    ``_flat`` is the one record of built pieces: the chunks' left ends k, and
+    the pieces' left ends, midpoints, half-widths and coefficients by degree
+    (25, pieces), all sorted; a lookup that misses chunks builds them and
+    merges their pieces in once, under the lock.
     """
 
     def __init__(self, f, scale: float, warn_label: str = "table"):
         self.f = f
         self.scale = float(scale)
         self.warn_label = warn_label
-        self.chunks = {}
         self._lock = threading.Lock()
-        # (built chunk keys, piece left ends, midpoints, half-widths,
-        # coefficients by degree (25, pieces)), all sorted by position
         self._flat = (np.empty(0), np.empty(0), np.empty(0), np.empty(0),
                       np.empty((_TABLE_DEG + 1, 0), dtype=complex))
 
-    def _build_chunk(self, k: float):
-        def fit(lo, hi):
-            return np.array([_cheb_coeffs_from_values(np.asarray(
-                self.f(0.5 * (a + b) + 0.5 * (b - a) * _TABLE_POINTS), dtype=complex))
-                for a, b in zip(lo, hi)])
-        lo, hi, coeffs = _split(fit, [k], [k + 1.0], _TABLE_TOL, self.warn_label,
-                                scale=self.scale)
-        return lo, 0.5 * (lo + hi), 0.5 * (hi - lo), coeffs
+    def _fit(self, lo, hi):
+        """Coefficients, shape (pieces, 25), of the pieces [lo, hi], one call of f each."""
+        return np.array([_cheb_coeffs_from_values(np.asarray(
+            self.f(0.5 * (a + b) + 0.5 * (b - a) * _TABLE_POINTS), dtype=complex))
+            for a, b in zip(lo, hi)])
 
     def _pieces(self, xs: np.ndarray, lo: float, hi: float):
         """The flat piece arrays, after building every chunk that ``xs`` falls
@@ -606,16 +594,19 @@ class ChebTable:
         if j < len(built) and built[i] == lo and built[j] == hi and j - i == hi - lo:
             return flat
         with self._lock:
-            need = [float(k) for k in np.unique(np.floor(xs)) if float(k) not in self.chunks]
-            if not need:
-                return self._flat
-            for k in need:
-                self.chunks[k] = self._build_chunk(k)
-            order = sorted(self.chunks)
-            parts = [self.chunks[k] for k in order]
-            self._flat = (np.array(order),
-                          *(np.concatenate([p[i] for p in parts]) for i in range(3)),
-                          np.concatenate([p[3] for p in parts]).T.copy())
+            flat = self._flat
+            need = np.setdiff1d(np.floor(xs), flat[0])
+            if not need.size:
+                return flat
+            # each chunk is split on its own, with its own warning
+            parts = [_split(self._fit, [k], [k + 1.0], _TABLE_TOL, self.warn_label,
+                            scale=self.scale) for k in need]
+            lo, hi, coeffs = (np.concatenate(part) for part in zip(*parts))
+            new = (lo, 0.5 * (lo + hi), 0.5 * (hi - lo), coeffs.T)
+            order = np.argsort(np.concatenate([flat[1], lo]))
+            self._flat = (np.union1d(flat[0], need),
+                          *(np.concatenate([old, add], axis=-1).take(order, axis=-1)
+                            for old, add in zip(flat[1:], new)))
             return self._flat
 
     def __call__(self, v):

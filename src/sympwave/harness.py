@@ -4,12 +4,13 @@ Experiments are registered by name in ``EXPERIMENTS``, which also declares
 each one's spec keys and their defaults, the CLI's flags among them; a sweep
 spec is a flat string-to-string mapping (assembled from a ``key = value``
 config file and/or CLI flags) and produces an ordered list of records.  Grid
-points may run on a thread pool capped by ``SYMPWAVE_THREADS``; row order and
-values never depend on the worker count.  Kernel sweeps ignore the cap: all
-their t go through one ``KernelEvaluator.values`` call.  Evaluators of one
-(geometry, profile) read one tabulated profile transform, so a dispersive
-sweep tabulates it once for all its t.  All randomness is banned: grids are
-explicit lists or arithmetic/geometric progressions.
+points may run on a thread pool capped by ``SYMPWAVE_THREADS`` and by the
+usable cores; row order and values never depend on the worker count.  Kernel
+sweeps ignore the cap: all their t go through one ``KernelEvaluator.values``
+call.  Evaluators of one (geometry, profile) read one tabulated profile
+transform, so a dispersive sweep tabulates it once for all its t.  All
+randomness is banned: grids are explicit lists or arithmetic/geometric
+progressions.
 
 A record becomes CSV or SVG columns through one routine, ``_flatten``: a
 complex value becomes ``<name>_re`` and ``<name>_im``, any other value one
@@ -282,12 +283,14 @@ def read_config(path: str):
 
 
 def _worker_count(npoints: int) -> int:
+    """At most ``SYMPWAVE_THREADS`` (1 if unset), ``npoints`` and the usable cores."""
     env = os.environ.get("SYMPWAVE_THREADS", "")
     try:
         cap = int(env) if env else 1
     except ValueError:
         raise UsageError(f"SYMPWAVE_THREADS must be an integer, got {env!r}")
-    return max(1, min(cap, npoints)) if npoints else 1
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(cap, npoints, cores or 1)) if npoints else 1
 
 
 def _map_grid(fn, grid):

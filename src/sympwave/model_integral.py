@@ -52,8 +52,8 @@ from math import gamma as real_gamma
 
 import numpy as np
 
-from ._quad import (FilonPanels, build_once, cheb_fit, filon_chebyshev, gl_panels_nodes,
-                    gl_rule, halfperiod_breaks, integrate_panels)
+from ._quad import (FilonPanels, build_once, cheb_fit, filon_chebyshev, gl_panels, gl_rule,
+                    halfperiod_breaks, integrate_panels)
 from .errors import DivergenceError, NormalizationError, ResolutionError, UsageError
 from .plancherel import CFunction
 from .profiles import Profile, tail_radius
@@ -160,7 +160,8 @@ def _sphere_sum(symbol: Symbol, rotation: np.ndarray, r, theta1, level: int):
         lam = (rs[i:i + rows] * theta_dir).reshape(-1, l) @ rotation.T
         return np.asarray(symbol.eval(lam)).reshape(-1, len(w)) @ w
 
-    return np.concatenate([block(i) for i in range(0, len(rs), rows)]).reshape(r.shape)
+    blocks = [block(i) for i in range(0, len(rs), rows)]
+    return (np.concatenate(blocks) if blocks else np.empty(0, dtype=complex)).reshape(r.shape)
 
 
 def _sphere_level(symbol: Symbol, rotation: np.ndarray, r, weight=1.0) -> int:
@@ -447,5 +448,6 @@ def _colatitude_rule(t_phase: float, h: float):
     """GL panels on [0, pi] refined where |t + h cos(theta)| is small."""
     c = (np.multiply.outer([-1.0, 1.0], [0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0]).ravel()
          - t_phase) / h
-    cuts = np.arccos(c[(-1.0 < c) & (c < 1.0)])
-    return gl_panels_nodes(np.unique(np.concatenate([cuts, np.linspace(0.0, np.pi, 17)])), 16)
+    cuts = np.unique(np.concatenate([np.arccos(c[(-1.0 < c) & (c < 1.0)]),
+                                     np.linspace(0.0, np.pi, 17)]))
+    return gl_panels(cuts[:-1], cuts[1:], 16)

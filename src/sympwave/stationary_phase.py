@@ -43,7 +43,7 @@ from math import gamma as real_gamma
 
 import numpy as np
 
-from ._quad import (MAX_PANELS, FilonPanels, build_once, cheb_fit, gl_panels_nodes,
+from ._quad import (MAX_PANELS, FilonPanels, build_once, cheb_fit, gl_panels,
                     halfperiod_breaks, integrate_panels)
 from .errors import OutOfRangeError, ResolutionError, UsageError
 from .profiles import CutoffProduct, SmoothCutoff, cutoff_product_derivs
@@ -83,6 +83,7 @@ class PhaseProblem:
     g: callable
 
     def __post_init__(self):
+        self.a, self.b = float(self.a), float(self.b)   # inverted t start as a copy of a
         if not self.a < self.b:
             raise UsageError("need a < b")
         if self.p < 1 or self.p > 4:
@@ -299,6 +300,7 @@ def _scaled_ierfc(k: int, z: np.ndarray) -> np.ndarray:
 
 
 _RAY_EDGES = np.concatenate([[0.0], 2.0 ** np.arange(-12.0, 0.1)])   # times zeta_max
+_RAY_NODES, _RAY_WEIGHTS = gl_panels(_RAY_EDGES[:-1], _RAY_EDGES[1:], 48)   # 624 nodes
 
 
 def _k_n_ray(n: int, u_arr: np.ndarray, x: float, p: int) -> np.ndarray:
@@ -336,10 +338,9 @@ def _k_n_ray(n: int, u_arr: np.ndarray, x: float, p: int) -> np.ndarray:
             break
         zmax = np.where(grow, 2.0 * zmax, zmax)
 
-    nodes, weights = gl_panels_nodes(_RAY_EDGES, 48)
-    zeta = zmax * nodes
+    zeta = zmax * _RAY_NODES
     vals = zeta ** (n - 1) * np.exp(1j * exponent(zeta))
-    integral = np.sum(vals * weights, axis=-1) * zmax[:, 0]
+    integral = np.sum(vals * _RAY_WEIGHTS, axis=-1) * zmax[:, 0]
     # (z-u)^(n-1) dz contributes ray^(n-1) * ray on the parameterized ray
     return ((-1.0) ** n / math.factorial(n - 1)) * ray**n * integral
 

@@ -325,6 +325,22 @@ def test_rerun_byte_identical():
     assert _sweep_digest(kernel_spec()) == _sweep_digest(kernel_spec())
 
 
+def test_worker_count_is_bounded_by_the_usable_cores(monkeypatch):
+    # the count alone: no pool is started
+    from sympwave import harness
+    monkeypatch.setenv("SYMPWAVE_THREADS", "100000")
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    assert harness._worker_count(10**5) == 3 and harness._worker_count(2) == 2
+    monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 6)
+    assert harness._worker_count(10**5) == 6
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
+    assert harness._worker_count(10**5) == 1
+    monkeypatch.delenv("SYMPWAVE_THREADS")
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 6)
+    assert harness._worker_count(10**5) == 1 and harness._worker_count(0) == 1
+
+
 def test_worker_count_invariance(monkeypatch):
     specs = [
         kernel_spec("5,10,15,20"),

@@ -77,6 +77,12 @@ def test_dr_rank_one_rejected():
         sw.d_r(sym, np.eye(1), 1.0, 0.3)
 
 
+@pytest.mark.parametrize("l", [2, 3])
+def test_dr_of_no_theta_is_an_empty_complex_array(l):
+    out = sw.d_r(sw.gaussian_symbol(l), np.eye(l), 1.0, np.array([]))
+    assert out.shape == (0,) and out.dtype == complex
+
+
 def test_dr_runs_the_probe_once_per_key(monkeypatch):
     probes, level = [], model_integral._sphere_level
     monkeypatch.setattr(model_integral, "_sphere_level", lambda *a: probes.append(a) or level(*a))

@@ -53,6 +53,18 @@ def test_phase_inversion_on_arrays(name, cos_problem):
     assert isinstance(sw.invert_phase(prob, 0.5 * prob.B), float)
 
 
+def test_integer_endpoints_give_the_bits_of_float_endpoints():
+    def cos_problem(a):
+        return sw.PhaseProblem(a=a, b=np.pi / 2, p=2, f=lambda t: -np.cos(t),
+                               fprime=np.sin, fsecond=np.cos, g=np.sin)
+    whole, real = cos_problem(0), cos_problem(0.0)
+    us = np.linspace(0.0, 1.0, 11)
+    assert sw.invert_phase(whole, us).tobytes() == sw.invert_phase(real, us).tobytes()
+    assert sw.invert_phase(whole, 0.7) == sw.invert_phase(real, 0.7) != 1.0
+    assert sw.expand(whole, 50.0, 2, 1).total == sw.expand(real, 50.0, 2, 1).total
+    assert sw.oracle(whole, 50.0) == sw.oracle(real, 50.0)
+
+
 def test_phase_callables_must_take_arrays():
     with pytest.raises(UsageError, match="numpy array"):
         sw.PhaseProblem(a=0.0, b=np.pi / 2, p=2, f=lambda t: -math.cos(t),

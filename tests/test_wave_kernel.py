@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import sympwave as sw
 from sympwave import wave_kernel as wk
-from sympwave._quad import AccuracyWarning, gl_panels_nodes
+from sympwave._quad import AccuracyWarning, gl_panels
 from sympwave.errors import DivergenceError, OutOfRangeError, ResolutionError, UsageError
 from sympwave.root_data import ReducedRoot, RootDatum
 
@@ -552,8 +552,8 @@ def test_transform_table_h3_closed_form(h3_geometry, exp_profile):
     assert np.max(np.abs(table(v) - closed) / np.abs(closed)) <= 1e-12
 
 
-def _chunk_bytes(table):
-    return {k: tuple(a.tobytes() for a in pieces) for k, pieces in table.chunks.items()}
+def _flat_bytes(table):
+    return tuple(a.tobytes() for a in table._flat)
 
 
 def test_transform_table_chunks_independent_of_build_order():
@@ -589,10 +589,10 @@ def test_transform_table_chunks_independent_of_build_order():
         sys.setswitchinterval(old)
     assert not any(th.is_alive() for th in threads) and not errors
     assert forward is not backward and backward is not threaded
-    assert len(forward.chunks) == len(points)
-    assert any(len(pieces[0]) > 1 for pieces in forward.chunks.values())
-    assert _chunk_bytes(backward) == _chunk_bytes(forward)
-    assert _chunk_bytes(threaded) == _chunk_bytes(forward)
+    keys, lefts = forward._flat[:2]
+    assert np.array_equal(keys, np.floor(points)) and len(lefts) > len(keys)
+    assert _flat_bytes(backward) == _flat_bytes(forward)
+    assert _flat_bytes(threaded) == _flat_bytes(forward)
 
 
 def test_transform_table_second_lookup_builds_nothing(h3_geometry, exp_profile):
@@ -601,10 +601,10 @@ def test_transform_table_second_lookup_builds_nothing(h3_geometry, exp_profile):
     table.f = lambda v: calls.append(len(v)) or inner(v)
     v = np.linspace(-3.0, 7.0, 500)
     first = table(v)
-    assert calls and len(table.chunks) == 11
+    assert calls and len(table._flat[0]) == 11
     calls.clear()
     assert np.array_equal(table(v), first)
-    assert calls == [] and len(table.chunks) == 11
+    assert calls == [] and len(table._flat[0]) == 11
 
 
 # -- distinguished kernel and polar weight ------------------------------------------
@@ -740,7 +740,7 @@ def test_kernel_values_of_a_bound_level_hold_little_memory(h3_geometry, exp_prof
     # their indices per block keep its peak at 6.1 MB (measured); one call of
     # all 256 pairs of a block at orders 10 and 20 peaked at 19.7 MB
     breaks = wk._bound_breaks(h3_geometry, 4.0)
-    Rs = np.concatenate([gl_panels_nodes(breaks, order)[0] for order in (6, 12)])
+    Rs = np.concatenate([gl_panels(breaks[:-1], breaks[1:], order)[0] for order in (6, 12)])
     assert Rs.size == 450
     ev = sw.KernelEvaluator(h3_geometry, exp_profile)
     warm = ev.values(40.0, Rs)
