@@ -20,9 +20,9 @@ from .root_data import (PRESET_NAMES, ReducedRoot, RootDatum, pairing, preset,
 from .stationary_phase import (AmplitudeData, ExpansionResult, PhaseProblem,
                                amplitude_data, expand, invert_phase, k_n,
                                k_n_bound, k_n_zero, oracle)
-from .wave_kernel import (KernelEvaluator, KernelSample, RankOneGeometry,
-                          cartan_weight, dispersive_bound, distinguished,
-                          kernel, log_regime_ratio, phi_rank1, phi_zero,
+from .wave_kernel import (KernelEvaluator, RankOneGeometry, cartan_weight,
+                          dispersive_bound, distinguished, kernel,
+                          log_regime_ratio, phi_rank1, phi_zero,
                           rank_one_geometry, xi_density)
 
 __version__ = "0.1.0"

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 usage error (a malformed or out-of-range input),
 3 divergent or unresolved (an integral that diverges, or a proxy or
-quadrature that cannot reach its tolerance), 4 I/O failure.
+quadrature that cannot reach its tolerance), 4 I/O failure.  Every package
+error takes its code and its stderr label from its class in ``errors``.
 The flags of each subcommand are the keys of its experiment in
 ``harness.EXPERIMENTS``.  A config file of ``key = value`` lines can pre-fill
 any flag; explicit CLI flags win.  Output format is CSV unless the path ends
@@ -14,7 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import DivergenceError, OutOfRangeError, ResolutionError, UsageError
+from .errors import SympwaveError
 from .harness import EXPERIMENTS, csv_text, emit, read_config, run_sweep
 
 
@@ -51,15 +52,9 @@ def main(argv=None) -> int:
         else:
             sys.stdout.write(csv_text(records))
         return 0
-    except (UsageError, OutOfRangeError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except DivergenceError as exc:
-        print(f"divergence: {exc}", file=sys.stderr)
-        return 3
-    except ResolutionError as exc:
-        print(f"numeric error: {exc}", file=sys.stderr)
-        return 3
+    except SympwaveError as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 4

@@ -1,24 +1,36 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.  Each class carries the CLI's
+exit code and the label that prefixes its message on stderr."""
 
 
 class SympwaveError(Exception):
     """Base class for all package-specific errors."""
+    label, exit_code = "numeric error", 3
 
 
-class GammaPoleError(SympwaveError):
-    """Log-gamma evaluated at a nonpositive integer."""
+class UsageError(SympwaveError):
+    """Malformed sweep specification or CLI input."""
+    label, exit_code = "usage error", 2
+
+
+class OutOfRangeError(UsageError):
+    """Argument outside the documented domain."""
+
+
+class NormalizationError(UsageError):
+    """Vector expected to be normalized is not."""
+
+
+class UnsupportedOrderError(UsageError):
+    """Derivative order beyond the supported cap."""
 
 
 class DivergenceError(SympwaveError):
     """An integral required to be finite diverges."""
+    label = "divergence"
 
 
-class UnsupportedOrderError(SympwaveError):
-    """Derivative order beyond the supported cap."""
-
-
-class OutOfRangeError(SympwaveError):
-    """Argument outside the documented domain."""
+class GammaPoleError(DivergenceError):
+    """Log-gamma evaluated at a nonpositive integer."""
 
 
 class ResolutionError(SympwaveError):
@@ -35,11 +47,3 @@ class ResolutionError(SympwaveError):
     and when the sphere rule's next level would pass 2^19 points
     (``model_integral._sphere_level``).
     """
-
-
-class NormalizationError(SympwaveError):
-    """Vector expected to be normalized is not."""
-
-
-class UsageError(SympwaveError):
-    """Malformed sweep specification or CLI input."""

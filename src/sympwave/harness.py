@@ -57,9 +57,6 @@ class SweepRecord:
                 return v
         raise UsageError(f"no column named {name!r}")
 
-    def column_names(self):
-        return [n for n, _ in self.inputs + self.outputs]
-
 
 @dataclass(frozen=True)
 class FitResult:
@@ -76,10 +73,10 @@ def fit_slope(records, x_col: str, y_col: str) -> FitResult:
     xs, ys = [], []
     for i, rec in enumerate(records):
         x, y = rec.get(x_col), rec.get(y_col)
-        if not (np.isreal(x) and x > 0.0):
-            raise UsageError(f"nonpositive or complex x in row {i}: {x!r}")
-        if not (np.isreal(y) and y > 0.0):
-            raise UsageError(f"nonpositive or complex y in row {i}: {y!r}")
+        if not (np.isreal(x) and 0.0 < np.real(x) < math.inf):
+            raise UsageError(f"nonpositive, infinite or complex x in row {i}: {x!r}")
+        if not (np.isreal(y) and 0.0 < np.real(y) < math.inf):
+            raise UsageError(f"nonpositive, infinite or complex y in row {i}: {y!r}")
         xs.append(math.log(float(np.real(x))))
         ys.append(math.log(float(np.real(y))))
     xs, ys = np.array(xs), np.array(ys)
@@ -315,6 +312,8 @@ def _run_cfun(spec):
             raise UsageError(f"direction needs {datum.rank} components, got {len(e)}")
         if not np.any(e):
             raise UsageError("direction must be nonzero")
+        # an exact power-of-two scale, so that its norm neither overflows nor underflows
+        e = np.ldexp(e, -np.frexp(np.abs(e).max())[1])
     else:
         e = np.ones(datum.rank)
     e = e / np.linalg.norm(e)
@@ -392,19 +391,16 @@ def _run_model(spec):
     def row(h):
         if h * r < 2.0:
             # the expansion is not claimed here; report the direct value only
-            direct = xi_direct(symbol, E, r, h)
             nan = complex(float("nan"), float("nan"))
-            return SweepRecord(
-                inputs=(("r", r), ("h", h)),
-                outputs=(("direct", direct), ("main", nan), ("R0", nan),
-                         ("R1", nan), ("R2", nan), ("bound_ratio", float("nan"))))
-        dec = xi_decompose(symbol, E, r, h, M=M)
-        ratio = (abs(dec.remainder) * (h * r) ** (datum.rank / 2.0)
-                 * (1.0 + r) ** (-n_eff))
-        return SweepRecord(
-            inputs=(("r", r), ("h", h)),
-            outputs=(("direct", dec.direct), ("main", dec.main), ("R0", dec.R0),
-                     ("R1", dec.R1), ("R2", dec.R2), ("bound_ratio", ratio)))
+            values = (xi_direct(symbol, E, r, h), nan, nan, nan, nan, float("nan"))
+        else:
+            dec = xi_decompose(symbol, E, r, h, M=M)
+            ratio = (abs(dec.remainder) * (h * r) ** (datum.rank / 2.0)
+                     * (1.0 + r) ** (-n_eff))
+            values = (dec.direct, dec.main, dec.R0, dec.R1, dec.R2, ratio)
+        return SweepRecord(inputs=(("r", r), ("h", h)),
+                           outputs=tuple(zip(("direct", "main", "R0", "R1", "R2",
+                                              "bound_ratio"), values)))
     return _map_grid(row, hs)
 
 

@@ -104,8 +104,8 @@ def plancherel_symbol(cf: CFunction) -> Symbol:
 def rotate_to_axis(E) -> np.ndarray:
     """Rotation J with J e1 = E (so J^-1 E = e1), built by orthonormalization."""
     E = np.asarray(E, dtype=float)
-    if abs(np.linalg.norm(E) - 1.0) > 1e-12:
-        raise NormalizationError("direction E must be a unit vector")
+    if not abs(np.linalg.norm(E) - 1.0) <= 1e-12:
+        raise NormalizationError(f"direction E must be a unit vector, got {E}")
     # E, then the unit vectors but the one along E's largest entry
     A = np.column_stack([E, np.delete(np.eye(len(E)), int(np.argmax(np.abs(E))), axis=1)])
     Q, Rm = np.linalg.qr(A)
@@ -198,8 +198,11 @@ def d_r(symbol: Symbol, rotation: np.ndarray, r: float, theta1):
     Vectorized over theta1.  For l = 2 this folds the circle onto [0, pi]
     by summing the two branches (cos t, +/- sin t); for l >= 3 it sums the
     module's one sphere rule at the probe's level, which is found once per
-    (symbol, rotation's bits, r) and kept for the 16 latest keys.
+    (symbol, rotation's bits, r) and kept for the 16 latest keys; r must be
+    finite.
     """
+    if not math.isfinite(r):
+        raise UsageError(f"D_r needs a finite r, got r = {r}")
     level = _dr_level(symbol, np.asarray(rotation, dtype=float).tobytes(), float(r))
     out = _sphere_sum(symbol, rotation, r, theta1, level)
     return out if np.ndim(theta1) else complex(out)
@@ -319,10 +322,10 @@ _MAX_M = 3
 
 
 def check_decomposition(r: float, M: int | None):
-    """Raise UsageError unless r > 0 and M is None or 0 <= M <= 3: the limits
-    of :func:`xi_decompose` that do not depend on h.  The error names the
-    limit that failed, r's first."""
-    if not r > 0.0:
+    """Raise UsageError unless r is finite and positive and M is None or
+    0 <= M <= 3: the limits of :func:`xi_decompose` that do not depend on h.
+    The error names the limit that failed, r's first."""
+    if not (math.isfinite(r) and r > 0.0):
         raise UsageError(f"decomposition needs r > 0, got r = {r}")
     if not (M is None or 0 <= M <= _MAX_M):
         raise UsageError(f"decomposition needs 0 <= M <= {_MAX_M}, got M = {M}")

@@ -452,16 +452,9 @@ def kernel(geom: RankOneGeometry, profile: Profile, t: float, R: float) -> compl
     return KernelEvaluator(geom, profile).value(t, R)
 
 
-@dataclass(frozen=True)
-class KernelSample:
-    t: float
-    R: float
-    value: complex
-
-
-def distinguished(geom: RankOneGeometry, sample: KernelSample) -> complex:
+def distinguished(geom: RankOneGeometry, R: float, value: complex) -> complex:
     """Kernel of the right-invariant (distinguished) Laplacian: e^{rho R} times the value."""
-    return complex(np.exp(geom.rho * sample.R) * sample.value)
+    return complex(np.exp(geom.rho * R) * value)
 
 
 def cartan_weight(geom: RankOneGeometry, R):

@@ -139,6 +139,39 @@ def test_ragged_rows_exit_code(monkeypatch, capsys):
     assert captured.out == "" and "row 1 has columns x,y_re,y_im" in captured.err
 
 
+@pytest.mark.parametrize("cls, code, label", [
+    (sw.SympwaveError, 3, "numeric error"),
+    (sw.UsageError, 2, "usage error"),
+    (sw.OutOfRangeError, 2, "usage error"),
+    (sw.NormalizationError, 2, "usage error"),
+    (sw.UnsupportedOrderError, 2, "usage error"),
+    (sw.DivergenceError, 3, "divergence"),
+    (sw.GammaPoleError, 3, "divergence"),
+    (sw.ResolutionError, 3, "numeric error"),
+])
+def test_every_package_error_exits_with_its_code_and_label(monkeypatch, capsys, cls, code, label):
+    def run(spec):
+        raise cls("raised by the runner")
+    monkeypatch.setitem(EXPERIMENTS, "cfun", EXPERIMENTS["cfun"]._replace(run=run))
+    assert main(["cfun", "--preset", "h3", "--lambda-max", "1", "--steps", "2"]) == code
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"{label}: raised by the runner\n"
+
+
+@pytest.mark.parametrize("direction", [
+    # |e| past 1.3e154 overflowed the norm to inf (rows of zero density), and
+    # below 1e-162 it underflowed to 0 (an IndexError in the overflow search)
+    f"{3 * 2.0**600!r},{2 * 2.0**600!r}",
+    f"{3 * 2.0**-1060!r},{2 * 2.0**-1060!r}",
+], ids=["huge", "subnormal"])
+def test_cfun_direction_is_scaled_before_its_norm(capsys, direction):
+    argv = ["cfun", "--preset", "a2", "--lambda-max", "1", "--steps", "2", "--direction"]
+    assert main(argv + ["3,2"]) == 0
+    reference = capsys.readouterr().out
+    assert main(argv + [direction]) == 0
+    assert capsys.readouterr().out == reference
+
+
 def test_stdout_rendering(capsys):
     assert main(["cfun", "--preset", "h3", "--lambda-max", "1.0", "--steps", "2"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

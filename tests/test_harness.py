@@ -49,6 +49,23 @@ def test_fit_rejects_nonpositive_naming_row():
         sw.fit_slope(recs, "x", "y")
 
 
+def test_fit_takes_complex_values_with_no_imaginary_part():
+    # a Python complex with a zero imaginary part raised TypeError at "> 0"
+    xs = [1.0, 2.0, 3.0]
+    ys = [complex(x * x, 0.0) for x in xs]
+    assert sw.fit_slope(make_records(xs, ys), "x", "y") == sw.fit_slope(
+        make_records(xs, [y.real for y in ys]), "x", "y")
+
+
+@pytest.mark.parametrize("column, value", [("x", math.inf), ("y", math.inf)])
+def test_fit_rejects_infinite_values_naming_row(column, value):
+    # an infinite x or y passed "> 0" and made the slope NaN
+    xs, ys = [1.0, 2.0, 3.0], [1.0, 2.0, 3.0]
+    (xs if column == "x" else ys)[1] = value
+    with pytest.raises(UsageError, match=f"nonpositive, infinite or complex {column} in row 1"):
+        sw.fit_slope(make_records(xs, ys), "x", "y")
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.floats(-3, 3), st.floats(0.1, 10))
 def test_fit_recovers_any_exact_power(slope, scale):
@@ -210,7 +227,7 @@ def test_csv_lines_match_the_plain_rule(tmp_path_factory, records):
     back = sw.read_csv(str(path))
     assert len(back) == len(records)
     for rec, cols in zip(back, ref):
-        assert rec.column_names() == [name for name, _ in cols]
+        assert [name for name, _ in rec.inputs + rec.outputs] == [name for name, _ in cols]
         assert all(_same_float(rec.get(name), v) for name, v in cols)
 
 
@@ -290,7 +307,8 @@ def test_cfun_sweep_columns():
                              "lambda-max": "2.0", "steps": "4"})
         rank = sw.preset(name).rank
         assert len(rows) == 4
-        assert rows[0].column_names() == [f"lambda_{i + 1}" for i in range(rank)] + ["density"]
+        names = [name for name, _ in rows[0].inputs + rows[0].outputs]
+        assert names == [f"lambda_{i + 1}" for i in range(rank)] + ["density"]
         cf = sw.CFunction(sw.preset(name))
         for row in rows:
             lam = np.array([row.get(f"lambda_{i + 1}") for i in range(rank)])
@@ -553,3 +571,32 @@ def test_wave_setup_and_its_dispersive_op_build_four_tables(monkeypatch):
 
 def test_registered_experiments():
     assert set(EXPERIMENTS) == {"cfun", "stphase", "model", "kernel", "dispersive"}
+
+
+def _spec_without_experiment(monkeypatch):
+    sw.run_sweep({})
+
+
+def _non_integer_threads(monkeypatch):
+    from sympwave import harness
+    monkeypatch.setenv("SYMPWAVE_THREADS", "two")
+    harness._worker_count(4)
+
+
+@pytest.mark.parametrize("call, cls, start", [
+    (lambda mp: sw.SweepRecord((("x", 1.0),), ()).get("y"), UsageError, "no column named 'y'"),
+    (lambda mp: sw.fit_slope(make_records([0.0, 1.0, 2.0], [1.0, 1.0, 1.0]), "x", "y"),
+     UsageError, "nonpositive, infinite or complex x in row 0"),
+    (lambda mp: sw.fit_slope(make_records([2.0, 2.0, 2.0], [1.0, 2.0, 3.0]), "x", "y"),
+     UsageError, "degenerate grid"),
+    (lambda mp: sw.emit([], "png", "unused.png"), UsageError, "unknown format 'png'"),
+    (lambda mp: sw.parse_grid("1:2:3"), UsageError, "grid '1:2:3' must be min:max:steps"),
+    (_non_integer_threads, UsageError, "SYMPWAVE_THREADS must be an integer"),
+    (lambda mp: sw.run_sweep({"experiment": "model", "preset": "h3", "r": "1", "h-list": "1"}),
+     UsageError, "the model sweep needs a rank >= 2 preset"),
+    (_spec_without_experiment, UsageError, "missing required key 'experiment'"),
+], ids=["get", "fit-x", "fit-grid", "emit", "grid-colons", "threads", "model-rank", "experiment"])
+def test_harness_raise_sites(monkeypatch, call, cls, start):
+    with pytest.raises(cls) as info:
+        call(monkeypatch)
+    assert info.type is cls and str(info.value).startswith(start)

@@ -569,3 +569,38 @@ def test_unresolved_parts_raise_on_every_call():
     for _ in range(2):
         with pytest.raises(ResolutionError, match=r"^xi_direct: .* at degree 4096$"):
             sw.xi_direct(sym, E2, 128.0, 5.0)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("call, cls, start", [
+    # a NaN direction passed "norm - 1 > 1e-12" and failed late in a proxy or
+    # the sphere rule's level probe, or not at all in i_psi
+    (lambda: sw.xi_decompose(sw.gaussian_symbol(2), [NAN, 0.0], 1.0, 10.0),
+     NormalizationError, "direction E must be a unit vector"),
+    (lambda: sw.xi_decompose(sw.gaussian_symbol(3), [NAN, 0.0, 0.0], 1.0, 10.0),
+     NormalizationError, "direction E must be a unit vector"),
+    (lambda: sw.i_psi(sw.gaussian_symbol(2), sw.Profile("exponential", 1.0), 1.0, [NAN, 0.0], 1.0),
+     NormalizationError, "direction E must be a unit vector"),
+    (lambda: sw.xi_decompose(sw.gaussian_symbol(2), E2, math.inf, 10.0),
+     UsageError, "decomposition needs r > 0, got r = inf"),
+    (lambda: sw.d_r(sw.gaussian_symbol(3), np.eye(3), NAN, np.array([0.3])),
+     UsageError, "D_r needs a finite r, got r = nan"),
+], ids=["xi-E-l2", "xi-E-l3", "i_psi-E", "xi-r-inf", "d_r-r-nan"])
+def test_non_finite_inputs_fail_first_with_their_class(call, cls, start):
+    with pytest.raises(cls) as info:
+        call()
+    assert info.type is cls and str(info.value).startswith(start)
+
+
+@pytest.mark.parametrize("call, cls, start", [
+    (lambda: sw.QFamily(sw.gaussian_symbol(1), [1.0], 1.0), UsageError,
+     "q family needs rank >= 2"),
+    (lambda: sw.xi_decompose(sw.gaussian_symbol(2), E2, 1.0, 0.0), UsageError,
+     "decomposition needs h > 0"),
+], ids=["q-family-rank", "xi-h"])
+def test_model_integral_raise_sites(call, cls, start):
+    with pytest.raises(cls) as info:
+        call()
+    assert info.type is cls and str(info.value).startswith(start)

@@ -162,3 +162,13 @@ def test_weyl_invariance(cfuns):
 @pytest.mark.parametrize("name,expected", [("h3", 2), ("a2", 6), ("ch2", 2)])
 def test_vanishing_order(cfuns, name, expected):
     assert cfuns[name].vanishing_order() == expected
+
+
+@pytest.mark.parametrize("call, cls, start", [
+    (lambda: sw.CFunction(sw.preset("a2")).density(np.ones((2, 3))), ValueError,
+     "lambda has wrong dimension"),
+], ids=["density-dimension"])
+def test_plancherel_raise_sites(call, cls, start):
+    with pytest.raises(cls) as info:
+        call()
+    assert info.type is cls and str(info.value).startswith(start)

@@ -219,3 +219,15 @@ def test_cutoff_scalar_and_array_calls_agree(p):
     values = prod.deriv(0, xs)
     assert np.array_equal(prod(xs), values)
     assert prod(xs[3]) == values[3]
+
+
+@pytest.mark.parametrize("call, cls, start", [
+    (lambda: sw.SmoothCutoff(1.0, 1.0), UsageError, "cutoff needs lo < hi"),
+    (lambda: sw.SmoothCutoff(2.0, 1.0), UsageError, "cutoff needs lo < hi"),
+    (lambda: sw.cutoff_product_derivs([_cutoff_product(2)], -1, np.array([0.5])), UsageError,
+     "derivative order must be >= 0, got -1"),
+], ids=["cutoff-equal-ends", "cutoff-reversed", "negative-order"])
+def test_profiles_raise_sites(call, cls, start):
+    with pytest.raises(cls) as info:
+        call()
+    assert info.type is cls and str(info.value).startswith(start)

@@ -103,3 +103,16 @@ def test_multiplicities_outside_symmetric_spaces_rejected(m_alpha, m_2alpha):
 def test_multiplicities_of_symmetric_spaces_accepted(m_alpha, m_2alpha):
     d = sw.RootDatum(1, (sw.ReducedRoot((1.0,), m_alpha, m_2alpha),))
     assert d.n == 1 + m_alpha + m_2alpha
+
+
+@pytest.mark.parametrize("call, cls, start", [
+    (lambda: sw.RootDatum(0, ()), UsageError, "rank must be a positive integer"),
+    (lambda: sw.RootDatum(2, (sw.ReducedRoot((1.0,), 1, 0),)), UsageError,
+     "root vector dimension does not match rank"),
+    (lambda: sw.weyl_orbit(sw.preset("a2"), np.array([0.3, 0.7]), max_size=5), UsageError,
+     "Weyl orbit exceeded the expected size"),
+], ids=["rank", "root-length", "orbit-cap"])
+def test_root_data_raise_sites(call, cls, start):
+    with pytest.raises(cls) as info:
+        call()
+    assert info.type is cls and str(info.value).startswith(start)

@@ -535,3 +535,29 @@ def test_r1_takes_one_integrand_call_up_to_146_panels(monkeypatch, cos_problem, 
     monkeypatch.setattr(sp, "k_n", counted)
     sw.expand(cos_problem, x, 2, 1, amplitude=amp)
     assert sizes == ([112 * panels] if panels <= 146 else [48 * panels, 64 * panels])
+
+
+def _problem(a=0.0, b=1.0, p=1, f=lambda t: t, fprime=lambda t: np.ones_like(t)):
+    return sw.PhaseProblem(a=a, b=b, p=p, f=f, fprime=fprime,
+                           fsecond=lambda t: np.zeros_like(t), g=lambda t: np.ones_like(t))
+
+
+def _finite_up_to_one(t):
+    return np.where(np.asarray(t) <= 1.0, t, np.inf)
+
+
+@pytest.mark.parametrize("call, cls, start", [
+    (lambda: _problem(a=1.0, b=0.0), UsageError, "need a < b"),
+    (lambda: _problem(p=5), UsageError, "phase degeneracy p must be in 1..4"),
+    (lambda: _problem(f=lambda t: t**4), UsageError,
+     "phase vanishes to higher order than p at the endpoint"),
+    # sin t turns down past b = pi/2, before the amplitude's extension is covered
+    (lambda: sw.amplitude_data(_problem(b=np.pi / 2, f=np.sin, fprime=np.cos)),
+     OutOfRangeError, "phase stops increasing before the amplitude extension is covered"),
+    (lambda: sw.amplitude_data(_problem(f=_finite_up_to_one)), OutOfRangeError,
+     "phase is not finite where it is inverted"),
+], ids=["ends", "p", "higher-order", "stops-increasing", "non-finite"])
+def test_stationary_phase_raise_sites(call, cls, start):
+    with pytest.raises(cls) as info:
+        call()
+    assert info.type is cls and str(info.value).startswith(start)

@@ -610,10 +610,8 @@ def test_transform_table_second_lookup_builds_nothing(h3_geometry, exp_profile):
 # -- distinguished kernel and polar weight ------------------------------------------
 
 def test_distinguished_examples(h3_geometry, exp_profile):
-    s = sw.KernelSample(t=2.0, R=0.0, value=0.3 + 0.1j)
-    assert sw.distinguished(h3_geometry, s) == pytest.approx(0.3 + 0.1j)
-    s2 = sw.KernelSample(t=2.0, R=2.0, value=0.3 + 0.1j)
-    assert sw.distinguished(h3_geometry, s2) == pytest.approx(math.e**2 * (0.3 + 0.1j))
+    assert sw.distinguished(h3_geometry, 0.0, 0.3 + 0.1j) == pytest.approx(0.3 + 0.1j)
+    assert sw.distinguished(h3_geometry, 2.0, 0.3 + 0.1j) == pytest.approx(math.e**2 * (0.3 + 0.1j))
 
 
 def test_distinguished_large_radius_decay(h3_geometry, exp_profile):
@@ -621,8 +619,7 @@ def test_distinguished_large_radius_decay(h3_geometry, exp_profile):
     ev = sw.KernelEvaluator(h3_geometry, exp_profile)
     vals = []
     for R in np.linspace(3 * t, 10 * t, 8):
-        s = sw.KernelSample(t=t, R=R, value=ev.value(t, R))
-        vals.append(abs(sw.distinguished(h3_geometry, s)) * R ** (h3_geometry.d + 1))
+        vals.append(abs(sw.distinguished(h3_geometry, R, ev.value(t, R))) * R ** (h3_geometry.d + 1))
     assert max(vals) <= 4.0 * np.median(vals)
 
 
@@ -941,3 +938,18 @@ def test_long_time_ratio_bounded(h3_geometry, exp_profile):
                          * math.exp(-h3_geometry.rho * R)))
     assert all(np.isfinite(x) for x in ratios)
     assert max(ratios) <= 4.0 * min(ratios)
+
+
+@pytest.mark.parametrize("call, cls, start", [
+    (lambda: sw.rank_one_geometry(RootDatum(1, (ReducedRoot((1.0,), 4, 2),))), UsageError,
+     "only multiplicities m_2alpha in {0, 1} are supported"),
+    (lambda: sw.xi_density(sw.rank_one_geometry("h3"), 1.0, np.array([1.0, 0.0])), UsageError,
+     "r must be positive"),
+    (lambda: sw.log_regime_ratio(sw.rank_one_geometry("h3"), sw.Profile("exponential", 1.0),
+                                 math.e, 1.0), UsageError,
+     "the medium-regime ratio needs log t > 1"),
+], ids=["m_2alpha", "xi-density-r", "log-regime-t"])
+def test_wave_kernel_raise_sites(call, cls, start):
+    with pytest.raises(cls) as info:
+        call()
+    assert info.type is cls and str(info.value).startswith(start)
